@@ -7,11 +7,11 @@ chain (code-domain interference cancellation, ML delay/gain estimation,
 full-band reconstruction, NMSE).
 """
 
-from .ambiguity import IslMatrix, SidelobeRegion, ambiguity_function, isl, isl_db, isl_matrix
-from .optimizer import (EdaConfig, EdaResult, InfeasibleSamplingError, fitness,
-                        run_eda, sample_individual, update_probabilities)
-from .receiver import (DecoupledObservation, PathEstimate, PsoConfig, decouple,
-                       estimate_paths_psols, extrapolate_fullband, nmse,
+from .ambiguity import IslMatrix, SidelobeRegion, ambiguity_function, isl_matrix
+from .optimizer import (EdaConfig, EdaResult, InfeasibleSamplingError, run_eda,
+                        sample_individual, update_probabilities)
+from .receiver import (DecoupledObservation, EstimationError, PathEstimate, PsoConfig,
+                       decouple, estimate_paths_psols, extrapolate_fullband, nmse,
                        run_extrapolation_sim)
 from .resolution import (FimMultiband, FimSingleBand, SrlResult, SrlSearch,
                          crb_delta_tau, fim_multiband, fim_single, srl_of_pattern,

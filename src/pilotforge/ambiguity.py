@@ -17,7 +17,7 @@ from scipy.linalg import toeplitz
 
 from .waveform import BandLayout
 
-__all__ = ["SidelobeRegion", "IslMatrix", "ambiguity_function", "isl_matrix", "isl", "isl_db"]
+__all__ = ["SidelobeRegion", "IslMatrix", "ambiguity_function", "isl_matrix"]
 
 # below this frequency difference the sine quotient is evaluated at its
 # removable-singularity limit 2(b - a)
@@ -108,16 +108,3 @@ def isl_matrix(layout: BandLayout, region: SidelobeRegion) -> IslMatrix:
         g = _sine_quotient(f[:, None] - f[None, :], region)
     return IslMatrix(g, layout, region)
 
-
-def isl(layout: BandLayout, w: np.ndarray, region: SidelobeRegion,
-        matrix: IslMatrix | None = None) -> float:
-    """ISL of a pattern column (linear scale); pass a prebuilt matrix to reuse it."""
-    if matrix is None:
-        matrix = isl_matrix(layout, region)
-    return matrix.isl(np.asarray(w))
-
-
-def isl_db(layout: BandLayout, w: np.ndarray, region: SidelobeRegion,
-           matrix: IslMatrix | None = None) -> float:
-    """ISL in decibels."""
-    return 10.0 * np.log10(isl(layout, w, region, matrix))

@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import contextlib
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +25,7 @@ import numpy as np
 from .ambiguity import SidelobeRegion, ambiguity_function, isl_matrix
 from .optimizer import EdaConfig, InfeasibleSamplingError, run_eda
 from .receiver import PsoConfig, baseline_schemes, run_extrapolation_sim
-from .resolution import SrlSearch, srl_of_pattern
+from .resolution import SrlResult, SrlSearch, srl_of_pattern
 from .waveform import BandLayout, PatternSet, Subband
 
 __all__ = ["ExperimentConfig", "ConfigError", "main"]
@@ -104,18 +102,31 @@ def _defaults() -> dict:
     }
 
 
-def _coerce(default, raw: str):
-    if isinstance(default, bool):
-        return raw.strip().lower() in ("1", "true", "yes", "on")
-    if isinstance(default, list):
-        items = [s for s in raw.replace(",", " ").split() if s]
-        elem = default[0] if default else 0.0
-        return [type(elem)(float(s)) if not isinstance(elem, str) else s for s in items]
-    if isinstance(default, int) and not isinstance(default, bool):
-        return int(float(raw))
-    if isinstance(default, float):
-        return float(raw)
-    return raw
+def _coerce(ref, val):
+    """Coerce one option value, an INI string or a JSON value, to its default's type.
+
+    List options take a list or a comma/space-separated string; counts must be integral.
+    """
+    if isinstance(ref, list):
+        if isinstance(val, str):
+            val = val.replace(",", " ").split()
+        if not isinstance(val, (list, tuple)):
+            raise ValueError("not a list")
+        return [_coerce(ref[0] if ref else 0.0, v) for v in val]
+    if isinstance(val, bool) or not isinstance(val, (str, int, float)):
+        raise ValueError("not a scalar")
+    if isinstance(ref, str):
+        return str(val)
+    if isinstance(ref, float):
+        return float(val)
+    if isinstance(val, str):
+        try:
+            return int(val)
+        except ValueError:
+            val = float(val)
+    if val != int(val):
+        raise ValueError("not an integer")
+    return int(val)
 
 
 @dataclass(frozen=True)
@@ -132,6 +143,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
+        """Validate {section: {option: value}}; values may be INI strings or JSON values."""
+        if not isinstance(mapping, dict):
+            raise ConfigError("config must map sections to key-value options")
         base = _defaults()
         for section, options in mapping.items():
             if section not in base:
@@ -141,14 +155,12 @@ class ExperimentConfig:
             for key, val in options.items():
                 if key not in base[section]:
                     raise ConfigError(f"unknown option {key!r} in section [{section}]")
-                ref = base[section][key]
-                if isinstance(ref, list):
-                    if not isinstance(val, (list, tuple)):
-                        raise ConfigError(f"option {section}.{key} must be a list")
-                    elem = type(ref[0]) if ref else float
-                    base[section][key] = [elem(v) for v in val]
-                else:
-                    base[section][key] = type(ref)(val)
+                try:
+                    base[section][key] = _coerce(base[section][key], val)
+                except (ValueError, OverflowError) as exc:
+                    raise ConfigError(f"bad value for {section}.{key}: {val!r}") from exc
+        if base["band"]["mode"] not in ("single", "multi"):
+            raise ConfigError("band mode must be 'single' or 'multi'")
         return cls(base, int(base["output"]["seed"]))
 
     @classmethod
@@ -158,29 +170,22 @@ class ExperimentConfig:
             raise ConfigError(f"config file {path} does not exist")
         text = path.read_text()
         if text.lstrip().startswith("{"):
-            data = json.loads(text)
+            try:
+                data = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"cannot parse {path}: {exc}") from exc
             # a pattern artifact reproduces its own run
-            if isinstance(data, dict) and data.get("format") == PATTERN_FORMAT:
+            if data.get("format") == PATTERN_FORMAT:
                 cfg = cls.from_mapping(data["config"])
                 return cls(cfg.values, int(data["seed"]))
             return cls.from_mapping(data)
         parser = configparser.ConfigParser()
         try:
             parser.read_string(text)
+            mapping = {s: dict(parser[s]) for s in parser.sections()}
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
-        base = _defaults()
-        for section in parser.sections():
-            if section not in base:
-                raise ConfigError(f"unknown config section [{section}]")
-            for key, raw in parser.items(section):
-                if key not in base[section]:
-                    raise ConfigError(f"unknown option {key!r} in section [{section}]")
-                try:
-                    base[section][key] = _coerce(base[section][key], raw)
-                except ValueError as exc:
-                    raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
-        return cls(base, int(base["output"]["seed"]))
+        return cls.from_mapping(mapping)
 
     def with_overrides(self, seed: int | None = None, mode: str | None = None
                        ) -> "ExperimentConfig":
@@ -326,6 +331,16 @@ def _load_pattern(path: str | Path, layout: BandLayout) -> tuple[PatternSet, dic
         raise ConfigError(f"pattern file {path}: {exc}") from exc
 
 
+def _group_entry(col: np.ndarray, isl: float, srl: SrlResult) -> dict:
+    """Per-group metrics as the pattern artifact and `srl` print them."""
+    return {
+        "indices": [int(i) for i in np.flatnonzero(col)],
+        "isl_db": float(10 * np.log10(isl)),
+        "srl_ns": None if srl.srl_s is None else float(srl.srl_s * 1e9),
+        "srl_below_range": bool(srl.below_range),
+    }
+
+
 def _pattern_metrics(cfg: ExperimentConfig, layout: BandLayout,
                      patterns: PatternSet) -> list[dict]:
     matrix = isl_matrix(layout, cfg.region())
@@ -336,12 +351,7 @@ def _pattern_metrics(cfg: ExperimentConfig, layout: BandLayout,
     for g in range(patterns.n_groups):
         col = patterns.column(g)
         res = srl_of_pattern(layout, col, noise, gains, prior, cfg.srl_search())
-        out.append({
-            "indices": [int(i) for i in np.flatnonzero(col)],
-            "isl_db": float(10 * np.log10(matrix.isl(col))),
-            "srl_ns": None if res.srl_s is None else float(res.srl_s * 1e9),
-            "srl_below_range": bool(res.below_range),
-        })
+        out.append(_group_entry(col, matrix.isl(col), res))
     return out
 
 
@@ -350,7 +360,8 @@ def _pattern_metrics(cfg: ExperimentConfig, layout: BandLayout,
 def cmd_optimize(cfg: ExperimentConfig, out_dir: Path) -> int:
     layout = cfg.layout()
     result = run_eda(layout, cfg.eda_config())
-    groups = _pattern_metrics(cfg, layout, result.best)
+    groups = [_group_entry(result.best.column(g), isl, srl) for g, (isl, srl)
+              in enumerate(zip(result.isl_per_group, result.srl_per_group))]
     artifact = {
         "format": PATTERN_FORMAT,
         "band": cfg.mode,
@@ -478,23 +489,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@contextlib.contextmanager
-def _thread_cap():
-    cap = os.environ.get("PILOTFORGE_THREADS")
-    if not cap:
-        yield
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        print("PILOTFORGE_THREADS set but threadpoolctl is unavailable; ignoring",
-              file=sys.stderr)
-        yield
-        return
-    with threadpool_limits(limits=int(cap)):
-        yield
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -502,18 +496,17 @@ def main(argv: list[str] | None = None) -> int:
                else ExperimentConfig.default())
         cfg = cfg.with_overrides(seed=args.seed, mode=args.band)
         out_dir = Path(args.out)
-        with _thread_cap():
-            if args.command == "optimize":
-                return cmd_optimize(cfg, out_dir)
-            if args.command == "isl":
-                return cmd_isl(cfg, args.pattern)
-            if args.command == "srl":
-                return cmd_srl(cfg, args.pattern)
-            if args.command == "af":
-                return cmd_af(cfg, args.pattern, out_dir)
-            if args.command == "simulate":
-                return cmd_simulate(cfg, args.pattern, out_dir)
-            raise AssertionError("unreachable")
+        if args.command == "optimize":
+            return cmd_optimize(cfg, out_dir)
+        if args.command == "isl":
+            return cmd_isl(cfg, args.pattern)
+        if args.command == "srl":
+            return cmd_srl(cfg, args.pattern)
+        if args.command == "af":
+            return cmd_af(cfg, args.pattern, out_dir)
+        if args.command == "simulate":
+            return cmd_simulate(cfg, args.pattern, out_dir)
+        raise AssertionError("unreachable")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -16,14 +16,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ambiguity import IslMatrix, SidelobeRegion, isl_matrix
-from .resolution import SrlSearch, pattern_crb_provider, srl_at_most, srl_of_pattern
+from .resolution import (SrlResult, SrlSearch, pattern_crb_provider, srl_at_most,
+                         srl_of_pattern)
 from .waveform import BandLayout, PatternSet, random_patterns
 
 __all__ = [
     "EdaConfig",
     "EdaResult",
     "InfeasibleSamplingError",
-    "fitness",
     "update_probabilities",
     "sample_individual",
     "random_srl_reference",
@@ -90,13 +90,14 @@ class EdaResult:
     prob: np.ndarray
     beta_s: tuple[float, ...]
     isl_per_group: np.ndarray
-    srl_per_group_s: tuple[float, ...]
+    srl_per_group: tuple[SrlResult, ...]
     rejected_draws: int
 
-
-def fitness(patterns: PatternSet, matrix: IslMatrix) -> float:
-    """Worst-group ISL (linear scale); lower is better."""
-    return float(max(matrix.isl(patterns.column(g)) for g in range(patterns.n_groups)))
+    @property
+    def srl_per_group_s(self) -> tuple[float, ...]:
+        """Final SRL per group; tau_lo when below the search range, NaN when not found."""
+        return tuple(r.srl_s if r.found else (r.search.tau_lo_s if r.below_range else np.nan)
+                     for r in self.srl_per_group)
 
 
 def _fitness_many(masks: np.ndarray, matrix: IslMatrix) -> np.ndarray:
@@ -308,12 +309,8 @@ def run_eda(layout: BandLayout, cfg: EdaConfig,
     best = PatternSet(best_mask)
     gains = np.asarray(cfg.offline_gains, dtype=complex)
     prior = cfg.prior_std_s if layout.mode == "multi" else None
-    srls = []
-    for g in range(n_groups):
-        res = srl_of_pattern(layout, best.column(g), cfg.offline_noise_std, gains,
-                             prior, cfg.final_search)
-        srls.append(res.srl_s if res.found else (cfg.final_search.tau_lo_s
-                                                 if res.below_range else np.nan))
+    srls = tuple(srl_of_pattern(layout, best.column(g), cfg.offline_noise_std, gains,
+                                prior, cfg.final_search) for g in range(n_groups))
     isl_pg = np.array([matrix.isl(best.column(g)) for g in range(n_groups)])
     return EdaResult(best, best_fit, np.asarray(trace), prob, tuple(beta),
-                     isl_pg, tuple(srls), rejected_total)
+                     isl_pg, srls, rejected_total)

@@ -26,6 +26,7 @@ from .waveform import (BandLayout, ChannelParams, PatternSet, PilotSequence,
                        synthesize_received, uniform_patterns)
 
 __all__ = [
+    "EstimationError",
     "DecoupledObservation",
     "PathEstimate",
     "PsoConfig",
@@ -41,6 +42,10 @@ __all__ = [
 ]
 
 _MAX_UNION_GRID = 1 << 22
+
+
+class EstimationError(ValueError):
+    """The observation cannot identify the requested multipath model."""
 
 
 @dataclass(frozen=True)
@@ -429,8 +434,8 @@ def estimate_paths_psols(obs: DecoupledObservation, w: np.ndarray, layout: BandL
     if n_paths is not None:
         k = int(n_paths)
         if len(support) < 2 * k or len(obs.gate_bins) < 2 * k:
-            raise ValueError(f"{len(support)} pilots over {len(obs.gate_bins)} "
-                             f"gate bins cannot identify {k} paths")
+            raise EstimationError(f"{len(support)} pilots over {len(obs.gate_bins)} "
+                                  f"gate bins cannot identify {k} paths")
     else:
         k = max(1, min(len(peaks), pso.max_paths,
                        len(support) // 2, len(obs.gate_bins) // 2))
@@ -541,8 +546,9 @@ def run_extrapolation_sim(layout: BandLayout, schemes: Mapping[str, PatternSet],
 
     All schemes see the same channel draws per trial (and scheme-specific
     noise), so cross-scheme comparisons are paired. Per-user estimation
-    failures invalidate the trial for that scheme and are counted, never
-    silently dropped. A completed fit whose residual ends above the residual
+    failures (``EstimationError`` or a singular linear solve) invalidate the
+    trial for that scheme and are counted, never silently dropped; any other
+    error propagates. A completed fit whose residual ends above the residual
     at the true delays (beyond rounding) is counted as a search failure: the
     maximum-likelihood optimum can never be worse than the truth, so such a
     fit stopped short of it.
@@ -574,7 +580,7 @@ def run_extrapolation_sim(layout: BandLayout, schemes: Mapping[str, PatternSet],
             y = synthesize_received(layout, patterns, sequences, sub,
                                     seed=noise_seed.generate_state(1)[0])
             try:
-                ratios = []
+                estimates = {}
                 for (g, z) in users:
                     obs = decouple(layout, y, patterns.column(g), sequences[z],
                                    gate, user=(g, z))
@@ -590,12 +596,9 @@ def run_extrapolation_sim(layout: BandLayout, schemes: Mapping[str, PatternSet],
                     floor = 1e-12 * float(np.sum(np.abs(obs.delay_gated) ** 2))
                     fits[name] += 1
                     search_failures[name] += int(est.residual > truth_res + floor)
-                    h_hat = extrapolate_fullband(est, layout)
-                    h = truth[(g, z)]
-                    ratios.append(np.sum(np.abs(h_hat - h) ** 2)
-                                  / np.sum(np.abs(h) ** 2))
-                results[name].append(float(np.mean(ratios)))
-            except (ValueError, np.linalg.LinAlgError):
+                    estimates[(g, z)] = extrapolate_fullband(est, layout)
+                results[name].append(nmse([estimates], [{u: truth[u] for u in users}]))
+            except (EstimationError, np.linalg.LinAlgError):
                 failures[name] += 1
     out = {}
     for name in schemes:

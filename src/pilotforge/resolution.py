@@ -28,7 +28,6 @@ __all__ = [
     "fim_single",
     "fim_multiband",
     "crb_delta_tau",
-    "crb_delta_tau_quadform",
     "crb_batch",
     "srl_search",
     "pattern_crb_provider",
@@ -154,14 +153,13 @@ def _fim_single_batch(f_support: np.ndarray, noise_std: float, gains: np.ndarray
 
 
 def fim_single(w: np.ndarray, spacing_hz: float, noise_std: float, gains,
-               delta_tau_s: float, tau1_s: float = 0.0) -> FimSingleBand:
+               delta_tau_s: float) -> FimSingleBand:
     """Single-band two-path FIM for one pattern column.
 
     The subcarrier index n runs 0..N-1 and only supported subcarriers
-    contribute; tau1_s is accepted for interface symmetry but cannot change
-    the result (difference-only structure).
+    contribute; the first path's delay does not enter (difference-only
+    structure).
     """
-    del tau1_s
     if noise_std <= 0:
         raise ValueError("noise std must be positive (the FIM diverges at zero noise)")
     w = np.asarray(w)
@@ -247,17 +245,14 @@ def _fim_multiband_batch(f_support: np.ndarray, band_support: np.ndarray,
 
 
 def fim_multiband(layout: BandLayout, w: np.ndarray, noise_std: float, gains,
-                  delta_tau_s: float, prior_std_s: float, tau1_s: float = 0.0,
-                  phase_offsets=None, timing_offsets=None) -> FimMultiband:
+                  delta_tau_s: float, prior_std_s: float) -> FimMultiband:
     """Multiband two-path FIM with phase/timing nuisance parameters.
 
     The first band's center frequency is pinned to zero and phi_1 to 0, which
-    keeps the matrix finite. The true phase/timing offsets are accepted for
-    interface symmetry but do not enter any entry (they cancel in every
-    conjugate product); the timing prior adds 1/prior_std^2 on the delta
-    diagonal.
+    keeps the matrix finite. Neither the first path's delay nor the true
+    phase/timing offsets enter any entry (they cancel in every conjugate
+    product); the timing prior adds 1/prior_std^2 on the delta diagonal.
     """
-    del tau1_s, phase_offsets, timing_offsets
     if layout.mode != "multi":
         raise ValueError("fim_multiband needs a multiband layout")
     if noise_std <= 0:
@@ -321,35 +316,10 @@ def crb_batch(J: np.ndarray, cond_cap: float = DEFAULT_COND_CAP) -> np.ndarray:
     return out[0] if single else out
 
 
-def _fim_matrix(fim) -> np.ndarray:
-    return fim.matrix if hasattr(fim, "matrix") else np.asarray(fim)
-
-
 def crb_delta_tau(fim, cond_cap: float = DEFAULT_COND_CAP) -> float:
     """CRB of the delay separation: the (1,1)+(2,2)-(1,2)-(2,1) combination
     of the inverse FIM. Returns +inf when the FIM is unresolvable."""
-    return float(crb_batch(_fim_matrix(fim), cond_cap))
-
-
-def crb_delta_tau_quadform(fim, cond_cap: float = DEFAULT_COND_CAP) -> float:
-    """Same bound via the generic form d^T J^{-1} d with d = [-1, 1, 0, ...]."""
-    J = _fim_matrix(fim)
-    keep = ~np.all(J == 0.0, axis=0)
-    if not (keep[0] and keep[1]):
-        return np.inf
-    Jr = J[np.ix_(keep, keep)]
-    d = np.diag(Jr)
-    if np.any(d <= 0):
-        return np.inf
-    ds = np.sqrt(d)
-    Js = Jr / np.outer(ds, ds)
-    eig = np.linalg.eigvalsh(Js)
-    if eig[0] <= 0 or eig[-1] / eig[0] > cond_cap:
-        return np.inf
-    dvec = np.zeros(Jr.shape[0])
-    dvec[0], dvec[1] = -1.0, 1.0
-    u = dvec / ds  # J^{-1} = D^{-1} Js^{-1} D^{-1} with D = diag(ds)
-    return float(u @ np.linalg.solve(Js, u))
+    return float(crb_batch(fim.matrix if hasattr(fim, "matrix") else fim, cond_cap))
 
 
 def pattern_crb_provider(layout: BandLayout, w: np.ndarray, noise_std: float, gains,

@@ -279,8 +279,6 @@ class ChannelParams:
     phase_offsets_rad, timing_offsets_s : ndarray or None
         Per-subband distortions (multiband only); phase of the first band is
         pinned to zero by convention.
-    prior_std_s : float or None
-        Prior standard deviation of the timing offsets (multiband only).
     """
 
     delays_s: Mapping[tuple[int, int], np.ndarray]
@@ -288,7 +286,6 @@ class ChannelParams:
     noise_std: float
     phase_offsets_rad: np.ndarray | None = None
     timing_offsets_s: np.ndarray | None = None
-    prior_std_s: float | None = None
 
     def __post_init__(self):
         if self.noise_std < 0:
@@ -428,8 +425,7 @@ def draw_channels(n_groups: int, n_codes: int, n_paths: int, tau_max_s: float,
                   noise_std: float, seed: int = 0,
                   min_separation_s: float = 0.0,
                   phase_offsets_rad: np.ndarray | None = None,
-                  timing_offsets_s: np.ndarray | None = None,
-                  prior_std_s: float | None = None) -> ChannelParams:
+                  timing_offsets_s: np.ndarray | None = None) -> ChannelParams:
     """Parametric multipath draw: delays uniform on [0, tau_max], gains CN(0, 1).
 
     A positive min_separation_s redraws each user's delays until adjacent
@@ -449,5 +445,4 @@ def draw_channels(n_groups: int, n_codes: int, n_paths: int, tau_max_s: float,
             delays[(g, z)] = d
             gains[(g, z)] = (rng.standard_normal(n_paths)
                              + 1j * rng.standard_normal(n_paths)) / np.sqrt(2.0)
-    return ChannelParams(delays, gains, noise_std, phase_offsets_rad,
-                         timing_offsets_s, prior_std_s)
+    return ChannelParams(delays, gains, noise_std, phase_offsets_rad, timing_offsets_s)

@@ -178,3 +178,28 @@ def fim_scaled_error(J: np.ndarray, J_ref: np.ndarray) -> float:
     d = np.sqrt(np.abs(np.diag(J_ref)))
     d[d == 0] = 1.0
     return float(np.max(np.abs(J - J_ref) / np.outer(d, d)))
+
+
+def crb_delta_tau_quadform(J: np.ndarray, cond_cap: float = 1e12) -> float:
+    """CRB of tau_2 - tau_1 via the generic form d^T J^{-1} d, d = [-1, 1, 0, ...].
+
+    All-zero rows/columns are dropped first, and a Jacobi-scaled condition
+    number above cond_cap counts as unresolvable (+inf).
+    """
+    J = np.asarray(J, dtype=float)
+    keep = ~np.all(J == 0.0, axis=0)
+    if not (keep[0] and keep[1]):
+        return np.inf
+    Jr = J[np.ix_(keep, keep)]
+    d = np.diag(Jr)
+    if np.any(d <= 0):
+        return np.inf
+    ds = np.sqrt(d)
+    Js = Jr / np.outer(ds, ds)
+    eig = np.linalg.eigvalsh(Js)
+    if eig[0] <= 0 or eig[-1] / eig[0] > cond_cap:
+        return np.inf
+    dvec = np.zeros(Jr.shape[0])
+    dvec[0], dvec[1] = -1.0, 1.0
+    u = dvec / ds  # J^{-1} = D^{-1} Js^{-1} D^{-1} with D = diag(ds)
+    return float(u @ np.linalg.solve(Js, u))

@@ -5,6 +5,8 @@ import pytest
 
 import pilotforge as pf
 from pilotforge.ambiguity import SidelobeRegion, _sine_quotient, isl_matrix
+from pilotforge.cli import _group_entry
+from pilotforge.resolution import SrlResult, SrlSearch
 
 from oracles import dirichlet_magnitude, isl_quadrature, isl_region_integral_cos
 
@@ -57,8 +59,9 @@ class TestAmbiguityFunction:
     def test_takes_no_pilot_sequence(self):
         params = inspect.signature(pf.ambiguity_function).parameters
         assert not any("sequence" in p or p == "x" for p in params)
-        params = inspect.signature(pf.isl).parameters
-        assert not any("sequence" in p or p == "x" for p in params)
+        for isl_step in (isl_matrix, pf.IslMatrix.isl):
+            params = inspect.signature(isl_step).parameters
+            assert not any("sequence" in p or p == "x" for p in params)
 
 
 class TestIslMatrix:
@@ -109,7 +112,7 @@ class TestIslMatrix:
 class TestIsl:
     def test_all_zero_pattern_rejected(self, layout_single, default_region):
         with pytest.raises(ValueError):
-            pf.isl(layout_single, np.zeros(256), default_region)
+            isl_matrix(layout_single, default_region).isl(np.zeros(256))
 
     def test_closed_form_matches_quadrature_random_patterns(self):
         lay = pf.BandLayout.single(64, FS, 0.0)
@@ -123,11 +126,12 @@ class TestIsl:
             assert mat.isl(w) == pytest.approx(ref, rel=1e-6)
 
     def test_db_conversion(self, layout_single, default_region):
+        # the ISL in dB that pattern artifacts and `pilotforge srl` report
         w = np.zeros(256)
         w[:128] = 1
-        lin = pf.isl(layout_single, w, default_region)
-        assert pf.isl_db(layout_single, w, default_region) == pytest.approx(
-            10 * np.log10(lin))
+        lin = isl_matrix(layout_single, default_region).isl(w)
+        entry = _group_entry(w, lin, SrlResult(None, None, (), SrlSearch()))
+        assert entry["isl_db"] == pytest.approx(10 * np.log10(lin))
 
     def test_time_unit_scaling_invariance(self):
         # expressing the grid in 10x coarser frequency and the region in 10x
@@ -135,10 +139,10 @@ class TestIsl:
         rng = np.random.default_rng(2)
         w = np.zeros(64)
         w[rng.permutation(64)[:20]] = 1
-        v1 = pf.isl(pf.BandLayout.single(64, FS, 0.0), w,
-                    SidelobeRegion(150e-9, 400e-9))
-        v2 = pf.isl(pf.BandLayout.single(64, 10 * FS, 0.0), w,
-                    SidelobeRegion(15e-9, 40e-9))
+        v1 = isl_matrix(pf.BandLayout.single(64, FS, 0.0),
+                        SidelobeRegion(150e-9, 400e-9)).isl(w)
+        v2 = isl_matrix(pf.BandLayout.single(64, 10 * FS, 0.0),
+                        SidelobeRegion(15e-9, 40e-9)).isl(w)
         assert v2 == pytest.approx(v1, rel=1e-12)
 
     def test_isl_many_matches_scalar(self, layout_single, default_region):

@@ -1,6 +1,4 @@
 import json
-import os
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +61,48 @@ class TestConfig:
         p = tmp_path / "bad.ini"
         p.write_text("[band]\nsubcarriers = many\n")
         assert main(["optimize", "--config", str(p)]) == 2
+
+    @pytest.mark.parametrize("name,text", [
+        ("bad.json", '{"band": {"subcarriers": "many"}}'),
+        ("bad.json", '{"users": {"budgets": [24.7, 24]}}'),
+        ("bad.ini", "[users]\nbudgets = 24.7, 24\n"),
+        ("bad.json", '{"eda": {"population": 99.5}}'),
+        ("bad.json", '{"sim": {"snr_db": 15}}'),
+    ])
+    def test_bad_value_is_config_error_in_either_form(self, tmp_path, name, text):
+        p = tmp_path / name
+        p.write_text(text)
+        with pytest.raises(ConfigError, match="bad value"):
+            ExperimentConfig.from_file(p)
+        assert main(["optimize", "--config", str(p), "--out", str(tmp_path)]) == 2
+
+    def test_ini_and_json_give_the_same_config(self, tmp_path):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[band]\nsubcarriers = 64\nmulti_centers_hz = 3.5e9 3.7e9\n"
+                       "[users]\nbudgets = 24, 24\n"
+                       "[srl]\nbeta_margin = 1.10\nbeta_s = 2e-9, 3e-9\n"
+                       "[sim]\nsnr_db = 5, inf\n[output]\nseed = 7\n")
+        js = tmp_path / "cfg.json"
+        js.write_text(json.dumps({
+            "band": {"subcarriers": 64, "multi_centers_hz": [3.5e9, 3.7e9]},
+            "users": {"budgets": [24, 24]},
+            "srl": {"beta_margin": 1.1, "beta_s": [2e-9, 3e-9]},
+            "sim": {"snr_db": [5, "inf"]}, "output": {"seed": 7}}))
+        a, b = ExperimentConfig.from_file(ini), ExperimentConfig.from_file(js)
+        assert a.config_hash() == b.config_hash()
+        assert a.seed == b.seed == 7
+        assert a.values["users"]["budgets"] == [24, 24]
+        assert a.values["sim"]["snr_db"] == [5.0, float("inf")]
+
+    def test_unknown_band_mode_exit_code(self, toy_artifact, tmp_path):
+        _, _, pat = toy_artifact
+        p = tmp_path / "bad.ini"
+        p.write_text(TOY_INI.replace("[band]\n", "[band]\nmode = triple\n"))
+        with pytest.raises(ConfigError, match="mode"):
+            ExperimentConfig.from_file(p)
+        assert main(["isl", "--config", str(p), "--pattern", str(pat)]) == 2
+        with pytest.raises(ConfigError, match="mode"):
+            ExperimentConfig.from_mapping({"band": {"mode": "triple"}})
 
     def test_band_override_and_layout(self):
         cfg = ExperimentConfig.default().with_overrides(mode="multi")
@@ -230,11 +270,3 @@ class TestSimulate:
         capsys.readouterr()
         assert (tmp_path / "a" / "nmse_single.csv").read_bytes() == \
             (tmp_path / "b" / "nmse_single.csv").read_bytes()
-
-
-class TestThreadCap:
-    def test_env_cap_is_accepted(self, toy_artifact, capsys, monkeypatch):
-        d, cfg, pat = toy_artifact
-        monkeypatch.setenv("PILOTFORGE_THREADS", "1")
-        assert main(["isl", "--config", str(cfg), "--pattern", str(pat)]) == 0
-        capsys.readouterr()

@@ -3,7 +3,7 @@ import pytest
 
 import pilotforge as pf
 from pilotforge.ambiguity import SidelobeRegion, isl_matrix
-from pilotforge.optimizer import (EdaConfig, InfeasibleSamplingError, fitness,
+from pilotforge.optimizer import (EdaConfig, InfeasibleSamplingError, _fitness_many,
                                   random_srl_reference, run_eda,
                                   sample_individual, update_probabilities)
 from pilotforge.resolution import SrlSearch, pattern_crb_provider, srl_at_most
@@ -12,6 +12,11 @@ FS = 120e3
 
 TOY_REGION = SidelobeRegion(150e-9, 400e-9)
 TOY_SEARCH = SrlSearch(tau_lo_s=0.1e-9, tau_hi_s=400e-9, step_s=0.1e-9, tol_s=1e-13)
+
+
+def fitness(patterns, matrix):
+    """Worst-group ISL of one pattern set, as the EDA scores its population."""
+    return float(_fitness_many(patterns.mask[None], matrix)[0])
 
 
 def toy_layout():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import pilotforge as pf
-from pilotforge.receiver import (PsoConfig, baseline_schemes, decouple,
+from pilotforge.receiver import (EstimationError, PsoConfig, baseline_schemes, decouple,
                                  estimate_paths_psols, extrapolate_fullband,
                                  nmse, path_residual, profile_peak_delays,
                                  run_extrapolation_sim)
@@ -201,7 +201,7 @@ class TestPsoLs:
         w = np.zeros(256, dtype=np.uint8)
         w[:3] = 1
         obs = single_user_obs(layout_single, [50e-9], [1.0 + 0j], w=w)
-        with pytest.raises(ValueError, match="identify"):
+        with pytest.raises(EstimationError, match="identify"):
             estimate_paths_psols(obs, w, layout_single, FAST_PSO, n_paths=2)
 
     def test_seed_reproducible(self, layout_single):
@@ -302,6 +302,24 @@ class TestSimulationHarness:
         for res in out.values():
             assert res.fits == 4 * len(res.per_trial)  # 2 groups x 2 codes
             assert 0 <= res.search_failures <= res.fits
+
+    def test_gate_past_unambiguous_range_is_not_a_counted_failure(self):
+        # 64 subcarriers at 120 kHz repeat every 1/f_s = 8.33 us: a 10 us gate
+        # is a setup error on every trial, not an estimation failure
+        lay = pf.BandLayout.single(64, FS, 0.0)
+        schemes = baseline_schemes(lay, 2, [16, 16], seed=1)
+        with pytest.raises(ValueError, match="unambiguous"):
+            run_extrapolation_sim(lay, schemes, 15.0, trials=2, tau_max_s=10e-6,
+                                  pso=FAST_PSO, seed=2)
+
+    def test_unidentifiable_scheme_is_a_counted_failure(self):
+        # 3 pilots per group cannot identify 2 paths (4 real unknowns each way):
+        # every trial fails the same way, so the run ends with no trial left
+        lay = pf.BandLayout.single(64, FS, 0.0)
+        three = pf.PatternSet.from_indices(64, [[0, 20, 40], [10, 30, 50]])
+        with pytest.raises(RuntimeError, match="every trial failed"):
+            run_extrapolation_sim(lay, {"three": three}, 15.0, trials=2,
+                                  pso=FAST_PSO, seed=2)
 
     def test_trial_count_validated(self, layout_single):
         schemes = baseline_schemes(layout_single, 2, [128, 128], seed=16)

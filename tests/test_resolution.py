@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 import pilotforge as pf
-from pilotforge.resolution import (SrlSearch, crb_batch, crb_delta_tau,
-                                   crb_delta_tau_quadform, fim_multiband,
-                                   fim_single, pattern_crb_provider,
-                                   srl_at_most, srl_of_pattern, srl_search)
+from pilotforge.resolution import (SrlSearch, crb_delta_tau, fim_multiband,
+                                   fim_single, pattern_crb_provider, srl_at_most,
+                                   srl_of_pattern, srl_search)
 
-from oracles import (fd_fim_multiband, fd_fim_single, fim_scaled_error,
-                     fim_two_path_direct)
+from oracles import (crb_delta_tau_quadform, fd_fim_multiband, fd_fim_single,
+                     fim_scaled_error, fim_two_path_direct)
 
 FS = 120e3
 SIGMA = 0.1778
@@ -49,12 +48,6 @@ class TestFimSingle:
             J = fim_single(w, FS, SIGMA, gains, dt).matrix
             ref = fim_two_path_direct(np.flatnonzero(w) * FS, SIGMA, gains, dt)
             assert fim_scaled_error(J, ref) < 1e-12
-
-    def test_common_delay_shift_invariance(self):
-        w = random_column(64, 24, seed=2)
-        a = fim_single(w, FS, SIGMA, GAINS, 10e-9, tau1_s=0.0).matrix
-        b = fim_single(w, FS, SIGMA, GAINS, 10e-9, tau1_s=50e-9).matrix
-        np.testing.assert_array_equal(a, b)
 
     def test_symmetric_and_psd(self):
         for seed in range(5):
@@ -136,16 +129,6 @@ class TestFimMultiband:
         np.testing.assert_allclose(f.matrix, f.observation,
                                    atol=1e-12 * np.abs(f.observation).max())
 
-    def test_independent_of_true_distortions(self):
-        lay = pf.BandLayout.multiband(
-            [pf.Subband(3.5e9, FS, 17), pf.Subband(3.9e9, FS, 17)])
-        w = random_column(34, 18, seed=7)
-        a = fim_multiband(lay, w, SIGMA, GAINS, 5e-9, 1e-9).matrix
-        b = fim_multiband(lay, w, SIGMA, GAINS, 5e-9, 1e-9,
-                          phase_offsets=np.array([0.0, 1.3]),
-                          timing_offsets=np.array([1e-9, -2e-9])).matrix
-        np.testing.assert_array_equal(a, b)
-
     def test_unsounded_band_has_zero_phase_row(self):
         lay = pf.BandLayout.multiband(
             [pf.Subband(3.5e9, FS, 17), pf.Subband(3.9e9, FS, 17)])
@@ -177,7 +160,7 @@ class TestCrb:
         w = random_column(64, 24, seed=8)
         J = fim_single(w, FS, SIGMA, GAINS, 8e-9)
         a = crb_delta_tau(J)
-        b = crb_delta_tau_quadform(J)
+        b = crb_delta_tau_quadform(J.matrix)
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_noise_scaling_is_quadratic(self):
