@@ -24,7 +24,7 @@ import numpy as np
 
 from .ambiguity import SidelobeRegion, ambiguity_function, isl_matrix
 from .optimizer import EdaConfig, InfeasibleSamplingError, run_eda
-from .receiver import PsoConfig, baseline_schemes, run_extrapolation_sim
+from .receiver import PsoConfig, baseline_schemes, check_gate, run_extrapolation_sim
 from .resolution import SrlResult, SrlSearch, srl_of_pattern
 from .waveform import BandLayout, PatternSet, Subband
 
@@ -81,15 +81,7 @@ def _defaults() -> dict:
             "iterations": 60,
             "retry_cap": 500,
         },
-        "pso": {
-            "particles": 100,
-            "iterations": 200,
-            "inertia": 0.729,
-            "cognitive": 1.494,
-            "social": 1.494,
-            "velocity_clamp": 0.1,
-            "max_paths": 8,
-        },
+        "pso": {"max_paths": 8},
         "sim": {
             "snr_db": [15.0],
             "trials": 500,
@@ -265,13 +257,7 @@ class ExperimentConfig:
 
     def pso_config(self) -> PsoConfig:
         p = self.values["pso"]
-        try:
-            return PsoConfig(int(p["particles"]), int(p["iterations"]),
-                             float(p["inertia"]), float(p["cognitive"]),
-                             float(p["social"]), float(p["velocity_clamp"]),
-                             int(p["max_paths"]))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return PsoConfig(int(p["max_paths"]))
 
     def canonical_json(self) -> str:
         return json.dumps(self.values, sort_keys=True, separators=(",", ":"))
@@ -429,7 +415,19 @@ def cmd_simulate(cfg: ExperimentConfig, pattern_paths: list[str], out_dir: Path)
     sim = cfg.values["sim"]
     if int(sim["trials"]) < 1:
         raise ConfigError("sim.trials must be at least 1")
+    if not sim["snr_db"]:
+        raise ConfigError("sim.snr_db must list at least one SNR")
+    n_paths, tau_max = int(sim["n_paths"]), float(sim["tau_max_s"])
+    if n_paths < 1:
+        raise ConfigError("sim.n_paths must be at least 1")
     layout = cfg.layout()
+    try:
+        check_gate(layout, (0.0, tau_max))
+    except ValueError as exc:
+        raise ConfigError(f"sim.tau_max_s: {exc}") from exc
+    if float(sim["min_separation_s"]) * (n_paths - 1) >= tau_max:
+        raise ConfigError("sim.min_separation_s leaves no room for sim.n_paths "
+                          "paths inside sim.tau_max_s")
     schemes: dict[str, PatternSet] = {}
     for i, p in enumerate(pattern_paths):
         name = "proposed" if i == 0 else f"proposed{i + 1}"
@@ -443,8 +441,8 @@ def cmd_simulate(cfg: ExperimentConfig, pattern_paths: list[str], out_dir: Path)
     for snr in sim["snr_db"]:
         out = run_extrapolation_sim(
             layout, schemes, float(snr), trials=int(sim["trials"]),
-            n_codes=int(cfg.values["users"]["codes"]), n_paths=int(sim["n_paths"]),
-            tau_max_s=float(sim["tau_max_s"]),
+            n_codes=int(cfg.values["users"]["codes"]), n_paths=n_paths,
+            tau_max_s=tau_max,
             min_separation_s=float(sim["min_separation_s"]),
             pso=cfg.pso_config(), seed=cfg.seed)
         rows.append([float(snr)] + [out[n].nmse for n in names]

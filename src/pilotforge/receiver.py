@@ -7,8 +7,8 @@ users of the same group separate because their cyclic shifts park each other's
 energy far outside the gate; residual leakage is governed by the pattern's AF
 side lobes. Path delays/gains are then fit by maximum likelihood: the gains
 are solved by linear least squares at every delay set, and the delays are
-searched by a particle swarm followed by a deterministic variable-projection
-stage. The full-band channel is rebuilt from the fitted paths.
+searched by a deterministic variable-projection stage. The full-band channel
+is rebuilt from the fitted paths.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "DecoupledObservation",
     "PathEstimate",
     "PsoConfig",
+    "check_gate",
     "decouple",
     "profile_peak_delays",
     "estimate_paths_psols",
@@ -70,27 +71,14 @@ class PathEstimate:
     residual: float
     n_paths: int
     regularized: bool = False
-    residual_history: tuple[float, ...] = field(default=(), repr=False)
 
 
 @dataclass(frozen=True)
 class PsoConfig:
-    """Swarm parameters for the maximum-likelihood delay search."""
+    """Model-order settings of the maximum-likelihood path fit."""
 
-    particles: int = 100
-    iterations: int = 200
-    inertia: float = 0.729
-    cognitive: float = 1.494
-    social: float = 1.494
-    velocity_clamp: float = 0.1    # fraction of the per-dimension search range
     max_paths: int = 8
     peak_threshold_db: float = 13.0
-
-    def __post_init__(self):
-        if self.particles < 2 or self.iterations < 1:
-            raise ValueError("swarm needs >= 2 particles and >= 1 iteration")
-        if not 0 < self.velocity_clamp <= 1:
-            raise ValueError("velocity clamp is a fraction of the search range")
 
 
 def _transform_grid(layout: BandLayout) -> tuple[np.ndarray, int, float]:
@@ -116,6 +104,21 @@ def _transform_grid(layout: BandLayout) -> tuple[np.ndarray, int, float]:
     return positions, length, float(spacing)
 
 
+def check_gate(layout: BandLayout, gate_s: tuple[float, float]) -> None:
+    """Raise ValueError unless gate_s = (lo, hi) is a delay gate the layout can resolve.
+
+    The gate must satisfy 0 <= lo < hi and end inside the unambiguous delay
+    range of the layout's transform grid.
+    """
+    lo, hi = gate_s
+    if not 0 <= lo < hi:
+        raise ValueError("gate must satisfy 0 <= lo < hi")
+    spacing = _transform_grid(layout)[2]
+    if hi > 1.0 / spacing:
+        raise ValueError(f"gate of {hi:.3e} s exceeds the unambiguous delay range "
+                         f"{1.0 / spacing:.3e} s")
+
+
 def decouple(layout: BandLayout, y: np.ndarray, w: np.ndarray, x: PilotSequence,
              gate_s: tuple[float, float], user: tuple[int, int] = (0, 0)
              ) -> DecoupledObservation:
@@ -128,13 +131,9 @@ def decouple(layout: BandLayout, y: np.ndarray, w: np.ndarray, x: PilotSequence,
     n = layout.n_total
     if len(y) != n or len(w) != n or len(x) != n:
         raise ValueError("y, pattern column, and sequence must match the layout size")
+    check_gate(layout, gate_s)
     lo, hi = gate_s
     positions, length, spacing = _transform_grid(layout)
-    if not 0 <= lo < hi:
-        raise ValueError("gate must satisfy 0 <= lo < hi")
-    if hi > 1.0 / spacing:
-        raise ValueError(f"gate of {hi:.3e} s exceeds the unambiguous delay range "
-                         f"{1.0 / spacing:.3e} s")
     stripped = np.asarray(w) * np.conj(x.values) * np.asarray(y)
     grid = np.zeros(length, dtype=complex)
     grid[positions] = stripped
@@ -276,7 +275,7 @@ _VP_LM_STEPS = 20       # cap on the Levenberg-Marquardt iterations per polish
 _VP_QUICK_STEPS = 4     # iterations that rank the fringe-moved copies of a set
 _VP_XTOL = 1e-15        # s; a polish stops once every proposed step is shorter
 _VP_FRINGE_LEVEL = 0.5  # |chi| / |chi(0)| a side peak needs to count as a fringe
-_VP_FRINGES = 2         # fringe offsets tried on either side of a path
+_VP_FRINGES = 4         # fringe offsets tried on either side of a path
 _VP_FRINGE_ROUNDS = 4   # cap on the fringe-move rounds
 
 
@@ -354,7 +353,7 @@ def _settle(model: _GatedModel, delays: np.ndarray, moves: np.ndarray, hi: float
     return best, best_res
 
 
-def _refine(model: _GatedModel, k: int, swarm_best: np.ndarray, hi: float,
+def _refine(model: _GatedModel, k: int, peaks: np.ndarray, hi: float,
             bin_s: float) -> np.ndarray:
     """Deterministic variable-projection search; returns the winning delays.
 
@@ -363,11 +362,13 @@ def _refine(model: _GatedModel, k: int, swarm_best: np.ndarray, hi: float,
     finer than the delay bins off a kept set's span, takes the peaks of the
     one-path concentrated cost of what remains as extensions; the _VP_BEAM
     extensions with the lowest projected residual are settled (``_settle``)
-    and kept. The swarm's best, settled too, competes with the final beam.
+    and kept. The profile peaks, resized to k delays and settled too, compete
+    with the final beam; they also stand in when the cost has fewer distinct
+    peaks than paths.
     """
     step = bin_s / _VP_OVERSAMPLE
     grid = np.arange(0.0, hi + 0.5 * step, step)
-    offsets = _fringe_offsets(model.f_grid, step / _VP_OVERSAMPLE, 4 * bin_s)
+    offsets = _fringe_offsets(model.f_grid, step / _VP_OVERSAMPLE, 8 * bin_s)
     moves = {j: _fringe_moves(offsets, j) for j in range(1, k + 1)}
     # settling reaches the fringes next to a peak, so the beam spends its
     # width on peaks farther apart than that
@@ -398,8 +399,8 @@ def _refine(model: _GatedModel, k: int, swarm_best: np.ndarray, hi: float,
                          key=lambda sr: sr[1])
         beam = [d for d, _ in settled]
         best_res = settled[0][1] if j == k else np.inf
-    swarm, swarm_res = _settle(model, np.sort(swarm_best), moves[k], hi)
-    return swarm if swarm_res <= best_res else beam[0]
+    start, start_res = _settle(model, np.resize(np.sort(peaks), k), moves[k], hi)
+    return start if start_res <= best_res else beam[0]
 
 
 def estimate_paths_psols(obs: DecoupledObservation, w: np.ndarray, layout: BandLayout,
@@ -412,19 +413,15 @@ def estimate_paths_psols(obs: DecoupledObservation, w: np.ndarray, layout: BandL
     and the fit converges to the true parameters instead of absorbing the
     gate's truncation of off-bin side lobes. At every delay set the gains are
     solved in closed form by least squares on the retained delay bins
-    (variable projection). The delays are searched in two stages:
+    (variable projection). The delays are searched by a deterministic stage
+    (see ``_refine``): the delay sets of a greedy beam search over the
+    concentrated cost on a fine grid, and the delay-profile peaks, are
+    polished by a bounded Levenberg-Marquardt fit on the delays and walked
+    across |chi| fringes (one path or a pair of paths moved by whole
+    fringes), which catches multiband fits that settled on the wrong fringe.
 
-    1. a particle swarm over [0, gate hi]^K, half of it started jittered
-       around the delay-profile peaks and the rest uniform over the box;
-    2. a deterministic variable-projection stage (see ``_refine``): the
-       delay sets of a greedy beam search over the concentrated cost on a
-       fine grid, and the swarm's best, are polished by a bounded
-       Levenberg-Marquardt fit on the delays and walked across |chi| fringes
-       (one path or a pair of paths moved by whole fringes), which catches
-       multiband fits that settled on the wrong fringe.
-
-    ``residual_history`` holds the best residual after every swarm iteration
-    followed by the final one; it never increases.
+    The fit is deterministic: ``seed`` has no effect and is kept only so
+    existing callers keep working.
     """
     w = np.asarray(w)
     support = np.flatnonzero(w)
@@ -441,63 +438,13 @@ def estimate_paths_psols(obs: DecoupledObservation, w: np.ndarray, layout: BandL
                        len(support) // 2, len(obs.gate_bins) // 2))
 
     model = _GatedModel(obs, support)
-    lo, hi = 0.0, obs.gate_s[1]
-    rng = np.random.default_rng(seed)
-
-    pos = rng.uniform(lo, hi, size=(pso.particles, k))
-    centers = np.resize(np.sort(peaks), k)
-    n_seeded = pso.particles // 2
-    # half-bin jitter keeps seeded particles inside the peak's ambiguity ridge
-    pos[:n_seeded] = centers[None, :] \
-        + 0.5 * obs.delay_bin_s * rng.standard_normal((n_seeded, k))
-    pos = np.clip(pos, lo, hi)
-    vmax = pso.velocity_clamp * (hi - lo)
-    vel = rng.uniform(-vmax, vmax, size=pos.shape)
-
-    gains, res, reg_flag = model.fit(pos)
-    pbest_pos = pos.copy()
-    pbest_res = res.copy()
-    g_idx = int(np.argmin(res))
-    gbest_pos = pos[g_idx].copy()
-    gbest_res = float(res[g_idx])
-    gbest_gains = gains[g_idx].copy()
-    history = [gbest_res]
-
-    for _ in range(pso.iterations):
-        r1 = rng.random(pos.shape)
-        r2 = rng.random(pos.shape)
-        vel = (pso.inertia * vel
-               + pso.cognitive * r1 * (pbest_pos - pos)
-               + pso.social * r2 * (gbest_pos[None, :] - pos))
-        vel = np.clip(vel, -vmax, vmax)
-        pos = np.clip(pos + vel, lo, hi)
-        gains, res, reg = model.fit(pos)
-        reg_flag = reg_flag or reg
-        better = res < pbest_res
-        pbest_pos[better] = pos[better]
-        pbest_res[better] = res[better]
-        i = int(np.argmin(res))
-        if res[i] < gbest_res:
-            gbest_res = float(res[i])
-            gbest_pos = pos[i].copy()
-            gbest_gains = gains[i].copy()
-        history.append(gbest_res)
-
-    refined = _refine(model, k, gbest_pos, hi, obs.delay_bin_s)
-    gains, res, reg = model.fit(refined[None, :])
-    if res[0] < gbest_res:
-        gbest_pos, gbest_gains, gbest_res = refined, gains[0], float(res[0])
-        reg_flag = reg_flag or reg
-    history.append(gbest_res)
-
-    order = np.argsort(gbest_pos, kind="stable")
-    delays = gbest_pos[order]
+    delays = _refine(model, k, peaks, obs.gate_s[1], obs.delay_bin_s)
+    gains, res, regularized = model.fit(delays[None, :])
     # gains were solved against grid-anchored frequencies; restore the
     # layout's convention so reconstruction with the true steering is exact
     anchor = layout.frequencies_hz[0] if layout.mode == "multi" else 0.0
     phase = np.exp(2j * np.pi * anchor * delays)
-    return PathEstimate(delays, gbest_gains[order] * phase, gbest_res, k,
-                        reg_flag, tuple(history))
+    return PathEstimate(delays, gains[0] * phase, float(res[0]), k, regularized)
 
 
 def extrapolate_fullband(estimate: PathEstimate, layout: BandLayout) -> np.ndarray:
@@ -584,13 +531,10 @@ def run_extrapolation_sim(layout: BandLayout, schemes: Mapping[str, PatternSet],
                 for (g, z) in users:
                     obs = decouple(layout, y, patterns.column(g), sequences[z],
                                    gate, user=(g, z))
-                    pso_seed = np.random.SeedSequence(
-                        entropy=seed, spawn_key=(3, t, si, g, z))
                     # the generator's path count stands in for the paper's
                     # order-selection stage, which out-resolves bin-level peaks
                     est = estimate_paths_psols(obs, patterns.column(g), layout, pso,
-                                               n_paths=n_paths,
-                                               seed=pso_seed.generate_state(1)[0])
+                                               n_paths=n_paths)
                     truth_res = path_residual(obs, patterns.column(g),
                                               channels.delays_s[(g, z)])
                     floor = 1e-12 * float(np.sum(np.abs(obs.delay_gated) ** 2))

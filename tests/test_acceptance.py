@@ -21,7 +21,7 @@ from oracles import fd_fim_multiband, fd_fim_single, fim_scaled_error, isl_quadr
 FS = 120e3
 SIGMA = 0.1778
 GAINS = np.array([1.0 + 0j, 1.0 + 0j])
-E2E_PSO = PsoConfig(particles=60, iterations=80)
+E2E_PSO = PsoConfig()
 E2E_TRIALS = 50
 
 

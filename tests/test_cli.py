@@ -56,6 +56,11 @@ class TestConfig:
         p.write_text("[band]\nbogus = 1\n")
         with pytest.raises(ConfigError):
             ExperimentConfig.from_file(p)
+        # [pso] keeps max_paths only; the removed swarm settings are unknown
+        p.write_text("[pso]\nparticles = 100\n")
+        with pytest.raises(ConfigError, match="unknown option 'particles'"):
+            ExperimentConfig.from_file(p)
+        assert main(["optimize", "--config", str(p), "--out", str(tmp_path)]) == 2
 
     def test_bad_value_exit_code(self, tmp_path):
         p = tmp_path / "bad.ini"
@@ -225,6 +230,21 @@ class TestSimulate:
         d, cfg, _ = toy_artifact
         assert main(["simulate", "--config", str(cfg), "--out", str(d)]) == 2
 
+    @pytest.mark.parametrize("sim", [
+        "tau_max_s = 10e-6",          # past the 8.33 us unambiguous range
+        "tau_max_s = -1e-9",
+        "n_paths = 0",
+        "min_separation_s = 500e-9",  # two paths 500 ns apart in a 400 ns gate
+        "snr_db =",
+    ])
+    def test_bad_sim_value_exit_code(self, toy_artifact, tmp_path, sim):
+        _, _, pat = toy_artifact
+        c2 = tmp_path / "cfg.ini"
+        c2.write_text(TOY_INI + f"\n[sim]\ntrials = 1\n{sim}\n")
+        assert main(["simulate", "--config", str(c2), "--pattern", str(pat),
+                     "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "nmse_single.csv").exists()
+
     def test_zero_trials_rejected(self, toy_artifact, tmp_path):
         d, cfg, pat = toy_artifact
         c2 = tmp_path / "cfg.ini"
@@ -239,8 +259,7 @@ class TestSimulate:
         d, cfg, pat = toy_artifact
         c2 = tmp_path / "cfg.ini"
         c2.write_text(TOY_INI + "\n[sim]\ntrials = 3\nsnr_db = inf\n"
-                                "min_separation_s = 120e-9\n"
-                                "[pso]\nparticles = 100\niterations = 200\n")
+                                "min_separation_s = 120e-9\n")
         text = c2.read_text().replace("[users]\nbudgets = 24, 24",
                                       "[users]\nbudgets = 24, 24\ncodes = 1")
         c2.write_text(text)
@@ -261,8 +280,7 @@ class TestSimulate:
     def test_csv_reproducible(self, toy_artifact, tmp_path, capsys):
         d, cfg, pat = toy_artifact
         c2 = tmp_path / "cfg.ini"
-        c2.write_text(TOY_INI + "\n[sim]\ntrials = 2\n[pso]\nparticles = 20\n"
-                                "iterations = 15\n")
+        c2.write_text(TOY_INI + "\n[sim]\ntrials = 2\n")
         for sub in ("a", "b"):
             rc = main(["simulate", "--config", str(c2), "--pattern", str(pat),
                        "--seed", "5", "--out", str(tmp_path / sub)])

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 import pilotforge as pf
-from pilotforge.receiver import (EstimationError, PsoConfig, baseline_schemes, decouple,
+from pilotforge.receiver import (EstimationError, baseline_schemes, decouple,
                                  estimate_paths_psols, extrapolate_fullband,
                                  nmse, path_residual, profile_peak_delays,
                                  run_extrapolation_sim)
 
 FS = 120e3
 GATE = (0.0, 400e-9)
-FAST_PSO = PsoConfig(particles=40, iterations=60)
 
 
 def full_pattern(n):
@@ -80,8 +79,7 @@ class TestDecouple:
         delays = np.array([90e-9, 210e-9])
         gains = np.array([1.0 + 0.3j, -0.6 + 0.2j])
         obs = single_user_obs(layout_multi, delays, gains, w=w)
-        est = estimate_paths_psols(obs, w, layout_multi, PsoConfig(), n_paths=2,
-                                   seed=1)
+        est = estimate_paths_psols(obs, w, layout_multi, n_paths=2)
         assert est.residual < 1e-10  # exactly representable through the gate
         np.testing.assert_allclose(np.sort(est.delays_s), delays, atol=1e-12)
 
@@ -139,8 +137,7 @@ class TestPsoLs:
         tau = k / (256 * FS)
         alpha = 0.8 + 0.6j
         obs = single_user_obs(layout_single, [tau], [alpha])
-        est = estimate_paths_psols(obs, full_pattern(256), layout_single,
-                                   PsoConfig(), seed=2)
+        est = estimate_paths_psols(obs, full_pattern(256), layout_single)
         assert est.n_paths == 1
         assert abs(est.delays_s[0] - tau) < 1e-12  # within 1e-3 ns
         assert abs(est.gains[0] - alpha) / abs(alpha) < 1e-6
@@ -153,25 +150,14 @@ class TestPsoLs:
         delays = np.array([150e-9, 170e-9])
         gains = np.array([1.0 + 0.2j, -0.5 + 0.5j])
         obs = single_user_obs(layout_single, delays, gains, w=w)
-        est = estimate_paths_psols(obs, w, layout_single, PsoConfig(),
-                                   n_paths=2, seed=3)
+        est = estimate_paths_psols(obs, w, layout_single, n_paths=2)
         assert est.residual < 1e-10
         np.testing.assert_allclose(est.delays_s, delays, atol=0.01e-9)
 
-    def test_residual_history_non_increasing(self, layout_single):
-        ch = pf.draw_channels(1, 1, 2, 400e-9, 0.1778, seed=6)
-        obs = single_user_obs(layout_single, ch.delays_s[(0, 0)],
-                              ch.gains[(0, 0)], noise_std=0.1778, seed=7)
-        est = estimate_paths_psols(obs, full_pattern(256), layout_single,
-                                   FAST_PSO, n_paths=2, seed=8)
-        hist = np.asarray(est.residual_history)
-        assert np.all(np.diff(hist) <= 0)
-        assert hist[-1] == est.residual
-
     def test_multiband_fit_does_not_stop_a_fringe_off(self, layout_multi):
-        # 15 dB two-path multiband case on which a swarm-only search ends
-        # with the later path one |chi| fringe (1/400 MHz = 2.5 ns) late and
-        # a residual above the true delays' one
+        # 15 dB two-path multiband case on which a local search ends with
+        # the later path one |chi| fringe (1/400 MHz = 2.5 ns) late and a
+        # residual above the true delays' one
         rng = np.random.default_rng(1)
         n = layout_multi.n_total
         w = np.zeros(n, dtype=np.uint8)
@@ -181,9 +167,7 @@ class TestPsoLs:
                               ch.gains[(0, 0)], w=w, noise_std=ch.noise_std,
                               seed=1001)
         truth = np.sort(ch.delays_s[(0, 0)])
-        est = estimate_paths_psols(obs, w, layout_multi,
-                                   PsoConfig(particles=60, iterations=80),
-                                   n_paths=2, seed=1)
+        est = estimate_paths_psols(obs, w, layout_multi, n_paths=2)
         assert est.residual <= path_residual(obs, w, truth)
         np.testing.assert_allclose(est.delays_s, truth, atol=1.25e-9)
 
@@ -192,8 +176,7 @@ class TestPsoLs:
         w = full_pattern(256)
         obs = single_user_obs(layout_single, ch.delays_s[(0, 0)],
                               ch.gains[(0, 0)], noise_std=0.1, seed=18)
-        est = estimate_paths_psols(obs, w, layout_single, FAST_PSO,
-                                   n_paths=2, seed=19)
+        est = estimate_paths_psols(obs, w, layout_single, n_paths=2)
         assert path_residual(obs, w, est.delays_s) == pytest.approx(
             est.residual, rel=1e-9)
 
@@ -202,18 +185,49 @@ class TestPsoLs:
         w[:3] = 1
         obs = single_user_obs(layout_single, [50e-9], [1.0 + 0j], w=w)
         with pytest.raises(EstimationError, match="identify"):
-            estimate_paths_psols(obs, w, layout_single, FAST_PSO, n_paths=2)
+            estimate_paths_psols(obs, w, layout_single, n_paths=2)
 
-    def test_seed_reproducible(self, layout_single):
+    def test_seed_has_no_effect(self, layout_single):
         ch = pf.draw_channels(1, 1, 2, 400e-9, 0.1, seed=9)
         obs = single_user_obs(layout_single, ch.delays_s[(0, 0)],
                               ch.gains[(0, 0)], noise_std=0.1, seed=10)
         a = estimate_paths_psols(obs, full_pattern(256), layout_single,
-                                 FAST_PSO, n_paths=2, seed=11)
+                                 n_paths=2, seed=11)
         b = estimate_paths_psols(obs, full_pattern(256), layout_single,
-                                 FAST_PSO, n_paths=2, seed=11)
+                                 n_paths=2, seed=12)
         np.testing.assert_array_equal(a.delays_s, b.delays_s)
         np.testing.assert_array_equal(a.gains, b.gains)
+
+    def test_empty_observation_still_gives_every_path(self, layout_single):
+        # an all-zero cost has no peak to extend the beam with; the profile
+        # start still supplies the requested number of delays
+        w = full_pattern(256)
+        seq = pf.orthogonal_sequence_family(256, 1)[0]
+        obs = decouple(layout_single, np.zeros(256, dtype=complex), w, seq, GATE)
+        est = estimate_paths_psols(obs, w, layout_single, n_paths=2)
+        assert est.n_paths == 2
+        assert len(est.delays_s) == len(est.gains) == 2
+        assert est.residual == 0.0
+
+    @pytest.mark.parametrize("trial,user", [(15, (0, 0)), (21, (0, 0)), (44, (1, 0))],
+                             ids=["t15-u00", "t21-u00", "t44-u10"])
+    def test_hard_multiband_fit_reaches_the_truth(self, layout_multi, trial, user):
+        # 15 dB fits of the random multiband baseline whose paths can settle
+        # 3-8 |chi| fringes off, rebuilt with the seeds that
+        # run_extrapolation_sim(..., seed=77) gives them ("random" is scheme 1
+        # of the sorted optimized/random/uniform)
+        pats = baseline_schemes(layout_multi, 2, [127, 127], seed=1)["random"]
+        sigma = 10 ** (-15 / 20)
+        ch = pf.draw_channels(2, 2, 2, 400e-9, sigma, seed=np.random.SeedSequence(
+            77, spawn_key=(1, trial)).generate_state(1)[0])
+        seqs = pf.orthogonal_sequence_family(layout_multi.n_total, 2)
+        y = pf.synthesize_received(layout_multi, pats, seqs, ch, seed=np.random.SeedSequence(
+            77, spawn_key=(2, trial, 1)).generate_state(1)[0])
+        g, z = user
+        w = pats.column(g)
+        obs = decouple(layout_multi, y, w, seqs[z], GATE, user=user)
+        est = estimate_paths_psols(obs, w, layout_multi, n_paths=2)
+        assert est.residual <= path_residual(obs, w, ch.delays_s[user])
 
 
 class TestExtrapolation:
@@ -289,7 +303,7 @@ class TestSimulationHarness:
     def test_paired_draws_and_failure_accounting(self, layout_single):
         schemes = baseline_schemes(layout_single, 2, [128, 128], seed=14)
         out = run_extrapolation_sim(layout_single, schemes, 15.0, trials=3,
-                                    pso=FAST_PSO, seed=15)
+                                    seed=15)
         for res in out.values():
             assert res.trials == 3
             assert len(res.per_trial) + res.failures == 3
@@ -298,7 +312,7 @@ class TestSimulationHarness:
     def test_search_failures_counted_per_fit(self, layout_single):
         schemes = baseline_schemes(layout_single, 2, [128, 128], seed=14)
         out = run_extrapolation_sim(layout_single, schemes, 15.0, trials=2,
-                                    pso=FAST_PSO, seed=15)
+                                    seed=15)
         for res in out.values():
             assert res.fits == 4 * len(res.per_trial)  # 2 groups x 2 codes
             assert 0 <= res.search_failures <= res.fits
@@ -310,7 +324,7 @@ class TestSimulationHarness:
         schemes = baseline_schemes(lay, 2, [16, 16], seed=1)
         with pytest.raises(ValueError, match="unambiguous"):
             run_extrapolation_sim(lay, schemes, 15.0, trials=2, tau_max_s=10e-6,
-                                  pso=FAST_PSO, seed=2)
+                                  seed=2)
 
     def test_unidentifiable_scheme_is_a_counted_failure(self):
         # 3 pilots per group cannot identify 2 paths (4 real unknowns each way):
@@ -319,7 +333,7 @@ class TestSimulationHarness:
         three = pf.PatternSet.from_indices(64, [[0, 20, 40], [10, 30, 50]])
         with pytest.raises(RuntimeError, match="every trial failed"):
             run_extrapolation_sim(lay, {"three": three}, 15.0, trials=2,
-                                  pso=FAST_PSO, seed=2)
+                                  seed=2)
 
     def test_trial_count_validated(self, layout_single):
         schemes = baseline_schemes(layout_single, 2, [128, 128], seed=16)
