@@ -186,14 +186,26 @@ def sample_individual(prob: np.ndarray, budgets: Sequence[int],
 
 def _srl_gate(layout: BandLayout, cfg: EdaConfig,
               beta_s: np.ndarray) -> Callable[[np.ndarray], bool]:
+    """The SRL rejection test of one EDA run: every group's SRL at most its beta.
+
+    Groups are tested in order and the first failure rejects the mask. Each
+    decision is a pure function of (group, column), so the gate caches it
+    under (group, packed column) for its own lifetime, which is one
+    ``run_eda``; only a miss builds a CRB provider and calls ``srl_at_most``.
+    """
     gains = np.asarray(cfg.offline_gains, dtype=complex)
     prior = cfg.prior_std_s if layout.mode == "multi" else None
+    decided: dict[tuple[int, bytes], bool] = {}
 
     def gate(mask: np.ndarray) -> bool:
         for g in range(mask.shape[1]):
-            provider = pattern_crb_provider(layout, mask[:, g], cfg.offline_noise_std,
-                                            gains, prior)
-            if not srl_at_most(provider, beta_s[g], cfg.gate_step_s):
+            key = (g, np.packbits(mask[:, g]).tobytes())
+            ok = decided.get(key)
+            if ok is None:
+                provider = pattern_crb_provider(layout, mask[:, g], cfg.offline_noise_std,
+                                                gains, prior)
+                ok = decided[key] = srl_at_most(provider, beta_s[g], cfg.gate_step_s)
+            if not ok:
                 return False
         return True
 

@@ -109,19 +109,17 @@ class SrlResult:
         return self.srl_s is not None
 
 
-def _two_path_block(J: np.ndarray, f_support: np.ndarray, ephase: np.ndarray,
+def _two_path_block(J: np.ndarray, plain: np.ndarray, cross: np.ndarray,
                     gains: np.ndarray, c: float) -> None:
     """Fill J[:, :6, :6], the [tau (2), a^R (2), a^I (2)] block, in place.
 
     Every entry is a linear functional of the moments sum_f f^k e^{j 2 pi f
-    (tau_r - tau_s)} (k = 0, 1, 2): the plain sums sum_f f^k when r = s, and
-    one matrix product per batch for r != s. ephase holds e^{j 2 pi f dtau},
-    shape (B, S).
+    (tau_r - tau_s)} (k = 0, 1, 2): the plain sums sum_f f^k (plain, shape
+    (3,)) when r = s, and cross = sum_f f^k e^{j 2 pi f dtau} (shape (B, 3))
+    for r != s.
     """
-    powers = np.stack([np.ones_like(f_support), f_support, f_support**2], axis=1)
-    cross = ephase @ powers                      # (B, 3): tau_r - tau_s = dtau
-    m = np.empty((len(ephase), 3, 2, 2), dtype=complex)  # moment k, path r, path s
-    m[:, :, 0, 0] = m[:, :, 1, 1] = powers.sum(axis=0)
+    m = np.empty((len(cross), 3, 2, 2), dtype=complex)  # moment k, path r, path s
+    m[:, :, 0, 0] = m[:, :, 1, 1] = plain
     m[:, :, 0, 1] = cross.conj()
     m[:, :, 1, 0] = cross
     ar = np.conj(gains)[:, None]                 # conj(alpha_r), down the rows
@@ -136,6 +134,11 @@ def _two_path_block(J: np.ndarray, f_support: np.ndarray, ephase: np.ndarray,
         np.concatenate([ti.transpose(0, 2, 1), -ss, cc], axis=2)], axis=1)
 
 
+def _powers(f_support: np.ndarray) -> np.ndarray:
+    """(S, 3) weights f^k, k = 0, 1, 2, of the two-path moments."""
+    return np.stack([np.ones_like(f_support), f_support, f_support**2], axis=1)
+
+
 def _fim_single_batch(f_support: np.ndarray, noise_std: float, gains: np.ndarray,
                       delta_taus: np.ndarray) -> np.ndarray:
     """Stack of 6x6 single-band FIMs over a batch of delay separations.
@@ -147,8 +150,9 @@ def _fim_single_batch(f_support: np.ndarray, noise_std: float, gains: np.ndarray
     J = np.zeros((dt.shape[0], 6, 6))
     # e^{j 2 pi f (tau_r - tau_s)} for (r, s) = (2, 1); (1, 2) is its conjugate
     ephase = np.exp(2j * np.pi * dt[:, None] * f_support[None, :])  # (B, S)
-    _two_path_block(J, f_support, ephase, np.asarray(gains, dtype=complex),
-                    1.0 / noise_std**2)
+    powers = _powers(f_support)
+    _two_path_block(J, powers.sum(axis=0), ephase @ powers,
+                    np.asarray(gains, dtype=complex), 1.0 / noise_std**2)
     return J
 
 
@@ -173,75 +177,83 @@ def fim_single(w: np.ndarray, spacing_hz: float, noise_std: float, gains,
     return FimSingleBand(J, spacing_hz, noise_std, gains, delta_tau_s)
 
 
-def _fim_multiband_batch(f_support: np.ndarray, band_support: np.ndarray,
-                         nloc_support: np.ndarray, band_spacings: np.ndarray,
-                         n_bands: int, noise_std: float, gains: np.ndarray,
-                         delta_taus: np.ndarray, prior_std_s: float
-                         ) -> tuple[np.ndarray, np.ndarray]:
+def _multiband_table(f_support: np.ndarray, band_support: np.ndarray,
+                     nloc_support: np.ndarray, band_spacings: np.ndarray,
+                     n_bands: int) -> np.ndarray:
+    """(S, 3 + 5M) moment weights of one column's multiband FIM.
+
+    The first three columns are f^k (k = 0, 1, 2) over the whole support; then
+    come the per-band weights 1, f, nf, nf f and nf^2 (nf = n f_s,i), weight
+    by weight, each zero outside its band.
+    """
+    nf = nloc_support * band_spacings[band_support]
+    per_band = np.stack([np.ones_like(f_support), f_support, nf, nf * f_support, nf**2],
+                        axis=1)                                   # (S, 5)
+    onehot = band_support[:, None] == np.arange(n_bands)[None, :]  # (S, M)
+    table = (per_band[:, :, None] * onehot[:, None, :]).reshape(len(f_support), 5 * n_bands)
+    return np.concatenate([_powers(f_support), table], axis=1)
+
+
+def _fim_multiband_batch(f_support: np.ndarray, table: np.ndarray, n_bands: int,
+                         noise_std: float, gains: np.ndarray, delta_taus: np.ndarray,
+                         prior_std_s: float) -> tuple[np.ndarray, np.ndarray]:
     """Stacks of multiband FIMs (total, observation-only) over delay separations.
 
-    f_support must already be pinned (first band center at zero). Parameter
-    order: [tau_1, tau_2, a^R (2), a^I (2), phi_2..phi_M, delta_1..delta_M].
+    f_support must already be pinned (first band center at zero), and table is
+    its ``_multiband_table``. Parameter order: [tau_1, tau_2, a^R (2), a^I (2),
+    phi_2..phi_M, delta_1..delta_M]. With tau = (0, dtau), every nuisance
+    entry is linear in the per-band moments sum w e^{j 2 pi f dtau}, w in
+    {1, f, nf, nf f, nf^2}: the path-sum profile H = alpha_1 + alpha_2
+    e^{-j 2 pi f dtau} enters through sum_k alpha_k e^{j 2 pi f (tau_r -
+    tau_k)} and through |H|^2 = |alpha_1|^2 + |alpha_2|^2 + 2 Re(alpha_1
+    alpha_2^* e^{j 2 pi f dtau}). So one product ephase @ table gives every
+    moment of the batch.
     """
     al = np.asarray(gains, dtype=complex)
     dt = np.asarray(delta_taus, dtype=float)
     c = 1.0 / noise_std**2
-    b = dt.shape[0]
-    dim = 6 + (n_bands - 1) + n_bands
+    b, m = dt.shape[0], n_bands
+    dim = 6 + (m - 1) + m
 
     ephase = np.exp(2j * np.pi * dt[:, None] * f_support[None, :])  # (B, S)
-    # path-sum profile H(n) = sum_k alpha_k e^{-j 2 pi f tau_k}, with tau = (0, dtau)
-    H = al[0] + al[1] * ephase.conj()
-    absH2 = np.abs(H) ** 2
-    vr_pick = (np.ones_like(ephase), ephase)  # e^{j 2 pi f tau_r}
-
+    moments = ephase @ table                                          # (B, 3 + 5M)
+    plain = table.sum(axis=0)
     J = np.zeros((b, dim, dim))
-    _two_path_block(J, f_support, ephase, al, c)
-    for r in range(2):
-        vr_h = vr_pick[r] * H  # sum_k alpha_k e^{j 2 pi f (tau_r - tau_k)}
-        for i in range(n_bands):
-            m = band_support == i
-            fs_i = band_spacings[i]
-            nf = nloc_support[m] * fs_i
-            if i >= 1:
-                cphi = 6 + (i - 1)
-                v = -4 * np.pi * c * np.sum(
-                    f_support[m] * (np.conj(al[r]) * vr_h[:, m]).real, axis=1)
-                J[:, r, cphi] = v
-                J[:, cphi, r] = v
-                v = 2 * c * np.sum((1j * vr_h[:, m]).real, axis=1)
-                J[:, 2 + r, cphi] = v
-                J[:, cphi, 2 + r] = v
-                v = 2 * c * np.sum(vr_h[:, m].real, axis=1)
-                J[:, 4 + r, cphi] = v
-                J[:, cphi, 4 + r] = v
-            cdel = 6 + (n_bands - 1) + i
-            v = 8 * np.pi**2 * c * np.sum(
-                nf * f_support[m] * (np.conj(al[r]) * vr_h[:, m]).real, axis=1)
-            J[:, r, cdel] = v
-            J[:, cdel, r] = v
-            v = -4 * np.pi * c * np.sum((1j * nf * vr_h[:, m]).real, axis=1)
-            J[:, 2 + r, cdel] = v
-            J[:, cdel, 2 + r] = v
-            v = -4 * np.pi * c * np.sum(nf * vr_h[:, m].real, axis=1)
-            J[:, 4 + r, cdel] = v
-            J[:, cdel, 4 + r] = v
-    for i in range(n_bands):
-        m = band_support == i
-        nf = nloc_support[m] * band_spacings[i]
-        cdel = 6 + (n_bands - 1) + i
-        if i >= 1:
-            cphi = 6 + (i - 1)
-            J[:, cphi, cphi] = 2 * c * np.sum(absH2[:, m], axis=1)
-            v = -4 * np.pi * c * np.sum(nf * absH2[:, m], axis=1)
-            J[:, cphi, cdel] = v
-            J[:, cdel, cphi] = v
-        J[:, cdel, cdel] = 8 * np.pi**2 * c * np.sum(nf**2 * absH2[:, m], axis=1)
+    _two_path_block(J, plain[:3], moments[:, :3], al, c)
+
+    mom = moments[:, 3:].reshape(b, 5, m)    # weight, band
+    pb = plain[3:].reshape(5, m)
+    # per-band sums of w * sum_k alpha_k e^{j 2 pi f (tau_r - tau_k)}, path r
+    v = np.stack([al[0] * pb + al[1] * mom.conj(), al[0] * mom + al[1] * pb], axis=1)
+    h2 = np.sum(np.abs(al) ** 2) * pb + 2 * (al[0] * np.conj(al[1]) * mom).real
+    ar = np.conj(al)[None, :, None]          # conj(alpha_r), down the rows
+    phi = slice(6, 6 + m - 1)
+    dl = slice(6 + m - 1, dim)
+    J[:, 0:2, phi] = -4 * np.pi * c * (ar * v[:, :, 1, 1:]).real
+    J[:, 2:4, phi] = -2 * c * v[:, :, 0, 1:].imag
+    J[:, 4:6, phi] = 2 * c * v[:, :, 0, 1:].real
+    J[:, 0:2, dl] = 8 * np.pi**2 * c * (ar * v[:, :, 3]).real
+    J[:, 2:4, dl] = 4 * np.pi * c * v[:, :, 2].imag
+    J[:, 4:6, dl] = -4 * np.pi * c * v[:, :, 2].real
+    J[:, 6:, :6] = J[:, :6, 6:].transpose(0, 2, 1)
+    iphi = 6 + np.arange(m - 1)
+    idel = 6 + (m - 1) + np.arange(m)
+    J[:, iphi, iphi] = 2 * c * h2[:, 0, 1:]
+    J[:, iphi, idel[1:]] = J[:, idel[1:], iphi] = -4 * np.pi * c * h2[:, 2, 1:]
+    J[:, idel, idel] = 8 * np.pi**2 * c * h2[:, 4]
 
     J_obs = J.copy()
-    didx = 6 + (n_bands - 1) + np.arange(n_bands)
-    J[:, didx, didx] += 1.0 / prior_std_s**2
+    J[:, idel, idel] += 1.0 / prior_std_s**2
     return J, J_obs
+
+
+def _multiband_support(layout: BandLayout, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pinned supported frequencies of a multiband column and their moment table."""
+    sup = np.asarray(w) != 0
+    f_sup = layout.pinned_frequencies_hz[sup]
+    spacings = np.array([sb.spacing_hz for sb in layout.subbands])
+    return f_sup, _multiband_table(f_sup, layout.band_index[sup], layout.local_index[sup],
+                                   spacings, layout.n_bands)
 
 
 def fim_multiband(layout: BandLayout, w: np.ndarray, noise_std: float, gains,
@@ -265,12 +277,9 @@ def fim_multiband(layout: BandLayout, w: np.ndarray, noise_std: float, gains,
     gains = np.asarray(gains, dtype=complex)
     if gains.shape != (2,):
         raise ValueError("the two-path model takes exactly two gains")
-    sup = w != 0
-    spacings = np.array([sb.spacing_hz for sb in layout.subbands])
-    J, J_obs = _fim_multiband_batch(
-        layout.pinned_frequencies_hz[sup], layout.band_index[sup],
-        layout.local_index[sup], spacings, layout.n_bands, noise_std, gains,
-        np.array([delta_tau_s]), prior_std_s)
+    f_sup, table = _multiband_support(layout, w)
+    J, J_obs = _fim_multiband_batch(f_sup, table, layout.n_bands, noise_std, gains,
+                                    np.array([delta_tau_s]), prior_std_s)
     return FimMultiband(J[0], J_obs[0], noise_std, gains, delta_tau_s,
                         prior_std_s, layout.n_bands)
 
@@ -340,15 +349,10 @@ def pattern_crb_provider(layout: BandLayout, w: np.ndarray, noise_std: float, ga
 
     if prior_std_s is None or prior_std_s <= 0:
         raise ValueError("multiband SRL needs a positive timing-offset prior std")
-    sup = w != 0
-    f_sup = layout.pinned_frequencies_hz[sup]
-    band_sup = layout.band_index[sup]
-    nloc_sup = layout.local_index[sup]
-    spacings = np.array([sb.spacing_hz for sb in layout.subbands])
+    f_sup, table = _multiband_support(layout, w)
 
     def provider(dtaus: np.ndarray) -> np.ndarray:
-        J, _ = _fim_multiband_batch(f_sup, band_sup, nloc_sup, spacings,
-                                    layout.n_bands, noise_std, gains,
+        J, _ = _fim_multiband_batch(f_sup, table, layout.n_bands, noise_std, gains,
                                     np.atleast_1d(dtaus), prior_std_s)
         return crb_batch(J, cond_cap)
 
@@ -420,7 +424,9 @@ def srl_at_most(crb_provider: Callable[[np.ndarray], np.ndarray], beta_s: float,
     point", which can differ from "SRL <= beta_s" when the SRL falls between
     the two. One of the two tests holds whenever g >= 0 at the last point, so
     that point is evaluated alone first and the full scan runs only when
-    g < 0 there; the decision is the full scan's either way.
+    g < 0 there; the decision is the full scan's either way. The EDA's gate
+    caches these decisions per (group, column) within one run, so it calls
+    this at most once per pair.
     """
     lo = min(step_s, beta_s)
     grid = np.arange(lo, beta_s + 0.5 * step_s, step_s)

@@ -232,7 +232,7 @@ class PatternSet:
         m = np.asarray(self.mask)
         if m.ndim != 2:
             raise ValueError("pattern mask must be 2-D (subcarriers x groups)")
-        if not np.isin(m, (0, 1)).all():
+        if not ((m == 0) | (m == 1)).all():
             raise ValueError("pattern mask must be binary")
         if (m.sum(axis=1) > 1).any():
             raise ValueError("pattern rows must sum to at most 1 (non-overlap constraint)")

@@ -203,3 +203,63 @@ def crb_delta_tau_quadform(J: np.ndarray, cond_cap: float = 1e12) -> float:
     dvec[0], dvec[1] = -1.0, 1.0
     u = dvec / ds  # J^{-1} = D^{-1} Js^{-1} D^{-1} with D = diag(ds)
     return float(u @ np.linalg.solve(Js, u))
+
+
+def fim_multiband_loop(f_support, band_support, nloc_support, band_spacings, n_bands,
+                       noise_std, gains, delta_taus, prior_std_s):
+    """Multiband FIM stacks (total, observation-only) summed band by band.
+
+    The nuisance rows are explicit per-band sums over the path-sum profile
+    H(f) = sum_k alpha_k e^{-j 2 pi f tau_k} with tau = (0, dtau); the
+    [tau, a^R, a^I] block is ``fim_two_path_direct`` at each separation.
+    """
+    al = np.asarray(gains, dtype=complex)
+    dt = np.asarray(delta_taus, dtype=float)
+    c = 1.0 / noise_std**2
+    dim = 6 + (n_bands - 1) + n_bands
+
+    ephase = np.exp(2j * np.pi * dt[:, None] * f_support[None, :])  # (B, S)
+    H = al[0] + al[1] * ephase.conj()
+    absH2 = np.abs(H) ** 2
+    vr_pick = (np.ones_like(ephase), ephase)  # e^{j 2 pi f tau_r}
+
+    J = np.zeros((len(dt), dim, dim))
+    for k, d in enumerate(dt):
+        J[k, :6, :6] = fim_two_path_direct(f_support, noise_std, al, d)
+    for r in range(2):
+        vr_h = vr_pick[r] * H  # sum_k alpha_k e^{j 2 pi f (tau_r - tau_k)}
+        for i in range(n_bands):
+            m = band_support == i
+            nf = nloc_support[m] * band_spacings[i]
+            if i >= 1:
+                cphi = 6 + (i - 1)
+                v = -4 * np.pi * c * np.sum(
+                    f_support[m] * (np.conj(al[r]) * vr_h[:, m]).real, axis=1)
+                J[:, r, cphi] = J[:, cphi, r] = v
+                v = 2 * c * np.sum((1j * vr_h[:, m]).real, axis=1)
+                J[:, 2 + r, cphi] = J[:, cphi, 2 + r] = v
+                v = 2 * c * np.sum(vr_h[:, m].real, axis=1)
+                J[:, 4 + r, cphi] = J[:, cphi, 4 + r] = v
+            cdel = 6 + (n_bands - 1) + i
+            v = 8 * np.pi**2 * c * np.sum(
+                nf * f_support[m] * (np.conj(al[r]) * vr_h[:, m]).real, axis=1)
+            J[:, r, cdel] = J[:, cdel, r] = v
+            v = -4 * np.pi * c * np.sum((1j * nf * vr_h[:, m]).real, axis=1)
+            J[:, 2 + r, cdel] = J[:, cdel, 2 + r] = v
+            v = -4 * np.pi * c * np.sum(nf * vr_h[:, m].real, axis=1)
+            J[:, 4 + r, cdel] = J[:, cdel, 4 + r] = v
+    for i in range(n_bands):
+        m = band_support == i
+        nf = nloc_support[m] * band_spacings[i]
+        cdel = 6 + (n_bands - 1) + i
+        if i >= 1:
+            cphi = 6 + (i - 1)
+            J[:, cphi, cphi] = 2 * c * np.sum(absH2[:, m], axis=1)
+            v = -4 * np.pi * c * np.sum(nf * absH2[:, m], axis=1)
+            J[:, cphi, cdel] = J[:, cdel, cphi] = v
+        J[:, cdel, cdel] = 8 * np.pi**2 * c * np.sum(nf**2 * absH2[:, m], axis=1)
+
+    J_obs = J.copy()
+    didx = 6 + (n_bands - 1) + np.arange(n_bands)
+    J[:, didx, didx] += 1.0 / prior_std_s**2
+    return J, J_obs

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import pilotforge as pf
+from pilotforge import optimizer, resolution
 from pilotforge.ambiguity import SidelobeRegion, isl_matrix
 from pilotforge.optimizer import (EdaConfig, InfeasibleSamplingError, _fitness_many,
                                   random_srl_reference, run_eda,
@@ -153,6 +154,66 @@ class TestRunEda:
         res2 = run_eda(lay, cfg)
         np.testing.assert_array_equal(res.best.mask, res2.best.mask)
         np.testing.assert_array_equal(res.trace, res2.trace)
+
+    def test_gate_decides_each_group_and_column_once(self, monkeypatch):
+        lay = toy_layout()
+        cfg = toy_config(seed=9, iterations=8)
+        built, decided, gated = [], [], []
+
+        def build(layout, w, *args, **kwargs):
+            built.append(np.asarray(w).tobytes())
+            return resolution.pattern_crb_provider(layout, w, *args, **kwargs)
+
+        def decide(provider, beta_s, step_s):
+            out = resolution.srl_at_most(provider, beta_s, step_s)
+            decided.append((beta_s, out))
+            return out
+
+        def gate_factory(layout, cfg_, beta_s):
+            gate = real_gate_factory(layout, cfg_, beta_s)
+
+            def spy(mask):
+                out = gate(mask)
+                gated.append((mask.copy(), out))
+                return out
+            return spy
+
+        real_gate_factory = optimizer._srl_gate
+        monkeypatch.setattr(optimizer, "pattern_crb_provider", build)
+        monkeypatch.setattr(optimizer, "srl_at_most", decide)
+        monkeypatch.setattr(optimizer, "_srl_gate", gate_factory)
+        res = run_eda(lay, cfg)
+        monkeypatch.undo()
+
+        # the names a tracer wraps stay live: every miss goes through both
+        assert built and len(built) == len(decided)
+        beta = list(res.beta_s)
+        assert len(set(beta)) == len(beta)
+        answers = {}
+        for col, (b, out) in zip(built, decided):
+            key = (beta.index(b), col)
+            assert key not in answers, "a (group, column) pair was decided twice"
+            answers[key] = out
+        # replay the gate's group order: group g is asked only after g - 1 passed
+        asked, lookups = set(), 0
+        for mask, out in gated:
+            verdicts = []
+            for g in range(mask.shape[1]):
+                key = (g, mask[:, g].tobytes())
+                asked.add(key)
+                lookups += 1
+                verdicts.append(answers[key])
+                if not answers[key]:
+                    break
+            assert out == all(verdicts)
+        assert asked == set(answers)
+        assert lookups > len(answers)       # the cache did serve repeats
+        assert not all(answers.values())    # and it holds rejections too
+        gains = np.asarray(cfg.offline_gains, complex)
+        for (g, col), out in answers.items():
+            w = np.frombuffer(col, dtype=np.uint8)
+            provider = pattern_crb_provider(lay, w, cfg.offline_noise_std, gains)
+            assert srl_at_most(provider, beta[g], cfg.gate_step_s) == out
 
     def test_best_beats_random_baseline_over_seeds(self):
         lay = toy_layout()

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 import pilotforge as pf
-from pilotforge.resolution import (SrlSearch, crb_delta_tau, fim_multiband,
+from pilotforge.resolution import (SrlSearch, _fim_multiband_batch, _multiband_table,
+                                   crb_batch, crb_delta_tau, fim_multiband,
                                    fim_single, pattern_crb_provider, srl_at_most,
                                    srl_of_pattern, srl_search)
 
 from oracles import (crb_delta_tau_quadform, fd_fim_multiband, fd_fim_single,
-                     fim_scaled_error, fim_two_path_direct)
+                     fim_multiband_loop, fim_scaled_error, fim_two_path_direct)
 
 FS = 120e3
 SIGMA = 0.1778
@@ -95,6 +96,68 @@ class TestFimMultiband:
             ref = fim_two_path_direct(layout_multi.pinned_frequencies_hz[w != 0],
                                       SIGMA, gains, dt)
             assert fim_scaled_error(J[:6, :6], ref) < 1e-12
+
+    @staticmethod
+    def moment_cases(layout_multi):
+        """(layout, column, gains) triples: paper scale, and three small bands
+        with unequal spacings, the middle band unsounded in one column."""
+        small = pf.BandLayout.multiband(
+            [pf.Subband(3.5e9, FS, 17), pf.Subband(3.7e9, 2 * FS, 17),
+             pf.Subband(3.9e9, FS, 17)])
+        cases = []
+        for seed in range(3):
+            rng = np.random.default_rng(seed + 400)
+            gains = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            cases.append((layout_multi, random_column(layout_multi.n_total, 127, seed), gains))
+            w = random_column(small.n_total, 20, seed)
+            if seed == 0:
+                w[17:34] = 0
+            cases.append((small, w, gains))
+        return cases
+
+    @staticmethod
+    def support(lay, w):
+        sup = w != 0
+        spacings = np.array([sb.spacing_hz for sb in lay.subbands])
+        return (lay.pinned_frequencies_hz[sup], lay.band_index[sup],
+                lay.local_index[sup], spacings, lay.n_bands)
+
+    @pytest.mark.parametrize("batch", [1, 7, 5000])
+    def test_moment_form_matches_per_band_loop(self, batch, layout_multi):
+        rng = np.random.default_rng(batch)
+        for lay, w, gains in self.moment_cases(layout_multi):
+            f, band, nloc, spacings, m = self.support(lay, w)
+            dts = rng.uniform(0.01e-9, 50e-9, batch)
+            J, J_obs = _fim_multiband_batch(f, _multiband_table(f, band, nloc, spacings, m),
+                                            m, SIGMA, gains, dts, 1e-9)
+            ref, ref_obs = fim_multiband_loop(f, band, nloc, spacings, m, SIGMA, gains,
+                                              dts, 1e-9)
+            assert J.shape == ref.shape == (batch, 6 + 2 * m - 1, 6 + 2 * m - 1)
+            for k in range(batch):
+                assert fim_scaled_error(J[k], ref[k]) <= 1e-12
+                assert fim_scaled_error(J_obs[k], ref_obs[k]) <= 1e-12
+            # idle nuisances stay structural zeros, so crb_batch still drops them
+            np.testing.assert_array_equal(np.all(J_obs == 0.0, axis=1),
+                                          np.all(ref_obs == 0.0, axis=1))
+
+    def test_gate_decisions_match_per_band_loop(self, layout_multi):
+        decisions = []
+        for lay, w, gains in self.moment_cases(layout_multi):
+            f, band, nloc, spacings, m = self.support(lay, w)
+
+            def loop_provider(dts):
+                J, _ = fim_multiband_loop(f, band, nloc, spacings, m, SIGMA, gains,
+                                          np.atleast_1d(dts), 1e-9)
+                return crb_batch(J)
+
+            provider = pattern_crb_provider(lay, w, SIGMA, gains, 1e-9)
+            srl = srl_search(loop_provider, SrlSearch(0.05e-9, 50e-9, 0.05e-9)).srl_s
+            assert srl is not None
+            for beta in [srl * x for x in (0.5, 0.9, 0.99, 1.01, 1.1, 2.0)]:
+                got = srl_at_most(provider, beta, 0.05e-9)
+                assert got == srl_at_most(loop_provider, beta, 0.05e-9), (beta, srl)
+                decisions.append(got)
+        assert any(decisions) and not all(decisions)
 
     def test_phase_block_diagonal(self):
         lay = pf.BandLayout.multiband(

@@ -148,6 +148,21 @@ class TestPatternSet:
         with pytest.raises(ValueError):
             pf.PatternSet(np.full((4, 1), 2))
 
+    @pytest.mark.parametrize("bad", [0.5, np.nan, -1.0, 1.0 + 1e-12])
+    def test_one_non_binary_cell_rejected(self, bad):
+        mask = np.zeros((4, 2))
+        mask[0, 0] = 1.0
+        mask[2, 1] = bad
+        with pytest.raises(ValueError, match="binary"):
+            pf.PatternSet(mask)
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, int, float])
+    def test_binary_mask_of_any_dtype_accepted(self, dtype):
+        mask = np.array([[1, 0], [0, 1], [0, 0]], dtype=dtype)
+        pats = pf.PatternSet(mask)
+        assert pats.mask.dtype == np.uint8
+        np.testing.assert_array_equal(pats.mask, mask.astype(np.uint8))
+
     def test_budget_validation(self):
         pats = pf.PatternSet.from_indices(8, [[0, 1], [4, 5, 6]])
         pats.validate_budgets([2, 3])
