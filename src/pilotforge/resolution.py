@@ -416,20 +416,18 @@ def srl_at_most(crb_provider: Callable[[np.ndarray], np.ndarray], beta_s: float,
                 step_s: float) -> bool:
     """True when the SRL does not exceed beta_s, decided on a coarse grid.
 
-    The grid starts at min(step_s, beta_s), advances by step_s and ends at
-    the last step below beta_s + step_s/2, so its last point lies within half
-    a step of beta_s, on either side. A root is certified when g >= 0 at the
+    The grid starts at min(step_s, beta_s), advances by step_s while below
+    beta_s and ends at beta_s itself. A root is certified when g >= 0 at the
     first grid point (root below the grid) or g turns from < 0 to >= 0
-    between neighbouring points. The answer is thus "SRL <= last grid
-    point", which can differ from "SRL <= beta_s" when the SRL falls between
-    the two. One of the two tests holds whenever g >= 0 at the last point, so
-    that point is evaluated alone first and the full scan runs only when
-    g < 0 there; the decision is the full scan's either way. The EDA's gate
-    caches these decisions per (group, column) within one run, so it calls
-    this at most once per pair.
+    between neighbouring points, so every certified root lies at or below
+    beta_s and the answer is "SRL <= beta_s" on this grid. One of the two
+    tests holds whenever g >= 0 at beta_s, so that point is evaluated alone
+    first and the full scan runs only when g < 0 there; the decision is the
+    full scan's either way. The EDA's gate caches these decisions per
+    (group, column) within one run, so it calls this at most once per pair.
     """
-    lo = min(step_s, beta_s)
-    grid = np.arange(lo, beta_s + 0.5 * step_s, step_s)
+    grid = np.arange(min(step_s, beta_s), beta_s, step_s)
+    grid = np.append(grid[grid < beta_s], beta_s)
     if _g(crb_provider, grid[-1:])[0] >= 0:
         return True
     g = _g(crb_provider, grid)

@@ -325,8 +325,11 @@ class TestSrlSearch:
 
     @staticmethod
     def full_scan(provider, beta, step):
-        # every point of the gate grid, then the root tests on the whole scan
-        grid = np.arange(min(step, beta), beta + 0.5 * step, step)
+        # every point of the gate grid, steps below beta and then beta itself,
+        # then the root tests on the whole scan
+        grid = [x for x in np.arange(min(step, beta), beta, step) if x < beta] + [beta]
+        grid = np.array(grid)
+        assert grid[-1] == beta and np.all(np.diff(grid) > 0)
         crb = provider(grid)
         g = np.where(np.isfinite(crb), grid - np.sqrt(np.maximum(crb, 0.0)),
                      -np.inf)
@@ -349,8 +352,7 @@ class TestSrlSearch:
             w = pf.random_patterns(lay, 2, [budget, budget], seed=seed).column(0)
             provider = pattern_crb_provider(lay, w, SIGMA, GAINS, prior)
             srl = srl_of_pattern(lay, w, SIGMA, GAINS, prior, search).srl_s
-            # beta on either side of the SRL, on and off the gate grid: the
-            # grid's last point can fall up to half a step on either side
+            # beta on either side of the SRL, on and off multiples of the step
             betas = [srl * f for f in (0.5, 0.9, 0.99, 1.01, 1.1, 2.0)]
             betas += [srl + d * step for d in (-0.7, -0.4, -0.1, 0.1, 0.4, 0.7)]
             for beta in betas:
@@ -358,6 +360,20 @@ class TestSrlSearch:
                 assert got == self.full_scan(provider, beta, step), (seed, beta)
                 decisions.append(got)
         assert any(decisions) and not all(decisions)
+
+    @pytest.mark.parametrize("root", [2.99887e-9, 3.0e-9, 3.02e-9, 0.03e-9, 7.77e-9])
+    def test_srl_at_most_decides_at_beta_exactly(self, root):
+        # sqrt(CRB) = root everywhere: g = dtau - root, so SRL = root. Betas
+        # within a step of the root, off the step's multiples, used to be
+        # decided at the nearest multiple instead
+        def provider(dts):
+            return np.full(np.shape(dts), root**2)
+
+        step = 0.05e-9
+        for beta in (root * (1 - 1e-6), root * (1 - 1e-12), root, root * (1 + 1e-12),
+                     root * (1 + 1e-6), root - 0.3 * step, root + 0.3 * step):
+            if beta > 0:
+                assert srl_at_most(provider, beta, step) == (root <= beta), beta
 
     def test_srl_at_most_scans_only_when_last_point_fails(self):
         # sqrt(CRB) = dtau / 2 (g >= 0) on [2, 4) ns and on [6, 8] ns and
