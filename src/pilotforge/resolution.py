@@ -177,21 +177,23 @@ def fim_single(w: np.ndarray, spacing_hz: float, noise_std: float, gains,
     return FimSingleBand(J, spacing_hz, noise_std, gains, delta_tau_s)
 
 
-def _multiband_table(f_support: np.ndarray, band_support: np.ndarray,
-                     nloc_support: np.ndarray, band_spacings: np.ndarray,
-                     n_bands: int) -> np.ndarray:
-    """(S, 3 + 5M) moment weights of one column's multiband FIM.
+def _multiband_support(layout: BandLayout, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pinned supported frequencies of a multiband column, and their (S, 3 + 5M)
+    moment weights.
 
-    The first three columns are f^k (k = 0, 1, 2) over the whole support; then
-    come the per-band weights 1, f, nf, nf f and nf^2 (nf = n f_s,i), weight
-    by weight, each zero outside its band.
+    The first three weight columns are f^k (k = 0, 1, 2) over the whole
+    support; then come the per-band weights 1, f, nf, nf f and nf^2
+    (nf = n f_s,i), weight by weight, each zero outside its band.
     """
-    nf = nloc_support * band_spacings[band_support]
-    per_band = np.stack([np.ones_like(f_support), f_support, nf, nf * f_support, nf**2],
-                        axis=1)                                   # (S, 5)
-    onehot = band_support[:, None] == np.arange(n_bands)[None, :]  # (S, M)
-    table = (per_band[:, :, None] * onehot[:, None, :]).reshape(len(f_support), 5 * n_bands)
-    return np.concatenate([_powers(f_support), table], axis=1)
+    sup = np.asarray(w) != 0
+    f_sup = layout.pinned_frequencies_hz[sup]
+    band = layout.band_index[sup]
+    spacings = np.array([sb.spacing_hz for sb in layout.subbands])
+    nf = layout.local_index[sup] * spacings[band]
+    per_band = np.stack([np.ones_like(f_sup), f_sup, nf, nf * f_sup, nf**2], axis=1)  # (S, 5)
+    onehot = band[:, None] == np.arange(layout.n_bands)[None, :]                       # (S, M)
+    table = (per_band[:, :, None] * onehot[:, None, :]).reshape(len(f_sup), -1)
+    return f_sup, np.concatenate([_powers(f_sup), table], axis=1)
 
 
 def _fim_multiband_batch(f_support: np.ndarray, table: np.ndarray, n_bands: int,
@@ -199,8 +201,8 @@ def _fim_multiband_batch(f_support: np.ndarray, table: np.ndarray, n_bands: int,
                          prior_std_s: float) -> tuple[np.ndarray, np.ndarray]:
     """Stacks of multiband FIMs (total, observation-only) over delay separations.
 
-    f_support must already be pinned (first band center at zero), and table is
-    its ``_multiband_table``. Parameter order: [tau_1, tau_2, a^R (2), a^I (2),
+    f_support (pinned: first band center at zero) and table come from
+    ``_multiband_support``. Parameter order: [tau_1, tau_2, a^R (2), a^I (2),
     phi_2..phi_M, delta_1..delta_M]. With tau = (0, dtau), every nuisance
     entry is linear in the per-band moments sum w e^{j 2 pi f dtau}, w in
     {1, f, nf, nf f, nf^2}: the path-sum profile H = alpha_1 + alpha_2
@@ -245,15 +247,6 @@ def _fim_multiband_batch(f_support: np.ndarray, table: np.ndarray, n_bands: int,
     J_obs = J.copy()
     J[:, idel, idel] += 1.0 / prior_std_s**2
     return J, J_obs
-
-
-def _multiband_support(layout: BandLayout, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pinned supported frequencies of a multiband column and their moment table."""
-    sup = np.asarray(w) != 0
-    f_sup = layout.pinned_frequencies_hz[sup]
-    spacings = np.array([sb.spacing_hz for sb in layout.subbands])
-    return f_sup, _multiband_table(f_sup, layout.band_index[sup], layout.local_index[sup],
-                                   spacings, layout.n_bands)
 
 
 def fim_multiband(layout: BandLayout, w: np.ndarray, noise_std: float, gains,
