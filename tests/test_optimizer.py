@@ -169,6 +169,8 @@ class TestRunEda:
             decided.append((beta_s, out))
             return out
 
+        real_gate_factory = optimizer._srl_gate
+
         def gate_factory(layout, cfg_, beta_s):
             gate = real_gate_factory(layout, cfg_, beta_s)
 
@@ -178,7 +180,6 @@ class TestRunEda:
                 return out
             return spy
 
-        real_gate_factory = optimizer._srl_gate
         monkeypatch.setattr(optimizer, "pattern_crb_provider", build)
         monkeypatch.setattr(optimizer, "srl_at_most", decide)
         monkeypatch.setattr(optimizer, "_srl_gate", gate_factory)
