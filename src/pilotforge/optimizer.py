@@ -6,6 +6,11 @@ per-cell Bernoulli model fitted to the elite fraction of the population,
 samples fresh individuals from it with a deterministic structural repair,
 rejects any draw whose per-group SRL exceeds its ceiling, and carries the best
 individual over unchanged, so the best fitness never increases.
+
+A generation is handled as one stack: every slot draws from its own random
+stream, the draws are repaired and SRL-gated together, and only the slots the
+gate rejects draw again. Each stream is consumed exactly as a slot-by-slot
+loop would consume it, so the result does not depend on the batching.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ambiguity import IslMatrix, SidelobeRegion, isl_matrix
-from .resolution import (SrlResult, SrlSearch, pattern_crb_provider, srl_at_most,
-                         srl_of_pattern)
+from .resolution import (SrlResult, SrlSearch, crb_of_columns, pattern_crb_provider,
+                         srl_at_most, srl_of_pattern)
 from .waveform import BandLayout, PatternSet, random_patterns
 
 __all__ = [
@@ -80,6 +85,14 @@ class EdaConfig:
             raise ValueError("offline noise std must be positive")
         if self.retry_cap < 1:
             raise ValueError("retry cap must be positive")
+        if not self.gate_step_s > 0:
+            raise ValueError("gate step must be positive")
+        if not self.beta_margin > 0:
+            raise ValueError("beta margin must be positive")
+        if self.beta_reference_draws < 1:
+            raise ValueError("need at least one beta reference draw")
+        if not self.prior_std_s > 0:
+            raise ValueError("timing-offset prior std must be positive")
 
 
 @dataclass(frozen=True)
@@ -118,53 +131,102 @@ def update_probabilities(elites: Sequence[PatternSet] | np.ndarray) -> np.ndarra
     return stack.mean(axis=0)
 
 
-def _repair(draw: np.ndarray, budgets: np.ndarray, prob: np.ndarray) -> np.ndarray:
-    """Deterministic structural repair of a raw Bernoulli draw.
+def _repair(draws: np.ndarray, budgets: np.ndarray, prob: np.ndarray) -> np.ndarray:
+    """Deterministic structural repair of a stack of raw Bernoulli draws, (Q, N, G).
 
-    Row conflicts keep the cell whose group currently lacks the most pilots
-    (ties: lowest group index); column sums are then trimmed at the lowest
-    cell probabilities and padded at empty rows with the highest ones.
+    Row conflicts are settled row by row in index order: the row keeps the
+    cell whose group currently lacks the most pilots (ties: lowest group
+    index). Column sums are then trimmed at the lowest cell probabilities and
+    padded at empty rows with the highest ones (ties: lowest row index). Each
+    step is one array operation over all Q slots; the trim and pad orders are
+    one stable sort of a group's probabilities, which restricted to a slot's
+    own (or empty) rows is that slot's own stable order.
     """
-    mask = draw.astype(np.uint8)
-    counts = mask.sum(axis=0).astype(int)
-    conflicted = np.flatnonzero(mask.sum(axis=1) > 1)
-    for n in conflicted:
-        groups = np.flatnonzero(mask[n])
-        keep = groups[np.argmax(budgets[groups] - counts[groups])]
-        for g in groups:
-            if g != keep:
-                mask[n, g] = 0
-                counts[g] -= 1
-    for g in range(mask.shape[1]):  # trim overfull columns first to free rows
-        excess = counts[g] - budgets[g]
-        if excess > 0:
-            own = np.flatnonzero(mask[:, g])
-            drop = own[np.argsort(prob[own, g], kind="stable")[:excess]]
-            mask[drop, g] = 0
-            counts[g] = budgets[g]
-    for g in range(mask.shape[1]):
-        deficit = budgets[g] - counts[g]
-        if deficit > 0:
-            empty = np.flatnonzero(mask.sum(axis=1) == 0)
-            add = empty[np.argsort(-prob[empty, g], kind="stable")[:deficit]]
-            mask[add, g] = 1
-            counts[g] = budgets[g]
+    mask = draws.astype(np.uint8)
+    budgets = np.asarray(budgets, dtype=np.int64)
+    n_groups = mask.shape[2]
+    counts = mask.sum(axis=1, dtype=np.int64)                  # (Q, G)
+    conflicted = mask.sum(axis=2) > 1                          # (Q, N)
+    lowest = np.iinfo(np.int64).min
+    for n in np.flatnonzero(conflicted.any(axis=0)):
+        q = np.flatnonzero(conflicted[:, n])
+        row = mask[q, n]
+        keep = np.argmax(np.where(row == 1, budgets - counts[q], lowest), axis=1)
+        counts[q] -= row
+        counts[q, keep] += 1
+        mask[q, n] = 0
+        mask[q, n, keep] = 1
+    for g in range(n_groups):  # trim overfull columns first to free rows
+        excess = counts[:, g] - budgets[g]
+        over = np.flatnonzero(excess > 0)
+        if over.size:
+            rows = np.argsort(prob[:, g], kind="stable")[None, :]
+            own = mask[over[:, None], rows, g]
+            own[np.cumsum(own, axis=1) <= excess[over, None]] = 0
+            mask[over[:, None], rows, g] = own
+            counts[over, g] = budgets[g]
+    for g in range(n_groups):
+        deficit = budgets[g] - counts[:, g]
+        under = np.flatnonzero(deficit > 0)
+        if under.size:
+            rows = np.argsort(-prob[:, g], kind="stable")[None, :]
+            empty = mask[under[:, None], rows].sum(axis=2) == 0
+            add = empty & (np.cumsum(empty, axis=1) <= deficit[under, None])
+            mask[under[:, None], rows, g] |= add
+            counts[under, g] = budgets[g]
     return mask
 
 
-def sample_individual(prob: np.ndarray, budgets: Sequence[int],
-                      srl_gate: Callable[[np.ndarray], bool] | None,
-                      rng: np.random.Generator, retry_cap: int = 500) -> tuple[PatternSet, int]:
-    """One feasible individual from the Bernoulli model.
+def _fill(draw: Callable[[np.ndarray], np.ndarray],
+          gate: Callable[[np.ndarray], np.ndarray] | None, n_slots: int, retry_cap: int,
+          failure: str) -> tuple[np.ndarray, int]:
+    """Draw every slot, gate the stack, and draw again only the rejected slots.
 
-    Draws cellwise, repairs the structural constraints deterministically, and
-    re-draws the whole individual while the SRL gate rejects it. Returns the
-    pattern and the number of rejected draws.
+    draw(slots) returns fresh (len(slots), N, G) masks of those slots, each
+    from the slot's own stream, so what a slot draws does not depend on which
+    other slots are pending. Every stack gets the ``PatternSet`` structure
+    checks once. Returns the accepted stack and the number of rejected draws.
 
     Raises
     ------
     InfeasibleSamplingError
-        When retry_cap consecutive draws all violate an SRL ceiling.
+        When a slot's retry_cap consecutive draws are all rejected.
+    """
+    pending = np.arange(n_slots)
+    out = None
+    rejected = 0
+    for _ in range(retry_cap):
+        masks = draw(pending)
+        PatternSet.check_masks(masks)
+        ok = np.ones(len(pending), dtype=bool) if gate is None else gate(masks)
+        if out is None:
+            out = np.empty((n_slots,) + masks.shape[1:], dtype=np.uint8)
+        out[pending[ok]] = masks[ok]
+        rejected += int(np.count_nonzero(~ok))
+        pending = pending[~ok]
+        if not pending.size:
+            return out, rejected
+    raise InfeasibleSamplingError(retry_cap, failure)
+
+
+def sample_individual(prob: np.ndarray, budgets: Sequence[int],
+                      srl_gate: Callable[[np.ndarray], np.ndarray] | None,
+                      rng: np.random.Generator | Sequence[np.random.Generator],
+                      retry_cap: int = 500) -> tuple[PatternSet | np.ndarray, int]:
+    """Feasible individuals from the Bernoulli model.
+
+    ``rng`` is one generator, or a sequence of generators with one per slot.
+    Every pending slot draws cellwise from its own stream; the draws are
+    repaired together and passed to ``srl_gate`` as one (Q, N, G) stack, which
+    returns one verdict per slot (None accepts every draw). Only the rejected
+    slots draw again, so each stream is consumed as if its slot were sampled
+    alone. Returns the pattern (a ``PatternSet`` for one generator, the
+    (Q, N, G) uint8 stack for a sequence) and the number of rejected draws.
+
+    Raises
+    ------
+    InfeasibleSamplingError
+        When a slot's retry_cap consecutive draws all violate an SRL ceiling.
     """
     prob = np.asarray(prob, dtype=float)
     if np.any(prob < 0) or np.any(prob > 1):
@@ -172,42 +234,66 @@ def sample_individual(prob: np.ndarray, budgets: Sequence[int],
     budgets = np.asarray(budgets, dtype=int)
     if budgets.sum() > prob.shape[0]:
         raise ValueError("total pilot budget exceeds the number of subcarriers")
-    rejected = 0
-    for _ in range(retry_cap):
-        draw = rng.random(prob.shape) < prob
-        mask = _repair(draw, budgets, prob)
-        if srl_gate is None or srl_gate(mask):
-            return PatternSet(mask), rejected
-        rejected += 1
-    raise InfeasibleSamplingError(
-        rejected, f"sampler rejected {rejected} consecutive draws on the SRL "
-                  f"ceiling; relax the ceilings or raise the retry cap")
+    one = isinstance(rng, np.random.Generator)
+    rngs = [rng] if one else list(rng)
+    if not rngs:
+        raise ValueError("need at least one generator")
+
+    def draw(slots: np.ndarray) -> np.ndarray:
+        raw = np.stack([rngs[q].random(prob.shape) for q in slots]) < prob
+        return _repair(raw, budgets, prob)
+
+    masks, rejected = _fill(
+        draw, srl_gate, len(rngs), retry_cap,
+        f"sampler rejected {retry_cap} consecutive draws on the SRL ceiling; relax "
+        f"the ceilings or raise the retry cap")
+    return (PatternSet(masks[0]) if one else masks), rejected
 
 
 def _srl_gate(layout: BandLayout, cfg: EdaConfig,
-              beta_s: np.ndarray) -> Callable[[np.ndarray], bool]:
-    """The SRL rejection test of one EDA run: every group's SRL at most its beta.
+              beta_s: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The SRL rejection test of one EDA run over a (Q, N, G) stack of masks.
 
-    Groups are tested in order and the first failure rejects the mask. Each
-    decision is a pure function of (group, column), so the gate caches it
-    under (group, packed column) for its own lifetime, which is one
-    ``run_eda``; only a miss builds a CRB provider and calls ``srl_at_most``.
+    A slot passes when every group's SRL is at most its beta. Groups are
+    tested in order, each only for the slots that passed the groups before
+    it. Each decision is a pure function of (group, column), so the gate
+    caches it under (group, packed column) for its own lifetime, which is one
+    ``run_eda``. The misses of one call are decided together: one
+    ``crb_of_columns`` at beta per group accepts every column with
+    g(beta) >= 0, the test ``srl_at_most`` makes first. A column with
+    g(beta) < 0, or with no finite CRB in the stack, gets its own CRB provider
+    and the full ``srl_at_most`` decision.
     """
     gains = np.asarray(cfg.offline_gains, dtype=complex)
     prior = cfg.prior_std_s if layout.mode == "multi" else None
     decided: dict[tuple[int, bytes], bool] = {}
 
-    def gate(mask: np.ndarray) -> bool:
-        for g in range(mask.shape[1]):
-            key = (g, np.packbits(mask[:, g]).tobytes())
-            ok = decided.get(key)
-            if ok is None:
-                provider = pattern_crb_provider(layout, mask[:, g], cfg.offline_noise_std,
-                                                gains, prior)
-                ok = decided[key] = srl_at_most(provider, beta_s[g], cfg.gate_step_s)
-            if not ok:
-                return False
-        return True
+    def decide(g: int, cols: np.ndarray) -> np.ndarray:
+        crb = crb_of_columns(layout, cols, cfg.offline_noise_std, gains, beta_s[g], prior)
+        ok = beta_s[g] - np.sqrt(crb) >= 0     # g(beta) >= 0; -inf where unresolvable
+        for i in np.flatnonzero(~ok):
+            provider = pattern_crb_provider(layout, cols[i], cfg.offline_noise_std,
+                                            gains, prior)
+            ok[i] = srl_at_most(provider, beta_s[g], cfg.gate_step_s)
+        return ok
+
+    def gate(masks: np.ndarray) -> np.ndarray:
+        passed = np.ones(len(masks), dtype=bool)
+        for g in range(masks.shape[2]):
+            alive = np.flatnonzero(passed)
+            if not alive.size:
+                break
+            cols = masks[alive, :, g]
+            keys = [(g, packed.tobytes()) for packed in np.packbits(cols, axis=1)]
+            misses: dict[tuple[int, bytes], int] = {}
+            for i, key in enumerate(keys):
+                if key not in decided:
+                    misses.setdefault(key, i)
+            if misses:
+                verdicts = decide(g, cols[list(misses.values())])
+                decided.update(zip(misses, verdicts.tolist()))
+            passed[alive] = [decided[key] for key in keys]
+        return passed
 
     return gate
 
@@ -242,9 +328,9 @@ def run_eda(layout: BandLayout, cfg: EdaConfig,
     """Full constrained EDA run; returns the best individual and its trace.
 
     Population slots are seeded individually from the master seed, so the
-    result does not depend on evaluation order. ``on_iteration`` receives
-    (iteration, population masks, fitnesses) after every evaluation, for
-    instrumentation.
+    result does not depend on evaluation order or on how a generation is
+    batched. ``on_iteration`` receives (iteration, population masks,
+    fitnesses) after every evaluation, for instrumentation.
     """
     n, n_groups = layout.n_total, len(cfg.budgets)
     if sum(cfg.budgets) > n:
@@ -258,23 +344,15 @@ def run_eda(layout: BandLayout, cfg: EdaConfig,
     gate = _srl_gate(layout, cfg, beta)
     matrix = isl_matrix(layout, cfg.region)
 
-    rejected_total = 0
-
-    def initial_individual(q: int) -> PatternSet:
-        # uniform draw over feasible budgeted masks, SRL-gated
-        nonlocal rejected_total
-        rng = _rng_for(cfg.seed, 0, q)
-        for _ in range(cfg.retry_cap):
-            pats = random_patterns(layout, n_groups, budgets,
-                                   seed=rng.integers(0, 2**63))
-            if gate(pats.mask):
-                return pats
-            rejected_total += 1
-        raise InfeasibleSamplingError(
-            cfg.retry_cap, "could not initialize a feasible population; the SRL "
-                           "ceilings are below what random patterns achieve")
-
-    population = np.stack([initial_individual(q).mask for q in range(cfg.population)])
+    # uniform draws over feasible budgeted masks, SRL-gated
+    init_rngs = [_rng_for(cfg.seed, 0, q) for q in range(cfg.population)]
+    population, rejected_total = _fill(
+        lambda slots: np.stack([random_patterns(layout, n_groups, budgets,
+                                                seed=init_rngs[q].integers(0, 2**63)).mask
+                                for q in slots]),
+        gate, cfg.population, cfg.retry_cap,
+        "could not initialize a feasible population; the SRL ceilings are below "
+        "what random patterns achieve")
 
     cache: dict[bytes, float] = {}
 
@@ -298,14 +376,11 @@ def run_eda(layout: BandLayout, cfg: EdaConfig,
     for it in range(1, cfg.iterations + 1):
         elite_idx = np.argsort(fits, kind="stable")[:cfg.elite]
         prob = update_probabilities(population[elite_idx])
-        new_pop = np.empty_like(population)
-        new_pop[0] = best_mask  # elitist carry-over
-        for q in range(1, cfg.population):
-            ind, rej = sample_individual(prob, budgets, gate,
-                                         _rng_for(cfg.seed, it, q), cfg.retry_cap)
-            new_pop[q] = ind.mask
-            rejected_total += rej
-        population = new_pop
+        drawn, rej = sample_individual(
+            prob, budgets, gate, [_rng_for(cfg.seed, it, q) for q in range(1, cfg.population)],
+            cfg.retry_cap)
+        rejected_total += rej
+        population = np.concatenate([best_mask[None], drawn])  # elitist carry-over
         fits = evaluate(population)
         if on_iteration is not None:
             on_iteration(it, population, fits)

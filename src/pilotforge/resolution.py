@@ -29,6 +29,7 @@ __all__ = [
     "fim_multiband",
     "crb_delta_tau",
     "crb_batch",
+    "crb_of_columns",
     "srl_search",
     "pattern_crb_provider",
     "srl_of_pattern",
@@ -115,8 +116,8 @@ def _two_path_block(J: np.ndarray, plain: np.ndarray, cross: np.ndarray,
 
     Every entry is a linear functional of the moments sum_f f^k e^{j 2 pi f
     (tau_r - tau_s)} (k = 0, 1, 2): the plain sums sum_f f^k (plain, shape
-    (3,)) when r = s, and cross = sum_f f^k e^{j 2 pi f dtau} (shape (B, 3))
-    for r != s.
+    (3,), or (B, 3) when each batch entry is its own column) when r = s, and
+    cross = sum_f f^k e^{j 2 pi f dtau} (shape (B, 3)) for r != s.
     """
     m = np.empty((len(cross), 3, 2, 2), dtype=complex)  # moment k, path r, path s
     m[:, :, 0, 0] = m[:, :, 1, 1] = plain
@@ -135,24 +136,42 @@ def _two_path_block(J: np.ndarray, plain: np.ndarray, cross: np.ndarray,
 
 
 def _powers(f_support: np.ndarray) -> np.ndarray:
-    """(S, 3) weights f^k, k = 0, 1, 2, of the two-path moments."""
-    return np.stack([np.ones_like(f_support), f_support, f_support**2], axis=1)
+    """(..., S, 3) weights f^k, k = 0, 1, 2, of the two-path moments."""
+    return np.stack([np.ones_like(f_support), f_support, f_support**2], axis=-1)
+
+
+def _moments(f_support: np.ndarray, weights: np.ndarray,
+             delta_taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phase moments sum_f w e^{j 2 pi f dtau} and plain sums sum_f w.
+
+    One column: f_support (S,) and weights (S, K) give (B, K) moments over the
+    B separations and (K,) plain sums. A stack of columns: f_support (Q, S)
+    and weights (Q, S, K) at one separation give (Q, K) and (Q, K); row q is
+    computed exactly as column q alone would be.
+    """
+    dt = np.asarray(delta_taus, dtype=float)
+    # e^{j 2 pi f (tau_r - tau_s)} for (r, s) = (2, 1); (1, 2) is its conjugate
+    if f_support.ndim == 1:
+        ephase = np.exp(2j * np.pi * dt[:, None] * f_support[None, :])  # (B, S)
+        return ephase @ weights, weights.sum(axis=0)
+    if dt.shape != (1,):
+        raise ValueError("a stack of columns takes exactly one delay separation")
+    ephase = np.exp(2j * np.pi * dt[:, None] * f_support)              # (Q, S)
+    return (ephase[:, None, :] @ weights)[:, 0], weights.sum(axis=1)
 
 
 def _fim_single_batch(f_support: np.ndarray, noise_std: float, gains: np.ndarray,
                       delta_taus: np.ndarray) -> np.ndarray:
     """Stack of 6x6 single-band FIMs over a batch of delay separations.
 
-    f_support holds the supported subcarrier frequencies n * f_s; every entry
-    follows the closed-form expressions of the two-path expected Hessian.
+    f_support holds the supported subcarrier frequencies n * f_s, or one row
+    of them per column (see ``_moments``); every entry follows the closed-form
+    expressions of the two-path expected Hessian.
     """
-    dt = np.asarray(delta_taus, dtype=float)
-    J = np.zeros((dt.shape[0], 6, 6))
-    # e^{j 2 pi f (tau_r - tau_s)} for (r, s) = (2, 1); (1, 2) is its conjugate
-    ephase = np.exp(2j * np.pi * dt[:, None] * f_support[None, :])  # (B, S)
-    powers = _powers(f_support)
-    _two_path_block(J, powers.sum(axis=0), ephase @ powers,
-                    np.asarray(gains, dtype=complex), 1.0 / noise_std**2)
+    moments, plain = _moments(f_support, _powers(f_support), delta_taus)
+    J = np.zeros((moments.shape[0], 6, 6))
+    _two_path_block(J, plain, moments, np.asarray(gains, dtype=complex),
+                    1.0 / noise_std**2)
     return J
 
 
@@ -177,23 +196,22 @@ def fim_single(w: np.ndarray, spacing_hz: float, noise_std: float, gains,
     return FimSingleBand(J, spacing_hz, noise_std, gains, delta_tau_s)
 
 
-def _multiband_support(layout: BandLayout, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pinned supported frequencies of a multiband column, and their (S, 3 + 5M)
-    moment weights.
+def _multiband_support(layout: BandLayout, sup: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pinned frequencies of the support indices sup, shape (..., S), and their
+    (..., S, 3 + 5M) moment weights.
 
     The first three weight columns are f^k (k = 0, 1, 2) over the whole
     support; then come the per-band weights 1, f, nf, nf f and nf^2
     (nf = n f_s,i), weight by weight, each zero outside its band.
     """
-    sup = np.asarray(w) != 0
     f_sup = layout.pinned_frequencies_hz[sup]
     band = layout.band_index[sup]
     spacings = np.array([sb.spacing_hz for sb in layout.subbands])
     nf = layout.local_index[sup] * spacings[band]
-    per_band = np.stack([np.ones_like(f_sup), f_sup, nf, nf * f_sup, nf**2], axis=1)  # (S, 5)
-    onehot = band[:, None] == np.arange(layout.n_bands)[None, :]                       # (S, M)
-    table = (per_band[:, :, None] * onehot[:, None, :]).reshape(len(f_sup), -1)
-    return f_sup, np.concatenate([_powers(f_sup), table], axis=1)
+    per_band = np.stack([np.ones_like(f_sup), f_sup, nf, nf * f_sup, nf**2], axis=-1)  # (S, 5)
+    onehot = band[..., None] == np.arange(layout.n_bands)                               # (S, M)
+    table = (per_band[..., :, None] * onehot[..., None, :]).reshape(sup.shape + (-1,))
+    return f_sup, np.concatenate([_powers(f_sup), table], axis=-1)
 
 
 def _fim_multiband_batch(f_support: np.ndarray, table: np.ndarray, n_bands: int,
@@ -202,7 +220,8 @@ def _fim_multiband_batch(f_support: np.ndarray, table: np.ndarray, n_bands: int,
     """Stacks of multiband FIMs (total, observation-only) over delay separations.
 
     f_support (pinned: first band center at zero) and table come from
-    ``_multiband_support``. Parameter order: [tau_1, tau_2, a^R (2), a^I (2),
+    ``_multiband_support``, for one column or for a stack of columns (see
+    ``_moments``). Parameter order: [tau_1, tau_2, a^R (2), a^I (2),
     phi_2..phi_M, delta_1..delta_M]. With tau = (0, dtau), every nuisance
     entry is linear in the per-band moments sum w e^{j 2 pi f dtau}, w in
     {1, f, nf, nf f, nf^2}: the path-sum profile H = alpha_1 + alpha_2
@@ -212,19 +231,16 @@ def _fim_multiband_batch(f_support: np.ndarray, table: np.ndarray, n_bands: int,
     moment of the batch.
     """
     al = np.asarray(gains, dtype=complex)
-    dt = np.asarray(delta_taus, dtype=float)
     c = 1.0 / noise_std**2
-    b, m = dt.shape[0], n_bands
+    moments, plain = _moments(f_support, table, delta_taus)         # (B, 3 + 5M)
+    b, m = moments.shape[0], n_bands
     dim = 6 + (m - 1) + m
 
-    ephase = np.exp(2j * np.pi * dt[:, None] * f_support[None, :])  # (B, S)
-    moments = ephase @ table                                          # (B, 3 + 5M)
-    plain = table.sum(axis=0)
     J = np.zeros((b, dim, dim))
-    _two_path_block(J, plain[:3], moments[:, :3], al, c)
+    _two_path_block(J, plain[..., :3], moments[:, :3], al, c)
 
     mom = moments[:, 3:].reshape(b, 5, m)    # weight, band
-    pb = plain[3:].reshape(5, m)
+    pb = plain[..., 3:].reshape(plain.shape[:-1] + (5, m))
     # per-band sums of w * sum_k alpha_k e^{j 2 pi f (tau_r - tau_k)}, path r
     v = np.stack([al[0] * pb + al[1] * mom.conj(), al[0] * mom + al[1] * pb], axis=1)
     h2 = np.sum(np.abs(al) ** 2) * pb + 2 * (al[0] * np.conj(al[1]) * mom).real
@@ -270,7 +286,7 @@ def fim_multiband(layout: BandLayout, w: np.ndarray, noise_std: float, gains,
     gains = np.asarray(gains, dtype=complex)
     if gains.shape != (2,):
         raise ValueError("the two-path model takes exactly two gains")
-    f_sup, table = _multiband_support(layout, w)
+    f_sup, table = _multiband_support(layout, np.flatnonzero(w))
     J, J_obs = _fim_multiband_batch(f_sup, table, layout.n_bands, noise_std, gains,
                                     np.array([delta_tau_s]), prior_std_s)
     return FimMultiband(J[0], J_obs[0], noise_std, gains, delta_tau_s,
@@ -324,32 +340,55 @@ def crb_delta_tau(fim, cond_cap: float = DEFAULT_COND_CAP) -> float:
     return float(crb_batch(fim.matrix if hasattr(fim, "matrix") else fim, cond_cap))
 
 
+def _fim_builder(layout: BandLayout, sup: np.ndarray, noise_std: float, gains,
+                 prior_std_s: float | None) -> Callable[[np.ndarray], np.ndarray]:
+    """dtaus -> FIM stack for the support indices sup of one column (S,), or of
+    a stack of columns with equal pilot counts (Q, S) at one separation."""
+    gains = np.asarray(gains, dtype=complex)
+    if layout.mode == "single":
+        f_support = sup * layout.subbands[0].spacing_hz
+        return lambda dtaus: _fim_single_batch(f_support, noise_std, gains, dtaus)
+    if prior_std_s is None or prior_std_s <= 0:
+        raise ValueError("multiband SRL needs a positive timing-offset prior std")
+    f_sup, table = _multiband_support(layout, sup)
+    return lambda dtaus: _fim_multiband_batch(f_sup, table, layout.n_bands, noise_std,
+                                              gains, dtaus, prior_std_s)[0]
+
+
 def pattern_crb_provider(layout: BandLayout, w: np.ndarray, noise_std: float, gains,
                          prior_std_s: float | None = None,
                          cond_cap: float = DEFAULT_COND_CAP
                          ) -> Callable[[np.ndarray], np.ndarray]:
     """Batch dtau -> CRB callable for one pattern column under the offline model."""
-    w = np.asarray(w)
-    gains = np.asarray(gains, dtype=complex)
-    if layout.mode == "single":
-        f_support = np.flatnonzero(w) * layout.subbands[0].spacing_hz
-
-        def provider(dtaus: np.ndarray) -> np.ndarray:
-            J = _fim_single_batch(f_support, noise_std, gains, np.atleast_1d(dtaus))
-            return crb_batch(J, cond_cap)
-
-        return provider
-
-    if prior_std_s is None or prior_std_s <= 0:
-        raise ValueError("multiband SRL needs a positive timing-offset prior std")
-    f_sup, table = _multiband_support(layout, w)
+    fims = _fim_builder(layout, np.flatnonzero(w), noise_std, gains, prior_std_s)
 
     def provider(dtaus: np.ndarray) -> np.ndarray:
-        J, _ = _fim_multiband_batch(f_sup, table, layout.n_bands, noise_std, gains,
-                                    np.atleast_1d(dtaus), prior_std_s)
-        return crb_batch(J, cond_cap)
+        return crb_batch(fims(np.atleast_1d(dtaus)), cond_cap)
 
     return provider
+
+
+def crb_of_columns(layout: BandLayout, columns: np.ndarray, noise_std: float, gains,
+                   delta_tau_s: float, prior_std_s: float | None = None,
+                   cond_cap: float = DEFAULT_COND_CAP) -> np.ndarray:
+    """CRB at one delay separation for each column of a (Q, N) stack.
+
+    Every column must hold the same number of pilots, so the supports stack
+    into (Q, S) and one batched product gives all the moments. A finite entry
+    equals what ``pattern_crb_provider`` gives for that column alone. An entry
+    can be +inf here and finite alone: ``crb_batch`` drops a parameter only
+    when it carries no information in any column, so a multiband column with
+    no pilot in a subband that another column touches comes out unresolvable.
+    """
+    cols = np.asarray(columns)
+    if cols.ndim != 2 or cols.shape[1] != layout.n_total:
+        raise ValueError("need a (Q, N) stack of pattern columns for this layout")
+    counts = np.count_nonzero(cols, axis=1)
+    if counts.size == 0 or counts[0] == 0 or np.any(counts != counts[0]):
+        raise ValueError("stacked columns need the same positive pilot count")
+    sup = np.nonzero(cols)[1].reshape(len(cols), counts[0])
+    fims = _fim_builder(layout, sup, noise_std, gains, prior_std_s)
+    return crb_batch(fims(np.array([float(delta_tau_s)])), cond_cap)
 
 
 def _g(crb_provider: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> np.ndarray:

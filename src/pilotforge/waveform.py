@@ -232,11 +232,16 @@ class PatternSet:
         m = np.asarray(self.mask)
         if m.ndim != 2:
             raise ValueError("pattern mask must be 2-D (subcarriers x groups)")
-        if not ((m == 0) | (m == 1)).all():
-            raise ValueError("pattern mask must be binary")
-        if (m.sum(axis=1) > 1).any():
-            raise ValueError("pattern rows must sum to at most 1 (non-overlap constraint)")
+        self.check_masks(m)
         object.__setattr__(self, "mask", m.astype(np.uint8))
+
+    @staticmethod
+    def check_masks(masks: np.ndarray) -> None:
+        """The structure checks of a mask, or of a stack of masks (..., N, G)."""
+        if not ((masks == 0) | (masks == 1)).all():
+            raise ValueError("pattern mask must be binary")
+        if (masks.sum(axis=-1) > 1).any():
+            raise ValueError("pattern rows must sum to at most 1 (non-overlap constraint)")
 
     @property
     def n_subcarriers(self) -> int:

@@ -263,3 +263,117 @@ def fim_multiband_loop(f_support, band_support, nloc_support, band_spacings, n_b
     didx = 6 + (n_bands - 1) + np.arange(n_bands)
     J[:, didx, didx] += 1.0 / prior_std_s**2
     return J, J_obs
+
+
+def repair_serial(draw, budgets, prob) -> np.ndarray:
+    """Structural repair of one raw Bernoulli draw (N, G), slot by slot and row by row.
+
+    Row conflicts keep the cell whose group currently lacks the most pilots
+    (ties: lowest group index); column sums are then trimmed at the lowest
+    cell probabilities and padded at empty rows with the highest ones.
+    """
+    mask = np.asarray(draw).astype(np.uint8)
+    budgets = np.asarray(budgets, dtype=int)
+    counts = mask.sum(axis=0).astype(int)
+    conflicted = np.flatnonzero(mask.sum(axis=1) > 1)
+    for n in conflicted:
+        groups = np.flatnonzero(mask[n])
+        keep = groups[np.argmax(budgets[groups] - counts[groups])]
+        for g in groups:
+            if g != keep:
+                mask[n, g] = 0
+                counts[g] -= 1
+    for g in range(mask.shape[1]):  # trim overfull columns first to free rows
+        excess = counts[g] - budgets[g]
+        if excess > 0:
+            own = np.flatnonzero(mask[:, g])
+            drop = own[np.argsort(prob[own, g], kind="stable")[:excess]]
+            mask[drop, g] = 0
+            counts[g] = budgets[g]
+    for g in range(mask.shape[1]):
+        deficit = budgets[g] - counts[g]
+        if deficit > 0:
+            empty = np.flatnonzero(mask.sum(axis=1) == 0)
+            add = empty[np.argsort(-prob[empty, g], kind="stable")[:deficit]]
+            mask[add, g] = 1
+            counts[g] = budgets[g]
+    return mask
+
+
+def run_eda_serial(layout, cfg):
+    """The EDA one slot and one draw at a time: each slot's draws are repaired by
+    ``repair_serial`` and gated alone, group by group, with every (group,
+    column) decided by a fresh ``srl_at_most`` scan (memoized per pair)."""
+    from pilotforge.ambiguity import isl_matrix
+    from pilotforge.optimizer import (EdaResult, InfeasibleSamplingError, _fitness_many,
+                                      _rng_for, random_srl_reference, update_probabilities)
+    from pilotforge.resolution import pattern_crb_provider, srl_at_most, srl_of_pattern
+    from pilotforge.waveform import PatternSet, random_patterns
+
+    n_groups = len(cfg.budgets)
+    budgets = np.asarray(cfg.budgets, dtype=int)
+    gains = np.asarray(cfg.offline_gains, dtype=complex)
+    prior = cfg.prior_std_s if layout.mode == "multi" else None
+    if cfg.srl_ceilings_s is not None:
+        beta = np.asarray(cfg.srl_ceilings_s, dtype=float)
+    else:
+        beta = cfg.beta_margin * random_srl_reference(layout, cfg)
+    matrix = isl_matrix(layout, cfg.region)
+    answers = {}
+
+    def gate(mask):
+        for g in range(n_groups):
+            key = (g, mask[:, g].tobytes())
+            if key not in answers:
+                provider = pattern_crb_provider(layout, mask[:, g], cfg.offline_noise_std,
+                                                gains, prior)
+                answers[key] = srl_at_most(provider, beta[g], cfg.gate_step_s)
+            if not answers[key]:
+                return False
+        return True
+
+    rejected = 0
+    population = []
+    for q in range(cfg.population):
+        rng = _rng_for(cfg.seed, 0, q)
+        for _ in range(cfg.retry_cap):
+            mask = random_patterns(layout, n_groups, budgets,
+                                   seed=rng.integers(0, 2**63)).mask
+            if gate(mask):
+                break
+            rejected += 1
+        else:
+            raise InfeasibleSamplingError(cfg.retry_cap, "initial population")
+        population.append(mask)
+    population = np.stack(population)
+    fits = _fitness_many(population, matrix)
+    best_idx = int(np.argmin(fits))
+    best_mask, best_fit = population[best_idx].copy(), float(fits[best_idx])
+    trace = [best_fit]
+    for it in range(1, cfg.iterations + 1):
+        prob = update_probabilities(population[np.argsort(fits, kind="stable")[:cfg.elite]])
+        new_pop = [best_mask]
+        for q in range(1, cfg.population):
+            rng = _rng_for(cfg.seed, it, q)
+            for _ in range(cfg.retry_cap):
+                mask = repair_serial(rng.random(prob.shape) < prob, budgets, prob)
+                if gate(mask):
+                    break
+                rejected += 1
+            else:
+                raise InfeasibleSamplingError(cfg.retry_cap, "sampler")
+            new_pop.append(mask)
+        population = np.stack(new_pop)
+        fits = _fitness_many(population, matrix)
+        best_idx = int(np.argmin(fits))
+        if fits[best_idx] < best_fit:
+            best_fit = float(fits[best_idx])
+            best_mask = population[best_idx].copy()
+        trace.append(best_fit)
+    prob = update_probabilities(population[np.argsort(fits, kind="stable")[:cfg.elite]])
+    best = PatternSet(best_mask)
+    srls = tuple(srl_of_pattern(layout, best.column(g), cfg.offline_noise_std, gains, prior,
+                                cfg.final_search) for g in range(n_groups))
+    isl_pg = np.array([matrix.isl(best.column(g)) for g in range(n_groups)])
+    return EdaResult(best, best_fit, np.asarray(trace), prob, tuple(beta), isl_pg, srls,
+                     rejected)

@@ -155,6 +155,23 @@ class TestIsl:
         for i in range(5):
             assert batch[i] == pytest.approx(mat.isl(cols[i]), rel=1e-12)
 
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    def test_isl_many_matches_per_column_einsum(self, mode, layout_single, layout_multi,
+                                                default_region):
+        lay = layout_single if mode == "single" else layout_multi
+        mat = isl_matrix(lay, default_region)
+        rng = np.random.default_rng(8)
+        for p in (1, 17, 127):
+            cols = np.zeros((40, lay.n_total))
+            for i in range(40):
+                cols[i, rng.permutation(lay.n_total)[:p]] = 1
+            ref = [np.einsum("n,nm,m->", c, mat.matrix, c)
+                   / (default_region.measure_s * p * p) for c in cols]
+            np.testing.assert_allclose(mat.isl_many(cols), ref, rtol=1e-12, atol=0)
+        cols[3] = 0
+        with pytest.raises(ValueError):
+            mat.isl_many(cols)
+
     def test_calibrated_region_reproduces_uniform_vs_random_ordering(
             self, layout_single, default_region):
         mat = isl_matrix(layout_single, default_region)

@@ -172,6 +172,24 @@ class TestOptimizeArtifacts(object):
         cfg.write_text(TOY_INI + "beta_s = 1e-13, 1e-13\n[output]\nseed = 0\n")
         assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("band,line,message", [
+        ("single", "gate_step_s = 0", "gate step"),
+        ("single", "gate_step_s = -1e-11", "gate step"),
+        ("single", "beta_reference_draws = 0", "beta reference draw"),
+        ("single", "beta_margin = 0", "beta margin"),
+        ("single", "beta_margin = -1", "beta margin"),
+        ("multi", "[offline]\nprior_std_s = 0", "prior std"),
+    ])
+    def test_bad_gate_setting_exit_code(self, tmp_path, capsys, band, line, message):
+        cfg = tmp_path / "cfg.ini"
+        # the toy INI ends in its [srl] section, whose beta_margin line this replaces
+        cfg.write_text(TOY_INI.replace("beta_margin = 1.10", line)
+                       .replace("iterations = 6", "iterations = 1")
+                       .replace("population = 50\nelite = 25", "population = 8\nelite = 4"))
+        assert main(["optimize", "--band", band, "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestMetricsCommands:
     def test_isl_output(self, toy_artifact, capsys):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,12 @@ import pilotforge as pf
 from pilotforge import optimizer, resolution
 from pilotforge.ambiguity import SidelobeRegion, isl_matrix
 from pilotforge.optimizer import (EdaConfig, InfeasibleSamplingError, _fitness_many,
-                                  random_srl_reference, run_eda,
+                                  _repair, _srl_gate, random_srl_reference, run_eda,
                                   sample_individual, update_probabilities)
-from pilotforge.resolution import SrlSearch, pattern_crb_provider, srl_at_most
+from pilotforge.resolution import (SrlSearch, pattern_crb_provider, srl_at_most,
+                                   srl_of_pattern)
+
+from oracles import repair_serial, run_eda_serial
 
 FS = 120e3
 
@@ -90,6 +95,42 @@ class TestUpdateProbabilities:
             update_probabilities(np.zeros((0, 8, 2)))
 
 
+def assert_same_result(got, ref):
+    np.testing.assert_array_equal(got.best.mask, ref.best.mask)
+    assert got.best_fitness == ref.best_fitness
+    np.testing.assert_array_equal(got.trace, ref.trace)
+    np.testing.assert_array_equal(got.prob, ref.prob)
+    assert got.beta_s == ref.beta_s
+    np.testing.assert_array_equal(got.isl_per_group, ref.isl_per_group)
+    assert got.srl_per_group == ref.srl_per_group
+    assert got.rejected_draws == ref.rejected_draws
+
+
+class TestRepair:
+    @pytest.mark.parametrize("n_groups", [1, 2, 3])
+    def test_stack_matches_serial_oracle(self, n_groups):
+        rng = np.random.default_rng(n_groups)
+        overfull = underfull = 0
+        for trial in range(60):
+            n = int(rng.integers(6, 48))
+            budgets = rng.integers(1, n // n_groups + 1, n_groups)
+            shape = (n, n_groups)
+            prob = [rng.random(shape),
+                    rng.integers(0, 3, shape) / 2.0,           # ties, with 0 and 1
+                    (rng.random(shape) < 0.5).astype(float),   # 0 and 1 only
+                    np.full(shape, 0.9),                       # over-full columns
+                    np.full(shape, 0.05)][trial % 5]           # under-full columns
+            draws = rng.random((25,) + shape) < prob
+            got = _repair(draws, budgets, prob)
+            for q in range(25):
+                np.testing.assert_array_equal(got[q], repair_serial(draws[q], budgets, prob))
+            np.testing.assert_array_equal(got.sum(axis=1), np.broadcast_to(budgets, (25, n_groups)))
+            assert got.sum(axis=2).max() <= 1
+            overfull += int((draws.sum(axis=1) > budgets).sum())
+            underfull += int((draws.sum(axis=1) < budgets).sum())
+        assert overfull and underfull
+
+
 class TestSampleIndividual:
     def test_deterministic_at_unit_probabilities(self):
         mask = pf.random_patterns(toy_layout(), 2, [8, 8], seed=2).mask
@@ -114,10 +155,30 @@ class TestSampleIndividual:
 
     def test_gate_rejection_counted_and_capped(self):
         prob = np.full((32, 2), 0.5)
-        rng = np.random.default_rng(3)
+        never = lambda masks: np.zeros(len(masks), dtype=bool)  # noqa: E731
         with pytest.raises(InfeasibleSamplingError) as err:
-            sample_individual(prob, [8, 8], lambda mask: False, rng, retry_cap=17)
+            sample_individual(prob, [8, 8], never, np.random.default_rng(3), retry_cap=17)
         assert err.value.attempts == 17
+        rngs = [np.random.default_rng(s) for s in range(5)]
+        with pytest.raises(InfeasibleSamplingError) as err:
+            sample_individual(prob, [8, 8], never, rngs, retry_cap=17)
+        assert err.value.attempts == 17
+
+    def test_generators_draw_each_slot_as_if_alone(self):
+        prob = np.random.default_rng(4).random((32, 2))
+
+        def gate(masks):  # a pure function of the mask, as the SRL gate is
+            return masks[:, :4, 0].sum(axis=1) <= 1
+
+        stack, rejected = sample_individual(prob, [8, 8], gate,
+                                            [np.random.default_rng(s) for s in range(12)])
+        assert stack.shape == (12, 32, 2) and stack.dtype == np.uint8
+        alone = 0
+        for s in range(12):
+            ind, rej = sample_individual(prob, [8, 8], gate, np.random.default_rng(s))
+            np.testing.assert_array_equal(stack[s], ind.mask)
+            alone += rej
+        assert rejected == alone > 0
 
     def test_invalid_probabilities_rejected(self):
         with pytest.raises(ValueError):
@@ -158,7 +219,12 @@ class TestRunEda:
     def test_gate_decides_each_group_and_column_once(self, monkeypatch):
         lay = toy_layout()
         cfg = toy_config(seed=9, iterations=8)
-        built, decided, gated = [], [], []
+        batched, built, scanned, gated = [], [], [], []
+
+        def batch(layout, cols, noise_std, gains, delta_tau_s, *args, **kwargs):
+            batched.append((delta_tau_s, [c.tobytes() for c in cols]))
+            return resolution.crb_of_columns(layout, cols, noise_std, gains, delta_tau_s,
+                                             *args, **kwargs)
 
         def build(layout, w, *args, **kwargs):
             built.append(np.asarray(w).tobytes())
@@ -166,7 +232,7 @@ class TestRunEda:
 
         def decide(provider, beta_s, step_s):
             out = resolution.srl_at_most(provider, beta_s, step_s)
-            decided.append((beta_s, out))
+            scanned.append((beta_s, out))
             return out
 
         real_gate_factory = optimizer._srl_gate
@@ -174,47 +240,103 @@ class TestRunEda:
         def gate_factory(layout, cfg_, beta_s):
             gate = real_gate_factory(layout, cfg_, beta_s)
 
-            def spy(mask):
-                out = gate(mask)
-                gated.append((mask.copy(), out))
+            def spy(masks):
+                out = gate(masks)
+                gated.append((masks.copy(), out.copy()))
                 return out
             return spy
 
+        monkeypatch.setattr(optimizer, "crb_of_columns", batch)
         monkeypatch.setattr(optimizer, "pattern_crb_provider", build)
         monkeypatch.setattr(optimizer, "srl_at_most", decide)
         monkeypatch.setattr(optimizer, "_srl_gate", gate_factory)
         res = run_eda(lay, cfg)
         monkeypatch.undo()
 
-        # the names a tracer wraps stay live: every miss goes through both
-        assert built and len(built) == len(decided)
         beta = list(res.beta_s)
         assert len(set(beta)) == len(beta)
+        # every miss is decided in a batch at beta, and no pair is decided twice
+        seen = [(beta.index(b), col) for b, cols in batched for col in cols]
+        assert len(seen) == len(set(seen)), "a (group, column) pair was decided twice"
+        gains = np.asarray(cfg.offline_gains, complex)
         answers = {}
-        for col, (b, out) in zip(built, decided):
-            key = (beta.index(b), col)
-            assert key not in answers, "a (group, column) pair was decided twice"
-            answers[key] = out
+        for g, col in seen:
+            w = np.frombuffer(col, dtype=np.uint8)
+            provider = pattern_crb_provider(lay, w, cfg.offline_noise_std, gains)
+            answers[(g, col)] = srl_at_most(provider, beta[g], cfg.gate_step_s)
+        # the full scan runs once per pair the batch could not accept, and every
+        # rejection went through it
+        assert built and len(built) == len(scanned)
+        exact = [(beta.index(b), col) for col, (b, _) in zip(built, scanned)]
+        assert len(exact) == len(set(exact)) and set(exact) <= set(answers)
+        for key, (_, out) in zip(exact, scanned):
+            assert answers[key] == out
+        assert {key for key, ok in answers.items() if not ok} <= set(exact)
         # replay the gate's group order: group g is asked only after g - 1 passed
         asked, lookups = set(), 0
-        for mask, out in gated:
-            verdicts = []
-            for g in range(mask.shape[1]):
-                key = (g, mask[:, g].tobytes())
-                asked.add(key)
-                lookups += 1
-                verdicts.append(answers[key])
-                if not answers[key]:
-                    break
-            assert out == all(verdicts)
+        for masks, out in gated:
+            assert out.shape == (len(masks),)
+            for mask, verdict in zip(masks, out):
+                verdicts = []
+                for g in range(mask.shape[1]):
+                    key = (g, mask[:, g].tobytes())
+                    asked.add(key)
+                    lookups += 1
+                    verdicts.append(answers[key])
+                    if not answers[key]:
+                        break
+                assert verdict == all(verdicts)
         assert asked == set(answers)
         assert lookups > len(answers)       # the cache did serve repeats
         assert not all(answers.values())    # and it holds rejections too
+
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    def test_batched_decisions_match_fresh_scans(self, mode, layout_single, layout_multi):
+        lay, prior = (layout_single, None) if mode == "single" else (layout_multi, 1e-9)
+        p = 40
+        cfg = toy_config(budgets=(p,))
         gains = np.asarray(cfg.offline_gains, complex)
-        for (g, col), out in answers.items():
-            w = np.frombuffer(col, dtype=np.uint8)
-            provider = pattern_crb_provider(lay, w, cfg.offline_noise_std, gains)
-            assert srl_at_most(provider, beta[g], cfg.gate_step_s) == out
+        rng = np.random.default_rng(21)
+        cols = np.zeros((8, lay.n_total), dtype=np.uint8)
+        for q in range(8):
+            cols[q, rng.permutation(lay.n_total)[:p]] = 1
+        if mode == "multi":   # one column without a pilot in the second subband
+            cols[0] = 0
+            cols[0, rng.permutation(lay.subbands[0].n_subcarriers)[:p]] = 1
+        srls = [srl_of_pattern(lay, c, cfg.offline_noise_std, gains, prior).srl_s
+                for c in cols]
+        decisions = []
+        for x in (0.5, 0.8, 1.0, 1.25, 2.0):
+            b = x * float(np.median([s for s in srls if s is not None]))
+            got = _srl_gate(lay, cfg, np.array([b]))(cols[:, :, None])
+            ref = [srl_at_most(pattern_crb_provider(lay, c, cfg.offline_noise_std, gains,
+                                                    prior), b, cfg.gate_step_s)
+                   for c in cols]
+            assert got.tolist() == ref, x
+            decisions += ref
+        assert any(decisions) and not all(decisions)
+
+    @pytest.mark.parametrize("seed", [5, 9])
+    def test_matches_serial_loop(self, seed):
+        lay = toy_layout()
+        cfg = toy_config(seed=seed, iterations=8)
+        ref = run_eda_serial(lay, cfg)
+        assert ref.rejected_draws > 0
+        assert_same_result(run_eda(lay, cfg), ref)
+
+    def test_traced_names_stay_live(self, monkeypatch):
+        calls = Counter()
+        for owner, name in [(optimizer, "sample_individual"),
+                            (optimizer, "pattern_crb_provider"),
+                            (optimizer, "srl_at_most"), (resolution, "crb_batch")]:
+            def spy(*args, _real=getattr(owner, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, spy)
+        res = run_eda(toy_layout(), toy_config(seed=5, iterations=3))
+        assert res.rejected_draws > 0
+        assert set(calls) == {"sample_individual", "pattern_crb_provider", "srl_at_most",
+                              "crb_batch"}
 
     def test_best_beats_random_baseline_over_seeds(self):
         lay = toy_layout()
@@ -234,8 +356,9 @@ class TestRunEda:
     def test_infeasible_ceiling_surfaces_as_exhaustion(self):
         lay = toy_layout()
         cfg = toy_config(seed=8, srl_ceilings_s=(1e-12, 1e-12), retry_cap=5)
-        with pytest.raises(InfeasibleSamplingError):
+        with pytest.raises(InfeasibleSamplingError) as err:
             run_eda(lay, cfg)
+        assert err.value.attempts == cfg.retry_cap
 
     def test_budget_overflow_rejected(self):
         lay = toy_layout()
@@ -255,3 +378,11 @@ class TestEdaConfigValidation:
     def test_positive_noise(self):
         with pytest.raises(ValueError):
             toy_config(offline_noise_std=0.0)
+
+    @pytest.mark.parametrize("key,value", [
+        ("gate_step_s", 0.0), ("gate_step_s", -1e-11), ("gate_step_s", float("nan")),
+        ("beta_margin", 0.0), ("beta_margin", -1.0), ("beta_reference_draws", 0),
+        ("prior_std_s", 0.0)])
+    def test_gate_settings(self, key, value):
+        with pytest.raises(ValueError):
+            toy_config(**{key: value})

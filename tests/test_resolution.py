@@ -3,7 +3,7 @@ import pytest
 
 import pilotforge as pf
 from pilotforge.resolution import (SrlSearch, _fim_multiband_batch, _multiband_support,
-                                   crb_batch, crb_delta_tau, fim_multiband,
+                                   crb_batch, crb_delta_tau, crb_of_columns, fim_multiband,
                                    fim_single, pattern_crb_provider, srl_at_most,
                                    srl_of_pattern, srl_search)
 
@@ -128,7 +128,7 @@ class TestFimMultiband:
         for lay, w, gains in self.moment_cases(layout_multi):
             f, band, nloc, spacings, m = self.support(lay, w)
             dts = rng.uniform(0.01e-9, 50e-9, batch)
-            J, J_obs = _fim_multiband_batch(f, _multiband_support(lay, w)[1], m, SIGMA,
+            J, J_obs = _fim_multiband_batch(f, _multiband_support(lay, np.flatnonzero(w))[1], m, SIGMA,
                                             gains, dts, 1e-9)
             ref, ref_obs = fim_multiband_loop(f, band, nloc, spacings, m, SIGMA, gains,
                                               dts, 1e-9)
@@ -263,6 +263,48 @@ class TestCrb:
         for i, dt in enumerate(dts):
             ref = crb_delta_tau(fim_single(w, FS, SIGMA, GAINS, dt))
             assert batch[i] == pytest.approx(ref, rel=1e-12)
+
+
+def random_columns(n, p, count, seed):
+    return np.stack([random_column(n, p, seed * 1000 + k) for k in range(count)])
+
+
+class TestCrbOfColumns:
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    def test_each_entry_is_the_column_alone(self, mode, layout_single, layout_multi):
+        lay, prior = (layout_single, None) if mode == "single" else (layout_multi, 1e-9)
+        rng = np.random.default_rng(4)
+        for trial, p in enumerate((8, 64, 128)):
+            cols = random_columns(lay.n_total, p, 12, seed=trial)
+            gains = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            dt = rng.uniform(0.5e-9, 5e-9)
+            got = crb_of_columns(lay, cols, SIGMA, gains, dt, prior)
+            ref = [pattern_crb_provider(lay, c, SIGMA, gains, prior)(np.array([dt]))[0]
+                   for c in cols]
+            np.testing.assert_array_equal(got, ref)
+
+    def test_column_missing_a_band_that_others_touch_is_unresolvable(self, layout_multi):
+        cols = random_columns(layout_multi.n_total, 60, 4, seed=9)
+        cols[1] = 0
+        cols[1, np.arange(0, 120, 2)] = 1      # 60 pilots, all in the first subband
+        got = crb_of_columns(layout_multi, cols, SIGMA, GAINS, 2e-9, 1e-9)
+        alone = pattern_crb_provider(layout_multi, cols[1], SIGMA, GAINS, 1e-9)
+        assert got[1] == np.inf and np.isfinite(alone(np.array([2e-9]))[0])
+        for q in (0, 2, 3):
+            provider = pattern_crb_provider(layout_multi, cols[q], SIGMA, GAINS, 1e-9)
+            assert got[q] == provider(np.array([2e-9]))[0]
+        # alone in its stack, the idle subband's nuisances are dropped as before
+        np.testing.assert_array_equal(
+            crb_of_columns(layout_multi, cols[[1, 1]], SIGMA, GAINS, 2e-9, 1e-9),
+            np.repeat(alone(np.array([2e-9])), 2))
+
+    def test_unequal_or_empty_columns_rejected(self, layout_single):
+        cols = random_columns(256, 10, 2, seed=1)
+        cols[1, np.flatnonzero(cols[1] == 0)[0]] = 1
+        with pytest.raises(ValueError):
+            crb_of_columns(layout_single, cols, SIGMA, GAINS, 1e-9)
+        with pytest.raises(ValueError):
+            crb_of_columns(layout_single, np.zeros((2, 256)), SIGMA, GAINS, 1e-9)
 
 
 class TestSrlSearch:
