@@ -57,12 +57,17 @@ class IslMatrix:
         return float(w @ self.matrix @ w) / (self.region.measure_s * p * p)
 
     def isl_many(self, columns: np.ndarray) -> np.ndarray:
-        """Vectorized ISL over stacked pattern columns, shape (Q, N)."""
+        """Vectorized ISL over stacked pattern columns, shape (Q, N).
+
+        The quadratic forms w^T G w come from one BLAS matrix product
+        (Q, N) @ (N, N) and a row sum, so they can differ from ``isl`` in the
+        last bits.
+        """
         cols = np.asarray(columns, dtype=float)
         p = cols.sum(axis=1)
         if np.any(p == 0):
             raise ValueError("ISL of an all-zero pattern column is undefined")
-        quad = np.einsum("qn,nm,qm->q", cols, self.matrix, cols)
+        quad = ((cols @ self.matrix) * cols).sum(axis=1)
         return quad / (self.region.measure_s * p * p)
 
 
