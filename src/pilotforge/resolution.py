@@ -208,8 +208,8 @@ def _multiband_support(layout: BandLayout, sup: np.ndarray) -> tuple[np.ndarray,
     band = layout.band_index[sup]
     spacings = np.array([sb.spacing_hz for sb in layout.subbands])
     nf = layout.local_index[sup] * spacings[band]
-    per_band = np.stack([np.ones_like(f_sup), f_sup, nf, nf * f_sup, nf**2], axis=-1)  # (S, 5)
-    onehot = band[..., None] == np.arange(layout.n_bands)                               # (S, M)
+    per_band = np.stack([np.ones_like(f_sup), f_sup, nf, nf * f_sup, nf**2], axis=-1)
+    onehot = band[..., None] == np.arange(layout.n_bands)
     table = (per_band[..., :, None] * onehot[..., None, :]).reshape(sup.shape + (-1,))
     return f_sup, np.concatenate([_powers(f_sup), table], axis=-1)
 

@@ -124,7 +124,8 @@ class TestRepair:
             got = _repair(draws, budgets, prob)
             for q in range(25):
                 np.testing.assert_array_equal(got[q], repair_serial(draws[q], budgets, prob))
-            np.testing.assert_array_equal(got.sum(axis=1), np.broadcast_to(budgets, (25, n_groups)))
+            np.testing.assert_array_equal(got.sum(axis=1),
+                                          np.broadcast_to(budgets, (25, n_groups)))
             assert got.sum(axis=2).max() <= 1
             overfull += int((draws.sum(axis=1) > budgets).sum())
             underfull += int((draws.sum(axis=1) < budgets).sum())

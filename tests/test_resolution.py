@@ -128,8 +128,8 @@ class TestFimMultiband:
         for lay, w, gains in self.moment_cases(layout_multi):
             f, band, nloc, spacings, m = self.support(lay, w)
             dts = rng.uniform(0.01e-9, 50e-9, batch)
-            J, J_obs = _fim_multiband_batch(f, _multiband_support(lay, np.flatnonzero(w))[1], m, SIGMA,
-                                            gains, dts, 1e-9)
+            table = _multiband_support(lay, np.flatnonzero(w))[1]
+            J, J_obs = _fim_multiband_batch(f, table, m, SIGMA, gains, dts, 1e-9)
             ref, ref_obs = fim_multiband_loop(f, band, nloc, spacings, m, SIGMA, gains,
                                               dts, 1e-9)
             assert J.shape == ref.shape == (batch, 6 + 2 * m - 1, 6 + 2 * m - 1)
