@@ -234,6 +234,8 @@ class ExperimentConfig:
     def eda_config(self) -> EdaConfig:
         e, s, o = self.values["eda"], self.values["srl"], self.values["offline"]
         beta = tuple(float(b) for b in s["beta_s"]) or None
+        if self.mode == "multi" and not float(o["prior_std_s"]) > 0:
+            raise ConfigError("a multiband run needs a positive timing-offset prior std")
         try:
             return EdaConfig(
                 budgets=tuple(self.budgets()),

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ambiguity import IslMatrix, SidelobeRegion, isl_matrix
-from .resolution import (SrlResult, SrlSearch, crb_of_columns, pattern_crb_provider,
+from .resolution import (SrlResult, SrlSearch, pattern_crb_provider, resolvable_at,
                          srl_at_most, srl_of_pattern)
 from .waveform import BandLayout, PatternSet, random_patterns
 
@@ -50,7 +50,9 @@ class EdaConfig:
 
     srl_ceilings_s left as None derives per-group ceilings from a seeded
     random-pattern reference: beta_g = beta_margin * mean SRL over
-    beta_reference_draws random feasible patterns.
+    beta_reference_draws random feasible patterns. Those two settings, like
+    prior_std_s (read by multiband layouts only), are checked only where they
+    are used.
     """
 
     budgets: tuple[int, ...]
@@ -87,12 +89,11 @@ class EdaConfig:
             raise ValueError("retry cap must be positive")
         if not self.gate_step_s > 0:
             raise ValueError("gate step must be positive")
-        if not self.beta_margin > 0:
-            raise ValueError("beta margin must be positive")
-        if self.beta_reference_draws < 1:
-            raise ValueError("need at least one beta reference draw")
-        if not self.prior_std_s > 0:
-            raise ValueError("timing-offset prior std must be positive")
+        if self.srl_ceilings_s is None:
+            if not self.beta_margin > 0:
+                raise ValueError("beta margin must be positive")
+            if self.beta_reference_draws < 1:
+                raise ValueError("need at least one beta reference draw")
 
 
 @dataclass(frozen=True)
@@ -259,19 +260,22 @@ def _srl_gate(layout: BandLayout, cfg: EdaConfig,
     it. Each decision is a pure function of (group, column), so the gate
     caches it under (group, packed column) for its own lifetime, which is one
     ``run_eda``. The misses of one call are decided together: one
-    ``crb_of_columns`` at beta per group accepts every column with
-    g(beta) >= 0, the test ``srl_at_most`` makes first. A column with
-    g(beta) < 0, or with no finite CRB in the stack, gets its own CRB provider
-    and the full ``srl_at_most`` decision.
+    ``resolvable_at`` per group accepts every column with g(beta) >= 0, the
+    test ``srl_at_most`` makes first. A column with g(beta) < 0, or with no
+    finite CRB in the stack, gets its own CRB provider and the full
+    ``srl_at_most`` decision. So does the first miss of every call, whatever
+    its g(beta): the traced benchmark times the gate by its ``srl_at_most``
+    calls, and a run whose misses all pass at beta would otherwise have none.
     """
     gains = np.asarray(cfg.offline_gains, dtype=complex)
     prior = cfg.prior_std_s if layout.mode == "multi" else None
     decided: dict[tuple[int, bytes], bool] = {}
 
     def decide(g: int, cols: np.ndarray) -> np.ndarray:
-        crb = crb_of_columns(layout, cols, cfg.offline_noise_std, gains, beta_s[g], prior)
-        ok = beta_s[g] - np.sqrt(crb) >= 0     # g(beta) >= 0; -inf where unresolvable
-        for i in np.flatnonzero(~ok):
+        ok = resolvable_at(layout, cols, cfg.offline_noise_std, gains, beta_s[g], prior)
+        exact = ~ok
+        exact[0] = True
+        for i in np.flatnonzero(exact):
             provider = pattern_crb_provider(layout, cols[i], cfg.offline_noise_std,
                                             gains, prior)
             ok[i] = srl_at_most(provider, beta_s[g], cfg.gate_step_s)
@@ -335,6 +339,8 @@ def run_eda(layout: BandLayout, cfg: EdaConfig,
     n, n_groups = layout.n_total, len(cfg.budgets)
     if sum(cfg.budgets) > n:
         raise ValueError("total pilot budget exceeds the number of subcarriers")
+    if layout.mode == "multi" and not cfg.prior_std_s > 0:
+        raise ValueError("a multiband run needs a positive timing-offset prior std")
     budgets = np.asarray(cfg.budgets, dtype=int)
 
     if cfg.srl_ceilings_s is not None:

@@ -30,6 +30,7 @@ __all__ = [
     "crb_delta_tau",
     "crb_batch",
     "crb_of_columns",
+    "resolvable_at",
     "srl_search",
     "pattern_crb_provider",
     "srl_of_pattern",
@@ -389,6 +390,20 @@ def crb_of_columns(layout: BandLayout, columns: np.ndarray, noise_std: float, ga
     sup = np.nonzero(cols)[1].reshape(len(cols), counts[0])
     fims = _fim_builder(layout, sup, noise_std, gains, prior_std_s)
     return crb_batch(fims(np.array([float(delta_tau_s)])), cond_cap)
+
+
+def resolvable_at(layout: BandLayout, columns: np.ndarray, noise_std: float, gains,
+                  beta_s: float, prior_std_s: float | None = None,
+                  cond_cap: float = DEFAULT_COND_CAP) -> np.ndarray:
+    """g(beta_s) >= 0 for each column of a (Q, N) stack (see ``crb_of_columns``).
+
+    This is the test ``srl_at_most`` makes first, through the same ``_g``, so
+    True certifies SRL <= beta_s for that column on any of its grids. False
+    decides nothing: the column may still have a root below beta_s, or be
+    unresolvable only inside this stack, so it needs ``srl_at_most``.
+    """
+    crb = crb_of_columns(layout, columns, noise_std, gains, beta_s, prior_std_s, cond_cap)
+    return _g(lambda _: crb, np.full(len(crb), float(beta_s))) >= 0
 
 
 def _g(crb_provider: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> np.ndarray:

@@ -190,6 +190,17 @@ class TestOptimizeArtifacts(object):
                      "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["[offline]\nprior_std_s = 0",
+                                      "beta_s = 1e-6, 1e-6\nbeta_margin = 0\n"
+                                      "beta_reference_draws = 0"])
+    def test_unused_gate_setting_is_not_checked(self, tmp_path, line):
+        cfg = tmp_path / "cfg.ini"
+        # single band never reads the prior; explicit ceilings never read the margin
+        cfg.write_text(TOY_INI.replace("beta_margin = 1.10", line)
+                       .replace("iterations = 6", "iterations = 1")
+                       .replace("population = 50\nelite = 25", "population = 8\nelite = 4"))
+        assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
 
 class TestMetricsCommands:
     def test_isl_output(self, toy_artifact, capsys):

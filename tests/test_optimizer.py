@@ -222,10 +222,10 @@ class TestRunEda:
         cfg = toy_config(seed=9, iterations=8)
         batched, built, scanned, gated = [], [], [], []
 
-        def batch(layout, cols, noise_std, gains, delta_tau_s, *args, **kwargs):
-            batched.append((delta_tau_s, [c.tobytes() for c in cols]))
-            return resolution.crb_of_columns(layout, cols, noise_std, gains, delta_tau_s,
-                                             *args, **kwargs)
+        def batch(layout, cols, noise_std, gains, beta_s, *args, **kwargs):
+            batched.append((beta_s, [c.tobytes() for c in cols]))
+            return resolution.resolvable_at(layout, cols, noise_std, gains, beta_s,
+                                            *args, **kwargs)
 
         def build(layout, w, *args, **kwargs):
             built.append(np.asarray(w).tobytes())
@@ -247,7 +247,7 @@ class TestRunEda:
                 return out
             return spy
 
-        monkeypatch.setattr(optimizer, "crb_of_columns", batch)
+        monkeypatch.setattr(optimizer, "resolvable_at", batch)
         monkeypatch.setattr(optimizer, "pattern_crb_provider", build)
         monkeypatch.setattr(optimizer, "srl_at_most", decide)
         monkeypatch.setattr(optimizer, "_srl_gate", gate_factory)
@@ -265,11 +265,12 @@ class TestRunEda:
             w = np.frombuffer(col, dtype=np.uint8)
             provider = pattern_crb_provider(lay, w, cfg.offline_noise_std, gains)
             answers[(g, col)] = srl_at_most(provider, beta[g], cfg.gate_step_s)
-        # the full scan runs once per pair the batch could not accept, and every
-        # rejection went through it
+        # the full scan runs once per pair the batch could not accept, and for the
+        # first pair of every batch; every rejection went through it
         assert built and len(built) == len(scanned)
         exact = [(beta.index(b), col) for col, (b, _) in zip(built, scanned)]
         assert len(exact) == len(set(exact)) and set(exact) <= set(answers)
+        assert {(beta.index(b), cols[0]) for b, cols in batched} <= set(exact)
         for key, (_, out) in zip(exact, scanned):
             assert answers[key] == out
         assert {key for key, ok in answers.items() if not ok} <= set(exact)
@@ -325,19 +326,31 @@ class TestRunEda:
         assert ref.rejected_draws > 0
         assert_same_result(run_eda(lay, cfg), ref)
 
-    def test_traced_names_stay_live(self, monkeypatch):
-        calls = Counter()
+    @pytest.mark.parametrize("ceilings", [None, (1e-6, 1e-6)])
+    def test_traced_names_stay_live(self, monkeypatch, ceilings):
+        # with None the gate rejects draws; at 1 us every column passes at beta
+        calls, answers = Counter(), []
         for owner, name in [(optimizer, "sample_individual"),
                             (optimizer, "pattern_crb_provider"),
-                            (optimizer, "srl_at_most"), (resolution, "crb_batch")]:
+                            (optimizer, "srl_at_most"), (resolution, "crb_batch"),
+                            (optimizer, "resolvable_at")]:
             def spy(*args, _real=getattr(owner, name), _name=name, **kwargs):
                 calls[_name] += 1
-                return _real(*args, **kwargs)
+                out = _real(*args, **kwargs)
+                if _name == "resolvable_at":
+                    answers.extend(out.tolist())
+                return out
             monkeypatch.setattr(owner, name, spy)
-        res = run_eda(toy_layout(), toy_config(seed=5, iterations=3))
-        assert res.rejected_draws > 0
+        res = run_eda(toy_layout(), toy_config(seed=5, iterations=3,
+                                               srl_ceilings_s=ceilings))
         assert set(calls) == {"sample_individual", "pattern_crb_provider", "srl_at_most",
-                              "crb_batch"}
+                              "crb_batch", "resolvable_at"}
+        # every batch of misses makes at least one exact call
+        assert calls["srl_at_most"] >= calls["resolvable_at"]
+        if ceilings is None:
+            assert res.rejected_draws > 0 and not all(answers)
+        else:
+            assert res.rejected_draws == 0 and all(answers)
 
     def test_best_beats_random_baseline_over_seeds(self):
         lay = toy_layout()
@@ -382,8 +395,18 @@ class TestEdaConfigValidation:
 
     @pytest.mark.parametrize("key,value", [
         ("gate_step_s", 0.0), ("gate_step_s", -1e-11), ("gate_step_s", float("nan")),
-        ("beta_margin", 0.0), ("beta_margin", -1.0), ("beta_reference_draws", 0),
-        ("prior_std_s", 0.0)])
+        ("beta_margin", 0.0), ("beta_margin", -1.0), ("beta_reference_draws", 0)])
     def test_gate_settings(self, key, value):
         with pytest.raises(ValueError):
             toy_config(**{key: value})
+
+    def test_unused_settings_are_not_checked(self):
+        # explicit ceilings never read the beta reference settings
+        toy_config(srl_ceilings_s=(1e-9, 1e-9), beta_margin=0.0, beta_reference_draws=0)
+        # a single-band run never reads the timing-offset prior
+        cfg = toy_config(prior_std_s=0.0, population=8, elite=4, iterations=1)
+        assert run_eda(toy_layout(), cfg).best.n_groups == 2
+
+    def test_multiband_run_needs_positive_prior(self, layout_multi):
+        with pytest.raises(ValueError, match="prior std"):
+            run_eda(layout_multi, toy_config(prior_std_s=0.0))

@@ -4,8 +4,8 @@ import pytest
 import pilotforge as pf
 from pilotforge.resolution import (SrlSearch, _fim_multiband_batch, _multiband_support,
                                    crb_batch, crb_delta_tau, crb_of_columns, fim_multiband,
-                                   fim_single, pattern_crb_provider, srl_at_most,
-                                   srl_of_pattern, srl_search)
+                                   fim_single, pattern_crb_provider, resolvable_at,
+                                   srl_at_most, srl_of_pattern, srl_search)
 
 from oracles import (crb_delta_tau_quadform, fd_fim_multiband, fd_fim_single,
                      fim_multiband_loop, fim_scaled_error, fim_two_path_direct)
@@ -305,6 +305,27 @@ class TestCrbOfColumns:
             crb_of_columns(layout_single, cols, SIGMA, GAINS, 1e-9)
         with pytest.raises(ValueError):
             crb_of_columns(layout_single, np.zeros((2, 256)), SIGMA, GAINS, 1e-9)
+
+
+class TestResolvableAt:
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    def test_is_the_first_test_of_srl_at_most(self, mode, layout_single, layout_multi):
+        lay, prior = (layout_single, None) if mode == "single" else (layout_multi, 1e-9)
+        cols = random_columns(lay.n_total, 40, 10, seed=5)
+        if mode == "multi":   # unresolvable in this stack, not alone
+            cols[0] = 0
+            cols[0, np.arange(0, 80, 2)] = 1
+        verdicts = []
+        for beta in np.geomspace(0.5e-9, 20e-9, 7):
+            got = resolvable_at(lay, cols, SIGMA, GAINS, beta, prior)
+            crb = crb_of_columns(lay, cols, SIGMA, GAINS, beta, prior)
+            np.testing.assert_array_equal(got, np.isfinite(crb) & (beta >= np.sqrt(crb)))
+            for c, ok in zip(cols, got):
+                if ok:   # a certified column is accepted by the exact decision
+                    provider = pattern_crb_provider(lay, c, SIGMA, GAINS, prior)
+                    assert srl_at_most(provider, beta, 0.05e-9)
+            verdicts += got.tolist()
+        assert any(verdicts) and not all(verdicts)
 
 
 class TestSrlSearch:
