@@ -13,9 +13,7 @@ from .optimizer import (EdaConfig, EdaResult, InfeasibleSamplingError, run_eda,
 from .receiver import (DecoupledObservation, EstimationError, PathEstimate, PsoConfig,
                        decouple, estimate_paths_psols, extrapolate_fullband, nmse,
                        run_extrapolation_sim)
-from .resolution import (FimMultiband, FimSingleBand, SrlResult, SrlSearch,
-                         crb_delta_tau, fim_multiband, fim_single, srl_of_pattern,
-                         srl_search)
+from .resolution import SrlResult, SrlSearch, fim, srl_of_pattern, srl_search
 from .waveform import (BandLayout, ChannelParams, PatternSet, PilotSequence,
                        Subband, channel_frequency_response, draw_channels,
                        make_zc_sequence, orthogonal_sequence_family,

@@ -227,15 +227,23 @@ class ExperimentConfig:
         return SrlSearch(float(s["tau_lo_s"]), float(s["tau_hi_s"]),
                          float(s["step_s"]), float(s["tol_s"]))
 
-    def offline_gains(self) -> tuple[float, float]:
+    def offline_model(self) -> tuple[tuple[float, float], float, float]:
+        """The SRL model's (gains, noise std, timing-offset prior std), checked.
+
+        The prior is read by multiband layouts only, so it is checked only there.
+        """
         o = self.values["offline"]
-        return (float(o["gain1"]), float(o["gain2"]))
+        noise, prior = float(o["noise_std"]), float(o["prior_std_s"])
+        if not noise > 0:
+            raise ConfigError("offline noise std must be positive")
+        if self.mode == "multi" and not prior > 0:
+            raise ConfigError("a multiband run needs a positive timing-offset prior std")
+        return (float(o["gain1"]), float(o["gain2"])), noise, prior
 
     def eda_config(self) -> EdaConfig:
-        e, s, o = self.values["eda"], self.values["srl"], self.values["offline"]
+        e, s = self.values["eda"], self.values["srl"]
         beta = tuple(float(b) for b in s["beta_s"]) or None
-        if self.mode == "multi" and not float(o["prior_std_s"]) > 0:
-            raise ConfigError("a multiband run needs a positive timing-offset prior std")
+        gains, noise, prior = self.offline_model()
         try:
             return EdaConfig(
                 budgets=tuple(self.budgets()),
@@ -246,9 +254,9 @@ class ExperimentConfig:
                 srl_ceilings_s=beta,
                 beta_margin=float(s["beta_margin"]),
                 beta_reference_draws=int(s["beta_reference_draws"]),
-                offline_gains=self.offline_gains(),
-                offline_noise_std=float(o["noise_std"]),
-                prior_std_s=float(o["prior_std_s"]),
+                offline_gains=gains,
+                offline_noise_std=noise,
+                prior_std_s=prior,
                 retry_cap=int(e["retry_cap"]),
                 gate_step_s=float(s["gate_step_s"]),
                 final_search=self.srl_search(),
@@ -331,10 +339,8 @@ def _group_entry(col: np.ndarray, isl: float, srl: SrlResult) -> dict:
 
 def _pattern_metrics(cfg: ExperimentConfig, layout: BandLayout,
                      patterns: PatternSet) -> list[dict]:
+    gains, noise, prior = cfg.offline_model()
     matrix = isl_matrix(layout, cfg.region())
-    gains = np.asarray(cfg.offline_gains(), dtype=complex)
-    noise = float(cfg.values["offline"]["noise_std"])
-    prior = float(cfg.values["offline"]["prior_std_s"]) if layout.mode == "multi" else None
     out = []
     for g in range(patterns.n_groups):
         col = patterns.column(g)

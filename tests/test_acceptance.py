@@ -14,7 +14,7 @@ from pilotforge.ambiguity import SidelobeRegion, isl_matrix
 from pilotforge.optimizer import EdaConfig, run_eda
 from pilotforge.receiver import (PsoConfig, baseline_schemes, decouple,
                                  run_extrapolation_sim)
-from pilotforge.resolution import SrlSearch, fim_multiband, fim_single, srl_of_pattern
+from pilotforge.resolution import SrlSearch, fim, srl_of_pattern
 
 from oracles import fd_fim_multiband, fd_fim_single, fim_scaled_error, isl_quadrature
 
@@ -74,7 +74,7 @@ def test_c02_fim_vs_finite_difference_hessian():
         w[np.sort(rng.permutation(32)[:16])] = 1
         gains = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         dtau = rng.uniform(5e-9, 60e-9)
-        J = fim_single(w, FS, SIGMA, gains, dtau).matrix
+        J = fim(pf.BandLayout.single(32, FS), w, SIGMA, gains, dtau)[0]
         J_fd = fd_fim_single(w, FS, SIGMA, gains, dtau, tau1_s=30e-9)
         worst_sb = max(worst_sb, fim_scaled_error(J, J_fd))
     lay = pf.BandLayout.multiband(
@@ -85,7 +85,7 @@ def test_c02_fim_vs_finite_difference_hessian():
         w[np.sort(rng.permutation(34)[:20])] = 1
         gains = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         dtau = rng.uniform(2e-9, 40e-9)
-        J = fim_multiband(lay, w, SIGMA, gains, dtau, 1e-9).matrix
+        J = fim(lay, w, SIGMA, gains, dtau, 1e-9)[0]
         J_fd = fd_fim_multiband(lay, w, SIGMA, gains, dtau, 1e-9, tau1_s=10e-9,
                                 phi_true=[rng.uniform(-1, 1)],
                                 delta_true=rng.uniform(-1e-9, 1e-9, 2))

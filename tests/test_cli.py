@@ -203,6 +203,21 @@ class TestOptimizeArtifacts(object):
 
 
 class TestMetricsCommands:
+    @pytest.mark.parametrize("command", ["srl", "optimize"])
+    @pytest.mark.parametrize("band,line,message", [
+        ("single", "noise_std = 0", "noise std"),
+        ("single", "noise_std = -0.1", "noise std"),
+        ("multi", "prior_std_s = 0", "prior std"),
+    ])
+    def test_bad_offline_value_exit_code(self, toy_artifact, tmp_path, capsys, command,
+                                         band, line, message):
+        _, _, pat = toy_artifact
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(TOY_INI + f"[offline]\n{line}\n")
+        args = ["--pattern", str(pat)] if command == "srl" else ["--out", str(tmp_path)]
+        assert main([command, "--band", band, "--config", str(cfg)] + args) == 2
+        assert message in capsys.readouterr().err
+
     def test_isl_output(self, toy_artifact, capsys):
         d, cfg, pat = toy_artifact
         assert main(["isl", "--config", str(cfg), "--pattern", str(pat)]) == 0

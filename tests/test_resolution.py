@@ -3,9 +3,8 @@ import pytest
 
 import pilotforge as pf
 from pilotforge.resolution import (SrlSearch, _fim_multiband_batch, _multiband_support,
-                                   crb_batch, crb_delta_tau, crb_of_columns, fim_multiband,
-                                   fim_single, pattern_crb_provider, resolvable_at,
-                                   srl_at_most, srl_of_pattern, srl_search)
+                                   crb_batch, crb_of_columns, fim, pattern_crb_provider,
+                                   resolvable_at, srl_at_most, srl_of_pattern, srl_search)
 
 from oracles import (crb_delta_tau_quadform, fd_fim_multiband, fd_fim_single,
                      fim_multiband_loop, fim_scaled_error, fim_two_path_direct)
@@ -13,6 +12,7 @@ from oracles import (crb_delta_tau_quadform, fd_fim_multiband, fd_fim_single,
 FS = 120e3
 SIGMA = 0.1778
 GAINS = np.array([1.0 + 0j, 1.0 + 0j])
+TWO_BANDS = pf.BandLayout.multiband([pf.Subband(3.5e9, FS, 17), pf.Subband(3.9e9, FS, 17)])
 
 
 def random_column(n, p, seed):
@@ -22,12 +22,22 @@ def random_column(n, p, seed):
     return w
 
 
+def fim_sb(w, noise_std, gains, delta_tau_s):
+    """Single-band FIM of one column at one separation, on a grid of len(w)
+    subcarriers n * FS."""
+    return fim(pf.BandLayout.single(len(w), FS), w, noise_std, gains, delta_tau_s)[0]
+
+
+def crb(J):
+    return crb_batch(J[None])[0]
+
+
 class TestFimSingle:
     def test_gain_block_closed_form(self):
         # r = s: the cosine collapses and the entry is 2 P / sigma^2
         w = np.zeros(256, dtype=np.uint8)
         w[:128] = 1
-        J = fim_single(w, FS, SIGMA, GAINS, 10e-9).matrix
+        J = fim_sb(w, SIGMA, GAINS, 10e-9)
         assert J[2, 2] == pytest.approx(2 * 128 / SIGMA**2, rel=1e-12)
         assert J[2, 2] == pytest.approx(8.0986e3, rel=1e-3)
         assert J[4, 4] == J[2, 2]
@@ -35,7 +45,7 @@ class TestFimSingle:
     def test_matches_finite_difference_hessian(self):
         w = random_column(32, 16, seed=1)
         gains = np.array([0.9 + 0.3j, -0.4 + 1.1j])
-        J = fim_single(w, FS, SIGMA, gains, 37e-9).matrix
+        J = fim_sb(w, SIGMA, gains, 37e-9)
         J_fd = fd_fim_single(w, FS, SIGMA, gains, 37e-9, tau1_s=50e-9)
         assert fim_scaled_error(J, J_fd) < 1e-3
 
@@ -46,7 +56,7 @@ class TestFimSingle:
             rng = np.random.default_rng(seed + 200)
             gains = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             dt = rng.uniform(0.1e-9, 40e-9)
-            J = fim_single(w, FS, SIGMA, gains, dt).matrix
+            J = fim_sb(w, SIGMA, gains, dt)
             ref = fim_two_path_direct(np.flatnonzero(w) * FS, SIGMA, gains, dt)
             assert fim_scaled_error(J, ref) < 1e-12
 
@@ -55,33 +65,36 @@ class TestFimSingle:
             w = random_column(64, 20, seed=seed)
             rng = np.random.default_rng(seed + 100)
             gains = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            J = fim_single(w, FS, SIGMA, gains, rng.uniform(1e-9, 40e-9)).matrix
+            J = fim_sb(w, SIGMA, gains, rng.uniform(1e-9, 40e-9))
             np.testing.assert_allclose(J, J.T, atol=1e-6 * np.abs(J).max())
             eig = np.linalg.eigvalsh(J)
             assert eig[0] >= -1e-9 * np.trace(J)
 
     def test_zero_noise_rejected(self):
         w = random_column(32, 16, seed=0)
-        with pytest.raises(ValueError):
-            fim_single(w, FS, 0.0, GAINS, 1e-9)
+        for noise in (0.0, -SIGMA):
+            with pytest.raises(ValueError):
+                fim_sb(w, noise, GAINS, 1e-9)
+            with pytest.raises(ValueError):
+                fim(TWO_BANDS, random_column(34, 18, 0), noise, GAINS, 1e-9, 1e-9)
 
     def test_empty_pattern_rejected(self):
         with pytest.raises(ValueError):
-            fim_single(np.zeros(32), FS, SIGMA, GAINS, 1e-9)
+            fim_sb(np.zeros(32), SIGMA, GAINS, 1e-9)
 
     def test_two_gains_required(self):
-        with pytest.raises(ValueError):
-            fim_single(random_column(32, 16, 0), FS, SIGMA, np.ones(3), 1e-9)
+        w = random_column(32, 16, 0)
+        for gains in (np.ones(3), np.ones((2, 1)), 1.0):
+            with pytest.raises(ValueError):
+                fim_sb(w, SIGMA, gains, 1e-9)
 
 
 class TestFimMultiband:
     def test_matches_finite_difference_hessian(self, layout_multi):
-        lay = pf.BandLayout.multiband(
-            [pf.Subband(3.5e9, FS, 17), pf.Subband(3.9e9, FS, 17)])
         w = random_column(34, 20, seed=3)
         gains = np.array([0.9 + 0.3j, -0.4 + 1.1j])
-        J = fim_multiband(lay, w, SIGMA, gains, 37e-9, 1e-9).matrix
-        J_fd = fd_fim_multiband(lay, w, SIGMA, gains, 37e-9, 1e-9,
+        J = fim(TWO_BANDS, w, SIGMA, gains, 37e-9, 1e-9)[0]
+        J_fd = fd_fim_multiband(TWO_BANDS, w, SIGMA, gains, 37e-9, 1e-9,
                                 tau1_s=20e-9, phi_true=[0.7],
                                 delta_true=[0.3e-9, -0.6e-9])
         assert fim_scaled_error(J, J_fd) < 1e-3
@@ -92,7 +105,7 @@ class TestFimMultiband:
             rng = np.random.default_rng(seed + 300)
             gains = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             dt = rng.uniform(0.1e-9, 10e-9)
-            J = fim_multiband(layout_multi, w, SIGMA, gains, dt, 1e-9).matrix
+            J = fim(layout_multi, w, SIGMA, gains, dt, 1e-9)[0]
             ref = fim_two_path_direct(layout_multi.pinned_frequencies_hz[w != 0],
                                       SIGMA, gains, dt)
             assert fim_scaled_error(J[:6, :6], ref) < 1e-12
@@ -164,7 +177,7 @@ class TestFimMultiband:
             [pf.Subband(3.5e9, FS, 17), pf.Subband(3.7e9, FS, 17),
              pf.Subband(3.9e9, FS, 17)])
         w = random_column(51, 30, seed=4)
-        J = fim_multiband(lay, w, SIGMA, GAINS, 5e-9, 1e-9).matrix
+        J = fim(lay, w, SIGMA, GAINS, 5e-9, 1e-9)[0]
         # phi_2, phi_3 rows at 6, 7; delta rows at 8, 9, 10
         assert J[6, 7] == 0.0
         for i, di in enumerate(range(8, 11)):
@@ -174,85 +187,81 @@ class TestFimMultiband:
         assert J[6, 9] != 0.0  # phi_2 couples to its own band's delta only
         assert J[6, 10] == 0.0
 
+    @staticmethod
+    def total_and_observation(w, prior_std_s):
+        f_sup, table = _multiband_support(TWO_BANDS, np.flatnonzero(w))
+        J, J_obs = _fim_multiband_batch(f_sup, table, 2, SIGMA, GAINS,
+                                        np.array([5e-9]), prior_std_s)
+        np.testing.assert_array_equal(J, fim(TWO_BANDS, w, SIGMA, GAINS, 5e-9, prior_std_s))
+        return J[0], J_obs[0]
+
     def test_prior_only_on_delta_diagonal(self):
-        lay = pf.BandLayout.multiband(
-            [pf.Subband(3.5e9, FS, 17), pf.Subband(3.9e9, FS, 17)])
-        w = random_column(34, 18, seed=5)
-        f = fim_multiband(lay, w, SIGMA, GAINS, 5e-9, 2e-9)
-        prior = f.prior
+        J, J_obs = self.total_and_observation(random_column(34, 18, seed=5), 2e-9)
+        prior = J - J_obs
         expected = np.zeros_like(prior)
         expected[7, 7] = expected[8, 8] = 1.0 / (2e-9) ** 2
         np.testing.assert_allclose(prior, expected, rtol=1e-12)
 
     def test_wide_prior_limit_reaches_observation_fim(self):
-        lay = pf.BandLayout.multiband(
-            [pf.Subband(3.5e9, FS, 17), pf.Subband(3.9e9, FS, 17)])
-        w = random_column(34, 18, seed=6)
-        f = fim_multiband(lay, w, SIGMA, GAINS, 5e-9, 1e3)
-        np.testing.assert_allclose(f.matrix, f.observation,
-                                   atol=1e-12 * np.abs(f.observation).max())
+        J, J_obs = self.total_and_observation(random_column(34, 18, seed=6), 1e3)
+        np.testing.assert_allclose(J, J_obs, atol=1e-12 * np.abs(J_obs).max())
 
     def test_unsounded_band_has_zero_phase_row(self):
-        lay = pf.BandLayout.multiband(
-            [pf.Subband(3.5e9, FS, 17), pf.Subband(3.9e9, FS, 17)])
         w = np.zeros(34, dtype=np.uint8)
         w[2:12] = 1  # band 1 only
-        J = fim_multiband(lay, w, SIGMA, GAINS, 5e-9, 1e-9).matrix
+        J = fim(TWO_BANDS, w, SIGMA, GAINS, 5e-9, 1e-9)[0]
         assert np.all(J[6] == 0.0) and np.all(J[:, 6] == 0.0)
         assert J[8, 8] == pytest.approx(1e18)  # bare prior on the idle delta
 
     def test_prior_must_be_positive(self):
-        lay = pf.BandLayout.multiband(
-            [pf.Subband(3.5e9, FS, 17), pf.Subband(3.9e9, FS, 17)])
-        with pytest.raises(ValueError):
-            fim_multiband(lay, random_column(34, 18, 0), SIGMA, GAINS, 5e-9, 0.0)
+        for prior in (0.0, -1e-9, None):
+            with pytest.raises(ValueError):
+                fim(TWO_BANDS, random_column(34, 18, 0), SIGMA, GAINS, 5e-9, prior)
 
-    def test_single_band_layout_rejected(self, layout_single):
+    def test_single_band_layout_rejected(self, layout_single, layout_multi):
+        # the layout picks the model, so a column of the other grid has the
+        # wrong length for it
         with pytest.raises(ValueError):
-            fim_multiband(layout_single, random_column(256, 128, 0), SIGMA,
-                          GAINS, 5e-9, 1e-9)
+            fim(layout_single, random_column(254, 127, 0), SIGMA, GAINS, 5e-9, 1e-9)
+        with pytest.raises(ValueError):
+            fim(layout_multi, random_column(256, 128, 0), SIGMA, GAINS, 5e-9, 1e-9)
 
 
 class TestCrb:
     def test_block_diagonal_toy(self):
         J = np.diag([4.0, 4.0, 1.0, 1.0, 1.0, 1.0])
         # inverse diagonal entries are 0.25 each, cross terms zero
-        assert crb_delta_tau(J) == pytest.approx(0.5)
+        assert crb(J) == pytest.approx(0.5)
 
     def test_quadform_identity(self):
         w = random_column(64, 24, seed=8)
-        J = fim_single(w, FS, SIGMA, GAINS, 8e-9)
-        a = crb_delta_tau(J)
-        b = crb_delta_tau_quadform(J.matrix)
-        assert a == pytest.approx(b, rel=1e-9)
+        J = fim_sb(w, SIGMA, GAINS, 8e-9)
+        assert crb(J) == pytest.approx(crb_delta_tau_quadform(J), rel=1e-9)
 
     def test_noise_scaling_is_quadratic(self):
         w = random_column(256, 128, seed=9)
-        c1 = crb_delta_tau(fim_single(w, FS, SIGMA, GAINS, 8e-9))
-        c2 = crb_delta_tau(fim_single(w, FS, 3 * SIGMA, GAINS, 8e-9))
+        c1 = crb(fim_sb(w, SIGMA, GAINS, 8e-9))
+        c2 = crb(fim_sb(w, 3 * SIGMA, GAINS, 8e-9))
         assert c2 == pytest.approx(9 * c1, rel=1e-9)
 
     def test_noise_scaling_multiband_wide_prior(self):
-        lay = pf.BandLayout.multiband(
-            [pf.Subband(3.5e9, FS, 17), pf.Subband(3.9e9, FS, 17)])
         w = random_column(34, 18, seed=10)
-        c1 = crb_delta_tau(fim_multiband(lay, w, SIGMA, GAINS, 3e-9, 1e3))
-        c2 = crb_delta_tau(fim_multiband(lay, w, 2 * SIGMA, GAINS, 3e-9, 1e3))
+        c1 = crb(fim(TWO_BANDS, w, SIGMA, GAINS, 3e-9, 1e3)[0])
+        c2 = crb(fim(TWO_BANDS, w, 2 * SIGMA, GAINS, 3e-9, 1e3)[0])
         assert c2 == pytest.approx(4 * c1, rel=1e-6)
 
     def test_crb_decreases_with_noise_loglog_slope(self):
         w = np.zeros(256, dtype=np.uint8)
         w[:128] = 1
         sig = np.array([0.05, 0.1, 0.2, 0.4])
-        crb = [crb_delta_tau(fim_single(w, FS, s, GAINS, 8e-9)) for s in sig]
-        slope = np.polyfit(np.log(sig), np.log(crb), 1)[0]
+        crbs = [crb(fim_sb(w, s, GAINS, 8e-9)) for s in sig]
+        slope = np.polyfit(np.log(sig), np.log(crbs), 1)[0]
         assert slope == pytest.approx(2.0, abs=1e-9)
 
     def test_near_singular_reports_unresolvable(self):
         w = random_column(64, 24, seed=11)
         # vanishing separation makes the two delay columns collinear
-        J = fim_single(w, FS, SIGMA, GAINS, 1e-18)
-        assert crb_delta_tau(J) == np.inf
+        assert crb(fim_sb(w, SIGMA, GAINS, 1e-18)) == np.inf
 
     def test_batch_matches_scalar(self):
         w = random_column(64, 24, seed=12)
@@ -261,12 +270,34 @@ class TestCrb:
         dts = np.array([2e-9, 5e-9, 20e-9])
         batch = provider(dts)
         for i, dt in enumerate(dts):
-            ref = crb_delta_tau(fim_single(w, FS, SIGMA, GAINS, dt))
-            assert batch[i] == pytest.approx(ref, rel=1e-12)
+            assert batch[i] == pytest.approx(crb(fim_sb(w, SIGMA, GAINS, dt)), rel=1e-12)
 
 
 def random_columns(n, p, count, seed):
     return np.stack([random_column(n, p, seed * 1000 + k) for k in range(count)])
+
+
+class TestFimStack:
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    def test_stack_is_each_column_at_each_separation(self, mode, layout_single,
+                                                     layout_multi):
+        lay, prior, dim = ((layout_single, None, 6) if mode == "single"
+                           else (layout_multi, 1e-9, 9))
+        rng = np.random.default_rng(17)
+        cols = random_columns(lay.n_total, 40, 5, seed=7)
+        gains = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        dts = np.array([0.7e-9, 2e-9, 9e-9, 33e-9])
+        J = fim(lay, cols, SIGMA, gains, dts, prior)
+        assert J.shape == (5, 4, dim, dim)
+        for q, col in enumerate(cols):
+            # bit for bit against the column alone at the same separations
+            np.testing.assert_array_equal(J[q], fim(lay, col, SIGMA, gains, dts, prior))
+            for b, dt in enumerate(dts):
+                # one separation at a time takes another BLAS product shape,
+                # which may round the last bits differently
+                alone = fim(lay, col, SIGMA, gains, dt, prior)
+                assert alone.shape == (1, dim, dim)
+                assert fim_scaled_error(J[q, b], alone[0]) <= 1e-12
 
 
 class TestCrbOfColumns:
@@ -301,10 +332,12 @@ class TestCrbOfColumns:
     def test_unequal_or_empty_columns_rejected(self, layout_single):
         cols = random_columns(256, 10, 2, seed=1)
         cols[1, np.flatnonzero(cols[1] == 0)[0]] = 1
-        with pytest.raises(ValueError):
-            crb_of_columns(layout_single, cols, SIGMA, GAINS, 1e-9)
-        with pytest.raises(ValueError):
-            crb_of_columns(layout_single, np.zeros((2, 256)), SIGMA, GAINS, 1e-9)
+        # unequal counts, no pilots, no columns, a 3-D stack
+        for bad in (cols, np.zeros((2, 256)), np.zeros((0, 256)), cols[None]):
+            with pytest.raises(ValueError):
+                crb_of_columns(layout_single, bad, SIGMA, GAINS, 1e-9)
+            with pytest.raises(ValueError):
+                fim(layout_single, bad, SIGMA, GAINS, [1e-9, 2e-9])
 
 
 class TestResolvableAt:
@@ -361,13 +394,34 @@ class TestSrlSearch:
         assert res.found
         assert res.srl_s * 1e9 == pytest.approx(5.772, rel=0.02)
 
-    def test_smallest_root_wins(self, layout_single):
-        # random patterns often produce several crossings; the reported SRL
-        # must be the minimum of the returned root set
-        w = random_column(256, 128, seed=13)
-        res = srl_of_pattern(layout_single, w, SIGMA, GAINS)
-        assert res.found
-        assert res.srl_s == min(res.roots_s)
+    def test_smallest_root_wins(self):
+        # sqrt(CRB) crosses dtau twice: once exactly on a grid point (g == 0
+        # there) and once inside a grid interval, in either order. The SRL is
+        # the first crossing, with the CRB there
+        search = SrlSearch(1e-9, 20e-9, 0.5e-9, 1e-13)
+        grid = search.grid()
+        on_grid = grid[25]                 # 13.5 ns
+        assert np.sqrt(on_grid**2) == on_grid
+
+        def provider_for(first, second):
+            def provider(dts):
+                dts = np.asarray(dts)
+                root = np.where(dts < 10e-9, first, second)
+                rising = (dts > first + 1e-9) & (dts < 10e-9)
+                return np.where(rising, 2 * dts, root) ** 2
+            return provider
+
+        # (first, second, tolerance): a root on the grid is read off exactly
+        cases = [(grid[9], 12.3e-9, 0.0), (3.3e-9, on_grid, search.tol_s)]
+        for first, second, tol in cases:
+            provider = provider_for(first, second)
+            g = grid - np.sqrt(provider(grid))
+            assert np.count_nonzero((g[:-1] < 0) & (g[1:] >= 0)) == 2
+            assert np.count_nonzero(g == 0) == 1
+            res = srl_search(provider, search)
+            assert res.found and not res.below_range
+            assert abs(res.srl_s - first) <= tol
+            assert res.crb_at_srl_s2 == first**2
 
     def test_srl_monotone_in_noise(self, layout_single):
         w = random_column(256, 128, seed=14)
