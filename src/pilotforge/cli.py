@@ -311,6 +311,9 @@ def _load_pattern(path: str | Path, layout: BandLayout) -> tuple[PatternSet, dic
         raise ConfigError(f"pattern file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or data.get("format") != PATTERN_FORMAT:
         raise ConfigError(f"pattern file {path} lacks the {PATTERN_FORMAT} format tag")
+    if data.get("band") != layout.mode:
+        raise ConfigError(f"pattern file {path} holds a {data.get('band')!r} band pattern, "
+                          f"but the layout is {layout.mode!r}")
     groups = data.get("groups")
     if not isinstance(groups, list) or not groups:
         raise ConfigError(f"pattern file {path} holds no groups")
@@ -335,18 +338,6 @@ def _group_entry(col: np.ndarray, isl: float, srl: SrlResult) -> dict:
         "srl_ns": None if srl.srl_s is None else float(srl.srl_s * 1e9),
         "srl_below_range": bool(srl.below_range),
     }
-
-
-def _pattern_metrics(cfg: ExperimentConfig, layout: BandLayout,
-                     patterns: PatternSet) -> list[dict]:
-    gains, noise, prior = cfg.offline_model()
-    matrix = isl_matrix(layout, cfg.region())
-    out = []
-    for g in range(patterns.n_groups):
-        col = patterns.column(g)
-        res = srl_of_pattern(layout, col, noise, gains, prior, cfg.srl_search())
-        out.append(_group_entry(col, matrix.isl(col), res))
-    return out
 
 
 # --- subcommands ----------------------------------------------------------
@@ -393,9 +384,15 @@ def cmd_isl(cfg: ExperimentConfig, pattern_path: str) -> int:
 
 def cmd_srl(cfg: ExperimentConfig, pattern_path: str) -> int:
     layout = cfg.layout()
+    gains, noise, prior = cfg.offline_model()  # a bad config is reported before a bad pattern
     patterns, _ = _load_pattern(pattern_path, layout)
-    print(json.dumps({"groups": _pattern_metrics(cfg, layout, patterns)},
-                     sort_keys=True))
+    matrix = isl_matrix(layout, cfg.region())
+    groups = []
+    for g in range(patterns.n_groups):
+        col = patterns.column(g)
+        res = srl_of_pattern(layout, col, noise, gains, prior, cfg.srl_search())
+        groups.append(_group_entry(col, matrix.isl(col), res))
+    print(json.dumps({"groups": groups}, sort_keys=True))
     return 0
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .ambiguity import IslMatrix, SidelobeRegion, isl_matrix
 from .resolution import (SrlResult, SrlSearch, pattern_crb_provider, resolvable_at,
@@ -121,15 +122,21 @@ def _fitness_many(masks: np.ndarray, matrix: IslMatrix) -> np.ndarray:
     return per_group.max(axis=1)
 
 
-def update_probabilities(elites: Sequence[PatternSet] | np.ndarray) -> np.ndarray:
-    """Cellwise mean of the elite masks: the new Bernoulli model."""
-    if isinstance(elites, np.ndarray):
-        stack = elites
-    else:
-        stack = np.stack([e.mask for e in elites])
-    if stack.ndim != 3 or stack.shape[0] == 0:
+def update_probabilities(elites: np.ndarray) -> np.ndarray:
+    """Cellwise mean of a (E, N, G) stack of elite masks: the new Bernoulli model."""
+    if elites.ndim != 3 or elites.shape[0] == 0:
         raise ValueError("need a non-empty stack of equally shaped elite masks")
-    return stack.mean(axis=0)
+    return elites.mean(axis=0)
+
+
+def _first_in_order(avail: np.ndarray, order: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """Mask of the first limit[q] set cells of each row q of avail (Q, N),
+    visiting the columns in the given order."""
+    ranked = avail[:, order]
+    counts = np.cumsum(ranked, axis=1, dtype=np.min_scalar_type(avail.shape[1]))
+    out = np.empty_like(ranked)
+    out[:, order] = ranked & (counts <= limit[:, None])
+    return out
 
 
 def _repair(draws: np.ndarray, budgets: np.ndarray, prob: np.ndarray) -> np.ndarray:
@@ -138,44 +145,51 @@ def _repair(draws: np.ndarray, budgets: np.ndarray, prob: np.ndarray) -> np.ndar
     Row conflicts are settled row by row in index order: the row keeps the
     cell whose group currently lacks the most pilots (ties: lowest group
     index). Column sums are then trimmed at the lowest cell probabilities and
-    padded at empty rows with the highest ones (ties: lowest row index). Each
-    step is one array operation over all Q slots; the trim and pad orders are
-    one stable sort of a group's probabilities, which restricted to a slot's
-    own (or empty) rows is that slot's own stable order.
+    padded at empty rows with the highest ones (ties: lowest row index).
+
+    The work runs on (G, Q, N) group planes. A slot's counts change only at
+    its own conflicted rows, so the j-th conflicted row of every slot is
+    settled in one step, max-conflicts steps in all; the trim and pad orders
+    are one stable sort of a group's probabilities, which restricted to a
+    slot's own (or empty) rows is that slot's own stable order.
     """
-    mask = draws.astype(np.uint8)
     budgets = np.asarray(budgets, dtype=np.int64)
-    n_groups = mask.shape[2]
-    counts = mask.sum(axis=1, dtype=np.int64)                  # (Q, G)
-    conflicted = mask.sum(axis=2) > 1                          # (Q, N)
-    lowest = np.iinfo(np.int64).min
-    for n in np.flatnonzero(conflicted.any(axis=0)):
-        q = np.flatnonzero(conflicted[:, n])
-        row = mask[q, n]
-        keep = np.argmax(np.where(row == 1, budgets - counts[q], lowest), axis=1)
-        counts[q] -= row
-        counts[q, keep] += 1
-        mask[q, n] = 0
-        mask[q, n, keep] = 1
+    planes = np.moveaxis(draws, 2, 0).astype(np.uint8, order="C")
+    n_groups, n_slots, n_rows = planes.shape
+    deficit = budgets[:, None] - planes.sum(axis=2, dtype=np.min_scalar_type(n_rows))
+    cells = planes.reshape(n_groups, -1)
+    conflicted = np.flatnonzero(planes.sum(axis=0, dtype=np.min_scalar_type(n_groups)) > 1)
+    if conflicted.size:  # flat indices q N + n, ordered by slot, then by row
+        slot = conflicted // n_rows
+        per_slot = np.bincount(slot, minlength=n_slots)
+        rank = np.arange(slot.size) - np.repeat(np.cumsum(per_slot) - per_slot, per_slot)
+        at = rank * n_slots + slot
+        rows = np.zeros((n_groups, per_slot.max() * n_slots), dtype=np.uint8)
+        rows[:, at] = cells[:, conflicted]
+        group = np.arange(n_groups)[:, None]
+        lowest = np.iinfo(np.int64).min
+        for row in np.split(rows, per_slot.max(), axis=1):  # the j-th conflict of each slot
+            keep = np.argmax(np.where(row, deficit, lowest), axis=0)
+            kept = row & (group == keep)  # rows of slots with fewer conflicts are 0: no-op
+            deficit += row - kept
+            row[...] = kept
+        cells[:, conflicted] = rows[:, at]
     for g in range(n_groups):  # trim overfull columns first to free rows
-        excess = counts[:, g] - budgets[g]
-        over = np.flatnonzero(excess > 0)
+        over = np.flatnonzero(deficit[g] < 0)
         if over.size:
-            rows = np.argsort(prob[:, g], kind="stable")[None, :]
-            own = mask[over[:, None], rows, g]
-            own[np.cumsum(own, axis=1) <= excess[over, None]] = 0
-            mask[over[:, None], rows, g] = own
-            counts[over, g] = budgets[g]
+            own = planes[g, over]
+            order = np.argsort(prob[:, g], kind="stable")
+            planes[g, over] = own - _first_in_order(own, order, -deficit[g, over])
+    free = planes.max(axis=0) == 0
     for g in range(n_groups):
-        deficit = budgets[g] - counts[:, g]
-        under = np.flatnonzero(deficit > 0)
+        under = np.flatnonzero(deficit[g] > 0)
         if under.size:
-            rows = np.argsort(-prob[:, g], kind="stable")[None, :]
-            empty = mask[under[:, None], rows].sum(axis=2) == 0
-            add = empty & (np.cumsum(empty, axis=1) <= deficit[under, None])
-            mask[under[:, None], rows, g] |= add
-            counts[under, g] = budgets[g]
-    return mask
+            empty = free[under]
+            order = np.argsort(-prob[:, g], kind="stable")
+            add = _first_in_order(empty, order, deficit[g, under])
+            planes[g, under] |= add
+            free[under] = empty & ~add
+    return np.stack(list(planes), axis=-1)
 
 
 def _fill(draw: Callable[[np.ndarray], np.ndarray],
@@ -322,8 +336,83 @@ def random_srl_reference(layout: BandLayout, cfg: EdaConfig) -> np.ndarray:
     return acc / cfg.beta_reference_draws
 
 
-def _rng_for(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL = 4
+_M32 = 0xFFFFFFFF
+
+
+def _uint32_words(n: int) -> list[int]:
+    """n >= 0 as little-endian 32-bit words, [0] for zero, as SeedSequence reads it."""
+    if n < 0:
+        raise ValueError("seed sequence entropy must be a non-negative integer")
+    words = []
+    while True:
+        words.append(n & _M32)
+        n >>= 32
+        if not n:
+            return words
+
+
+class _PcgSeed(ISeedSequence):
+    """The four 64-bit words PCG64 draws from its seed sequence, precomputed."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only PCG64's four 64-bit seed words are precomputed")
+        return self.words
+
+
+def _rng_for(seed: int, key: int, slots: np.ndarray) -> list[np.random.Generator]:
+    """One generator per slot q, the stream of
+    ``np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key, q)))``.
+
+    This is the stream contract of every EDA slot: key 0 seeds the initial
+    population and key it the draws of generation it. SeedSequence's entropy
+    mixing and state generation run once over all slots in uint32 arithmetic,
+    where only the last entropy word (q < 2**32) differs, and each slot's
+    four state words seed its PCG64 directly.
+    """
+    slots = np.asarray(slots, dtype=np.uint32)
+    run = _uint32_words(seed)
+    entropy = [np.full(slots.shape, w, dtype=np.uint32)
+               for w in run + [0] * (_POOL - len(run)) + _uint32_words(key)] + [slots]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _M32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        out = _MIX_L * x - _MIX_R * y
+        return out ^ (out >> np.uint32(16))
+
+    pool = [hashmix(entropy[i]) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, len(entropy)):
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+    const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % _POOL] ^ np.uint32(const)
+        const = const * _MULT_B & _M32
+        value = value * np.uint32(const)
+        state.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    words = np.stack([state[i] | state[i + 1] << np.uint64(32) for i in range(0, 8, 2)],
+                     axis=-1)
+    return [np.random.Generator(np.random.PCG64(_PcgSeed(w))) for w in words]
 
 
 def run_eda(layout: BandLayout, cfg: EdaConfig,
@@ -351,7 +440,7 @@ def run_eda(layout: BandLayout, cfg: EdaConfig,
     matrix = isl_matrix(layout, cfg.region)
 
     # uniform draws over feasible budgeted masks, SRL-gated
-    init_rngs = [_rng_for(cfg.seed, 0, q) for q in range(cfg.population)]
+    init_rngs = _rng_for(cfg.seed, 0, np.arange(cfg.population))
     population, rejected_total = _fill(
         lambda slots: np.stack([random_patterns(layout, n_groups, budgets,
                                                 seed=init_rngs[q].integers(0, 2**63)).mask
@@ -383,7 +472,7 @@ def run_eda(layout: BandLayout, cfg: EdaConfig,
         elite_idx = np.argsort(fits, kind="stable")[:cfg.elite]
         prob = update_probabilities(population[elite_idx])
         drawn, rej = sample_individual(
-            prob, budgets, gate, [_rng_for(cfg.seed, it, q) for q in range(1, cfg.population)],
+            prob, budgets, gate, _rng_for(cfg.seed, it, np.arange(1, cfg.population)),
             cfg.retry_cap)
         rejected_total += rej
         population = np.concatenate([best_mask[None], drawn])  # elitist carry-over

@@ -70,7 +70,6 @@ class PathEstimate:
     gains: np.ndarray
     residual: float
     n_paths: int
-    regularized: bool = False
 
 
 @dataclass(frozen=True)
@@ -173,30 +172,29 @@ def profile_peak_delays(obs: DecoupledObservation, max_paths: int = 8,
     return idx * obs.delay_bin_s
 
 
-def _ridged(gram: np.ndarray) -> tuple[np.ndarray, bool]:
+def _ridged(gram: np.ndarray) -> np.ndarray:
     """Stack of normal matrices with a small ridge on the near-singular ones."""
     eig = np.linalg.eigvalsh(gram)
     bad = (eig[:, 0] <= 0) | (eig[:, -1] > 1e12 * np.maximum(eig[:, 0], 1e-300))
-    regularized = bool(np.any(bad))
-    if regularized:
+    if np.any(bad):
         ridge = 1e-9 * np.trace(gram, axis1=1, axis2=2).real / gram.shape[1]
         gram = gram + (bad * np.maximum(ridge, 1e-30))[:, None, None] * np.eye(gram.shape[1])
-    return gram, regularized
+    return gram
 
 
 def _batched_ls(steering: np.ndarray, target: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, bool]:
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares gains and residuals for a stack of steering matrices.
 
     steering: (P, S, K); target: (S,). Near-singular normal matrices get a
-    small ridge and raise the regularization flag.
+    small ridge.
     """
     herm = steering.conj().transpose(0, 2, 1)
-    gram, regularized = _ridged(herm @ steering)
+    gram = _ridged(herm @ steering)
     gains = np.linalg.solve(gram, (herm @ target)[..., None])[..., 0]
     fitted = (steering @ gains[..., None])[..., 0]
     residual = np.sum(np.abs(target[None, :] - fitted) ** 2, axis=1)
-    return gains, residual, regularized
+    return gains, residual
 
 
 class _GatedModel:
@@ -226,7 +224,7 @@ class _GatedModel:
         gated = np.tensordot(self.gate_map, spectra, axes=([1], [1]))  # (G, P, K)
         return np.moveaxis(gated, 0, 1)
 
-    def fit(self, delays: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    def fit(self, delays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Least-squares gains and residuals for delays of shape (P, K)."""
         return _batched_ls(self.columns(delays), self.target)
 
@@ -245,7 +243,7 @@ class _GatedModel:
         both = self.columns_of(np.concatenate([steer, slope], axis=2))
         a, da = both[:, :, :k], both[:, :, k:]
         ah = a.conj().transpose(0, 2, 1)
-        gram = _ridged(ah @ a)[0]
+        gram = _ridged(ah @ a)
         gains = np.linalg.solve(gram, (ah @ self.target)[..., None])[..., 0]
         r = self.target[None, :] - (a @ gains[..., None])[..., 0]
         moved = da * gains[:, None, :]               # d(A g)/d tau_k, column k
@@ -439,12 +437,12 @@ def estimate_paths_psols(obs: DecoupledObservation, w: np.ndarray, layout: BandL
 
     model = _GatedModel(obs, support)
     delays = _refine(model, k, peaks, obs.gate_s[1], obs.delay_bin_s)
-    gains, res, regularized = model.fit(delays[None, :])
+    gains, res = model.fit(delays[None, :])
     # gains were solved against grid-anchored frequencies; restore the
     # layout's convention so reconstruction with the true steering is exact
     anchor = layout.frequencies_hz[0] if layout.mode == "multi" else 0.0
     phase = np.exp(2j * np.pi * anchor * delays)
-    return PathEstimate(delays, gains[0] * phase, float(res[0]), k, regularized)
+    return PathEstimate(delays, gains[0] * phase, float(res[0]), k)
 
 
 def extrapolate_fullband(estimate: PathEstimate, layout: BandLayout) -> np.ndarray:

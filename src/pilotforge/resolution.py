@@ -8,8 +8,8 @@ through tau_2 - tau_1, so a common delay shift never changes anything here.
 
 The SRL is the smallest delay separation solving dtau = sqrt(CRB(dtau)). With
 g(dtau) = dtau - sqrt(CRB(dtau)), it is located by a grid scan for the first
-crossing, the first grid point with g >= 0, then bisection of the bracket
-that ends there.
+crossing, the first grid point with g >= 0, in ascending chunks that stop at
+the first chunk holding it, then bisection of the bracket that ends there.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ __all__ = [
 
 # largest condition number of the Jacobi-scaled FIM still counted as resolvable
 _COND_CAP = 1e12
+# grid points per FIM batch of the SRL scan; the scan stops at the first
+# chunk with a crossing, which sits near the grid's start for useful patterns
+_SCAN_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -344,22 +347,27 @@ def srl_search(crb_provider: Callable[[np.ndarray], np.ndarray],
                search: SrlSearch = SrlSearch()) -> SrlResult:
     """Find the statistical resolution limit: the first crossing, then bisection.
 
-    g(dtau) = dtau - sqrt(CRB(dtau)) is evaluated on the grid. The first grid
-    point with g >= 0 is the root when g = 0 there, and otherwise ends the
-    bracket that is bisected to the requested tolerance; no later crossing
-    can give a smaller root. Grid points with an unresolvable FIM
-    (CRB = inf) count as g < 0.
+    g(dtau) = dtau - sqrt(CRB(dtau)) is evaluated on the grid in ascending
+    chunks of ``_SCAN_CHUNK`` points, and the scan stops at the first chunk
+    that holds a point with g >= 0. That first grid point with g >= 0 is the
+    root when g = 0 there, and otherwise ends the bracket that is bisected to
+    the requested tolerance; no later crossing can give a smaller root. Grid
+    points with an unresolvable FIM (CRB = inf) count as g < 0.
     """
     grid = search.grid()
-    g = _g(grid, crb_provider(grid))
-    if g[0] >= 0:
-        return SrlResult(None, None, search, below_range=True)
-    crossed = np.flatnonzero(g >= 0)
-    if not crossed.size:
+    for start in range(0, len(grid), _SCAN_CHUNK):
+        chunk = grid[start:start + _SCAN_CHUNK]
+        g = _g(chunk, crb_provider(chunk))
+        if start == 0 and g[0] >= 0:
+            return SrlResult(None, None, search, below_range=True)
+        crossed = np.flatnonzero(g >= 0)
+        if crossed.size:
+            break
+    else:
         return SrlResult(None, None, search)
-    k = crossed[0]
-    srl = grid[k] if g[k] == 0.0 else _bisect_root(crb_provider, grid[k - 1], grid[k],
-                                                  search.tol_s)
+    k = start + crossed[0]
+    srl = grid[k] if g[crossed[0]] == 0.0 else _bisect_root(
+        crb_provider, grid[k - 1], grid[k], search.tol_s)
     crb_at = float(crb_provider(np.array([srl]))[0])
     return SrlResult(float(srl), crb_at, search)
 

@@ -240,8 +240,12 @@ class PatternSet:
         """The structure checks of a mask, or of a stack of masks (..., N, G)."""
         if not ((masks == 0) | (masks == 1)).all():
             raise ValueError("pattern mask must be binary")
-        if (masks.sum(axis=-1) > 1).any():
-            raise ValueError("pattern rows must sum to at most 1 (non-overlap constraint)")
+        taken = np.zeros(masks.shape[:-1], dtype=bool)
+        for g in range(masks.shape[-1]):  # group by group: a sum over the short last axis is slow
+            cell = masks[..., g] == 1
+            if (taken & cell).any():
+                raise ValueError("pattern rows must sum to at most 1 (non-overlap constraint)")
+            taken |= cell
 
     @property
     def n_subcarriers(self) -> int:

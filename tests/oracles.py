@@ -300,13 +300,19 @@ def repair_serial(draw, budgets, prob) -> np.ndarray:
     return mask
 
 
+def slot_rng(seed, key, q):
+    """The stream of EDA slot q under key (0: initial population, it: generation it)."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key, q)))
+
+
 def run_eda_serial(layout, cfg):
     """The EDA one slot and one draw at a time: each slot's draws are repaired by
     ``repair_serial`` and gated alone, group by group, with every (group,
-    column) decided by a fresh ``srl_at_most`` scan (memoized per pair)."""
+    column) decided by a fresh ``srl_at_most`` scan (memoized per pair). Each
+    slot's stream is built by numpy's own ``SeedSequence``."""
     from pilotforge.ambiguity import isl_matrix
     from pilotforge.optimizer import (EdaResult, InfeasibleSamplingError, _fitness_many,
-                                      _rng_for, random_srl_reference, update_probabilities)
+                                      random_srl_reference, update_probabilities)
     from pilotforge.resolution import pattern_crb_provider, srl_at_most, srl_of_pattern
     from pilotforge.waveform import PatternSet, random_patterns
 
@@ -335,7 +341,7 @@ def run_eda_serial(layout, cfg):
     rejected = 0
     population = []
     for q in range(cfg.population):
-        rng = _rng_for(cfg.seed, 0, q)
+        rng = slot_rng(cfg.seed, 0, q)
         for _ in range(cfg.retry_cap):
             mask = random_patterns(layout, n_groups, budgets,
                                    seed=rng.integers(0, 2**63)).mask
@@ -354,7 +360,7 @@ def run_eda_serial(layout, cfg):
         prob = update_probabilities(population[np.argsort(fits, kind="stable")[:cfg.elite]])
         new_pop = [best_mask]
         for q in range(1, cfg.population):
-            rng = _rng_for(cfg.seed, it, q)
+            rng = slot_rng(cfg.seed, it, q)
             for _ in range(cfg.retry_cap):
                 mask = repair_serial(rng.random(prob.shape) < prob, budgets, prob)
                 if gate(mask):

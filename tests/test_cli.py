@@ -255,6 +255,14 @@ class TestMetricsCommands:
         bad.write_text(json.dumps(data))
         assert main(["isl", "--config", str(cfg), "--pattern", str(bad)]) == 2
 
+    @pytest.mark.parametrize("command", ["isl", "srl", "af", "simulate"])
+    def test_pattern_of_the_other_band_rejected(self, toy_artifact, tmp_path, capsys,
+                                                command):
+        d, cfg, pat = toy_artifact
+        assert main([command, "--band", "multi", "--config", str(cfg), "--pattern", str(pat),
+                     "--out", str(tmp_path)]) == 2
+        assert "'single' band pattern" in capsys.readouterr().err
+
     def test_missing_pattern_file(self, toy_artifact):
         d, cfg, _ = toy_artifact
         assert main(["isl", "--config", str(cfg),

@@ -7,12 +7,12 @@ import pilotforge as pf
 from pilotforge import optimizer, resolution
 from pilotforge.ambiguity import SidelobeRegion, isl_matrix
 from pilotforge.optimizer import (EdaConfig, InfeasibleSamplingError, _fitness_many,
-                                  _repair, _srl_gate, random_srl_reference, run_eda,
+                                  _repair, _rng_for, _srl_gate, random_srl_reference, run_eda,
                                   sample_individual, update_probabilities)
 from pilotforge.resolution import (SrlSearch, pattern_crb_provider, srl_at_most,
                                    srl_of_pattern)
 
-from oracles import repair_serial, run_eda_serial
+from oracles import repair_serial, run_eda_serial, slot_rng
 
 FS = 120e3
 
@@ -104,6 +104,29 @@ def assert_same_result(got, ref):
     np.testing.assert_array_equal(got.isl_per_group, ref.isl_per_group)
     assert got.srl_per_group == ref.srl_per_group
     assert got.rejected_draws == ref.rejected_draws
+
+
+class TestSlotStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 15, 301, 2**32 + 5, 2**70 + 3])
+    def test_bulk_streams_are_seed_sequence_streams(self, seed):
+        # the initial population's key 0, generation keys, keys of one and two
+        # 32-bit words, and the largest one-word slot index
+        cases = [(0, np.arange(400)), (1, np.arange(1, 400)), (60, np.arange(1, 400)),
+                 (2**31, np.array([0, 1, 399])), (2**32 + 1, np.array([5, 2**32 - 1]))]
+        for key, slots in cases:
+            got = _rng_for(seed, key, slots)
+            assert len(got) == len(slots)
+            for q, rng in zip(slots.tolist(), got):
+                ref = slot_rng(seed, key, q)
+                assert rng.bit_generator.state == ref.bit_generator.state, (key, q)
+                np.testing.assert_array_equal(rng.random(3), ref.random(3))
+
+    @pytest.mark.parametrize("seed,key", [(-1, 1), (1, -1)])
+    def test_negative_entropy_rejected_as_by_seed_sequence(self, seed, key):
+        with pytest.raises(ValueError):
+            slot_rng(seed, key, 0)
+        with pytest.raises(ValueError):
+            _rng_for(seed, key, np.arange(3))
 
 
 class TestRepair:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import pilotforge as pf
-from pilotforge.resolution import (SrlSearch, _fim_multiband_batch, _multiband_support,
-                                   crb_batch, crb_of_columns, fim, pattern_crb_provider,
+from pilotforge.resolution import (_SCAN_CHUNK, SrlSearch, _fim_multiband_batch,
+                                   _multiband_support, crb_batch, crb_of_columns, fim, pattern_crb_provider,
                                    resolvable_at, srl_at_most, srl_of_pattern, srl_search)
 
 from oracles import (crb_delta_tau_quadform, fd_fim_multiband, fd_fim_single,
@@ -386,6 +386,54 @@ class TestSrlSearch:
 
         res = srl_search(provider, SrlSearch(1e-9, 20e-9, 0.1e-9, 1e-13))
         assert not res.found and res.below_range
+
+    @pytest.mark.parametrize("case", ["chunk_first", "chunk_last", "last_partial_chunk",
+                                      "on_grid", "below_range", "no_crossing"])
+    def test_chunked_scan_stops_at_the_first_crossing(self, case):
+        # sqrt(CRB) = root everywhere, so g >= 0 from the first grid point at
+        # or above root on. The provider logs every call: the scan must pass
+        # whole ascending chunks of the grid and stop after the chunk holding
+        # that point; bisection and the CRB at the SRL then ask single points
+        search = SrlSearch()
+        grid = search.grid()
+        last_chunk = (len(grid) - 1) // _SCAN_CHUNK * _SCAN_CHUNK
+        assert 1 < len(grid) - last_chunk < _SCAN_CHUNK  # the last chunk is partial
+        k = {"chunk_first": 2 * _SCAN_CHUNK, "chunk_last": 3 * _SCAN_CHUNK - 1,
+             "last_partial_chunk": last_chunk + 2, "on_grid": 2 * _SCAN_CHUNK + 5,
+             "below_range": 0, "no_crossing": len(grid)}[case]
+        if case == "on_grid":
+            root = grid[k]
+            assert np.sqrt(root**2) == root
+        elif case == "below_range":
+            root = 0.5 * grid[0]
+        elif case == "no_crossing":
+            root = 2 * grid[-1]
+        else:
+            root = 0.5 * (grid[k - 1] + grid[k])
+        calls = []
+
+        def provider(dts):
+            calls.append(np.array(dts))
+            return np.full(np.shape(dts), root**2)
+
+        res = srl_search(provider, search)
+        n_chunks = min(k // _SCAN_CHUNK + 1, -(-len(grid) // _SCAN_CHUNK))
+        for i, call in enumerate(calls[:n_chunks]):
+            np.testing.assert_array_equal(call, grid[i * _SCAN_CHUNK:(i + 1) * _SCAN_CHUNK])
+        rest = calls[n_chunks:]
+        assert all(call.shape == (1,) for call in rest)
+        if case == "below_range":
+            assert res.below_range and not res.found and not rest
+        elif case == "no_crossing":
+            assert not res.found and not res.below_range and not rest
+        else:
+            assert res.found and not res.below_range
+            assert all(grid[k - 1] <= call[0] <= grid[k] for call in rest)
+            if case == "on_grid":
+                assert res.srl_s == root and len(rest) == 1
+            else:
+                assert abs(res.srl_s - root) <= search.tol_s
+            assert res.crb_at_srl_s2 == root**2
 
     def test_uniform_block_regression(self, layout_single):
         w = np.zeros(256, dtype=np.uint8)
