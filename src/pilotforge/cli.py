@@ -128,6 +128,10 @@ class ExperimentConfig:
     values: dict
     seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+
     @classmethod
     def default(cls) -> "ExperimentConfig":
         d = _defaults()

@@ -7,8 +7,12 @@ users of the same group separate because their cyclic shifts park each other's
 energy far outside the gate; residual leakage is governed by the pattern's AF
 side lobes. Path delays/gains are then fit by maximum likelihood: the gains
 are solved by linear least squares at every delay set, and the delays are
-searched by a deterministic variable-projection stage. The full-band channel
-is rebuilt from the fitted paths.
+searched by a deterministic variable-projection stage: a beam search whose
+stages are each settled as one stack of delay sets, polished by
+Levenberg-Marquardt and walked across |chi| fringes, where a walk ranks its
+fringe-moved copies by the residual one Gauss-Newton step predicts and
+polishes only the best few. The full-band channel is rebuilt from the fitted
+paths.
 """
 
 from __future__ import annotations
@@ -213,16 +217,34 @@ class _GatedModel:
         self.gate_map = np.exp(2j * np.pi * np.outer(obs.gate_bins, slots)
                                / length) / np.sqrt(length)
         self.target = obs.delay_gated[obs.gate_bins]
+        self._slots, self._bins, self._length = slots, obs.gate_bins, length
+
+    def _steer(self, delays: np.ndarray) -> np.ndarray:
+        """Support-domain steering rows, (U, S), of a vector of delays."""
+        return np.exp(-2j * np.pi * delays[:, None] * self.f_grid[None, :])
 
     def columns(self, delays: np.ndarray) -> np.ndarray:
         """Gated steering columns, shape (P, G, K), for delays of shape (P, K)."""
-        steer = np.exp(-2j * np.pi * delays[:, None, :] * self.f_grid[None, :, None])
-        return self.columns_of(steer)
+        distinct, at = np.unique(delays, return_inverse=True)
+        rows = self._steer(distinct) @ self.gate_map.T
+        return rows[at.reshape(delays.shape)].transpose(0, 2, 1)
 
-    def columns_of(self, spectra: np.ndarray) -> np.ndarray:
-        """Gate a stack of support-domain columns: (P, S, K) -> (P, G, K)."""
-        gated = np.tensordot(self.gate_map, spectra, axes=([1], [1]))  # (G, P, K)
-        return np.moveaxis(gated, 0, 1)
+    def grid_columns(self, oversample: int, count: int) -> np.ndarray:
+        """Gated steering columns, (G, T), of the delays t * bin / oversample, t < count.
+
+        With t = oversample * q + p, the entry of gate bin b depends on b - q and
+        p only, so a kernel over the distinct b - q and the oversample phases p
+        gives them all with far fewer exponentials than the (G, T) product.
+        """
+        length, slots = self._length, self._slots
+        shift = np.arange(self._bins.min() - (count - 1) // oversample, self._bins.max() + 1)
+        phase = np.arange(oversample)
+        kernel = (np.exp(2j * np.pi * np.outer(shift, slots) / length)
+                  @ np.exp(-2j * np.pi * np.outer(slots, phase) / (oversample * length))
+                  / np.sqrt(length))
+        t = np.arange(count)
+        row = self._bins[:, None] - t // oversample - shift[0]
+        return kernel.ravel()[oversample * row + t % oversample]
 
     def fit(self, delays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Least-squares gains and residuals for delays of shape (P, K)."""
@@ -235,18 +257,20 @@ class _GatedModel:
         For delays of shape (P, K): the residual r = t - A g with the gains g
         solved, Re(D^H D) and Re(D^H r), where D = P_A^perp dA/dtau g is
         Kaufman's variable-projection Jacobian of the fitted model (Kaufman
-        1975); the residual gradient it gives is exact.
+        1975); the residual gradient it gives is exact. Fringe-moved copies
+        of a set share most delays, so each distinct delay is gated once.
         """
-        k = delays.shape[1]
-        steer = np.exp(-2j * np.pi * delays[:, None, :] * self.f_grid[None, :, None])
-        slope = (-2j * np.pi * self.f_grid)[None, :, None] * steer
-        both = self.columns_of(np.concatenate([steer, slope], axis=2))
-        a, da = both[:, :, :k], both[:, :, k:]
-        ah = a.conj().transpose(0, 2, 1)
+        distinct, at = np.unique(delays, return_inverse=True)
+        steer = self._steer(distinct)
+        rows = np.concatenate([steer, (-2j * np.pi * self.f_grid) * steer]) @ self.gate_map.T
+        at = at.reshape(delays.shape)
+        a_rows = rows[at]                            # (P, K, G), A transposed
+        a, ah = a_rows.transpose(0, 2, 1), a_rows.conj()
         gram = _ridged(ah @ a)
         gains = np.linalg.solve(gram, (ah @ self.target)[..., None])[..., 0]
         r = self.target[None, :] - (a @ gains[..., None])[..., 0]
-        moved = da * gains[:, None, :]               # d(A g)/d tau_k, column k
+        # d(A g)/d tau_k, column k
+        moved = rows[at + len(distinct)].transpose(0, 2, 1) * gains[:, None, :]
         d = moved - a @ np.linalg.solve(gram, ah @ moved)
         dh = d.conj().transpose(0, 2, 1)
         return (np.sum(np.abs(r) ** 2, axis=1), (dh @ d).real,
@@ -269,38 +293,55 @@ def path_residual(obs: DecoupledObservation, w: np.ndarray, delays_s) -> float:
 
 _VP_OVERSAMPLE = 8      # fine delay grid points per transform-grid delay bin
 _VP_BEAM = 3            # partial delay sets kept per greedy stage
+_VP_RANKED = 16         # best-ranked fringe-moved copies of a set quick-polished per round
 _VP_LM_STEPS = 20       # cap on the Levenberg-Marquardt iterations per polish
-_VP_QUICK_STEPS = 4     # iterations that rank the fringe-moved copies of a set
-_VP_XTOL = 1e-15        # s; a polish stops once every proposed step is shorter
+_VP_DAMPING = 1e-3      # initial Marquardt damping, relative to the Gauss-Newton diagonal
+_VP_QUICK_STEPS = 4     # iterations that pick the winner among the ranked copies
+_VP_XTOL = 1e-15        # s; a row's polish stops once its proposed step is shorter
+_VP_SAME = 1e-14        # s; starts closer than this settle as one (ten polish tolerances)
 _VP_FRINGE_LEVEL = 0.5  # |chi| / |chi(0)| a side peak needs to count as a fringe
 _VP_FRINGES = 4         # fringe offsets tried on either side of a path
 _VP_FRINGE_ROUNDS = 4   # cap on the fringe-move rounds
+
+
+def _lm_steps(jtj: np.ndarray, grad: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Marquardt-damped Gauss-Newton steps of a stack of delay sets.
+
+    The damping lam of each set is scaled by its Gauss-Newton diagonal, so the
+    step does not depend on the time unit.
+    """
+    diag = np.diagonal(jtj, axis1=1, axis2=2)
+    damp = lam[:, None] * (diag + 1e-12 * diag.max(axis=1, keepdims=True)) + 1e-300
+    eye = np.eye(jtj.shape[1])
+    return np.linalg.solve(jtj + damp[:, :, None] * eye, grad[..., None])[..., 0]
 
 
 def _polish(model: _GatedModel, starts: np.ndarray, hi: float,
             steps: int = _VP_LM_STEPS) -> tuple[np.ndarray, np.ndarray]:
     """Bounded Levenberg-Marquardt on the delays of a stack of delay sets.
 
-    Each set (row of starts) keeps its own Marquardt damping, scaled by the
-    Gauss-Newton diagonal so the step does not depend on the time unit, and
-    moves only on steps that lower its residual. Returns the polished,
+    Each set (row of starts) keeps its own Marquardt damping (``_lm_steps``),
+    moves only on steps that lower its residual, and stops once every
+    component of its own proposed step is below _VP_XTOL; so a row's result
+    does not depend on the other rows of the stack. Returns the polished,
     ascending delay sets and their residuals.
     """
     x = np.clip(starts, 0.0, hi)
     res, jtj, grad = model.linearize(x)
-    lam = np.full(len(x), 1e-3)
-    eye = np.eye(x.shape[1])
+    lam = np.full(len(x), _VP_DAMPING)
+    live = np.arange(len(x))
     for _ in range(steps):
-        diag = np.diagonal(jtj, axis1=1, axis2=2)
-        damp = lam[:, None] * (diag + 1e-12 * diag.max(axis=1, keepdims=True)) + 1e-300
-        step = np.linalg.solve(jtj + damp[:, :, None] * eye, grad[..., None])[..., 0]
-        if np.all(np.abs(step) < _VP_XTOL):
+        step = _lm_steps(jtj[live], grad[live], lam[live])
+        moving = np.any(np.abs(step) >= _VP_XTOL, axis=1)
+        live, step = live[moving], step[moving]
+        if not len(live):
             break
-        trial = np.clip(x + step, 0.0, hi)
+        trial = np.clip(x[live] + step, 0.0, hi)
         t_res, t_jtj, t_grad = model.linearize(trial)
-        ok = t_res < res
-        x[ok], res[ok], jtj[ok], grad[ok] = trial[ok], t_res[ok], t_jtj[ok], t_grad[ok]
-        lam = np.where(ok, lam / 3.0, lam * 4.0)
+        ok = t_res < res[live]
+        up = live[ok]
+        x[up], res[up], jtj[up], grad[up] = trial[ok], t_res[ok], t_jtj[ok], t_grad[ok]
+        lam[live] = np.where(ok, lam[live] / 3.0, lam[live] * 4.0)
     return np.sort(x, axis=1), res
 
 
@@ -330,25 +371,48 @@ def _fringe_moves(offsets: np.ndarray, k: int) -> np.ndarray:
     return np.array(moves)
 
 
-def _settle(model: _GatedModel, delays: np.ndarray, moves: np.ndarray, hi: float
-            ) -> tuple[np.ndarray, float]:
-    """Polish a delay set, then walk it across |chi| fringes.
+def _settle(model: _GatedModel, starts: np.ndarray, moves: np.ndarray, hi: float
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Polish a (B, k) stack of delay sets, then walk each across |chi| fringes.
 
-    After a Levenberg-Marquardt polish, copies of the set moved by each row
-    of ``moves`` (fringe shifts of one path or a pair of paths) get a few
-    iterations each and the best of them a full polish, round after round
-    while that lowers the residual: a path, or two coupled paths, can settle
-    a fringe off together.
+    After a Levenberg-Marquardt polish, each round moves every set by each
+    row of ``moves`` (fringe shifts of one path or a pair of paths) and ranks
+    the moved copies by the residual their first Gauss-Newton step predicts:
+    one linearization of all copies, no iterations. The _VP_RANKED best get
+    a few iterations and the best of those a full polish. A set keeps walking
+    while that lowers its residual: a path, or two coupled paths, can settle
+    a fringe off together. Rows walk independently, and rows that agree to
+    within _VP_SAME (a beam can hold one set several times, polished to
+    within a few _VP_XTOL of itself) are settled once; returns the settled
+    delay sets and their residuals.
+
+    The concentrated cost at the moved copies alone ranks poorly: a fringe
+    move lands a fraction of a fringe off the minimum it leads to, where the
+    multiband cost is still high, so the copy that splits two merged paths
+    can rank far down the list.
     """
-    best, res = _polish(model, delays[None, :], hi)
-    best, best_res = best[0], float(res[0])
+    _, first, same = np.unique(np.round(starts / _VP_SAME), axis=0,
+                               return_index=True, return_inverse=True)
+    same = same.ravel()
+    best, best_res = _polish(model, starts[first], hi)
+    live = np.arange(len(best))
     for _ in range(_VP_FRINGE_ROUNDS if len(moves) else 0):
-        moved, res = _polish(model, best[None, :] + moves, hi, _VP_QUICK_STEPS)
-        moved, res = _polish(model, moved[[int(np.argmin(res))]], hi)
-        if res[0] >= best_res:
+        n, k = len(live), best.shape[1]
+        copies = np.clip(best[live][:, None, :] + moves[None], 0.0, hi)
+        res, jtj, grad = model.linearize(copies.reshape(-1, k))
+        step = _lm_steps(jtj, grad, np.full(len(res), _VP_DAMPING))
+        predicted = (res - np.sum(grad * step, axis=1)).reshape(n, -1)
+        top = np.argsort(predicted, axis=1, kind="stable")[:, :_VP_RANKED]
+        picked = np.take_along_axis(copies, top[..., None], axis=1)
+        moved, res = _polish(model, picked.reshape(-1, k), hi, _VP_QUICK_STEPS)
+        pick = np.argmin(res.reshape(n, -1), axis=1)
+        moved, res = _polish(model, moved.reshape(n, -1, k)[np.arange(n), pick], hi)
+        better = res < best_res[live]
+        live = live[better]
+        best[live], best_res[live] = moved[better], res[better]
+        if not len(live):
             break
-        best, best_res = moved[0], float(res[0])
-    return best, best_res
+    return best[same], best_res[same]
 
 
 def _refine(model: _GatedModel, k: int, peaks: np.ndarray, hi: float,
@@ -358,11 +422,12 @@ def _refine(model: _GatedModel, k: int, peaks: np.ndarray, hi: float,
     A greedy beam search builds k-path delay sets one path at a time. Each
     stage projects the target and the columns of a grid _VP_OVERSAMPLE times
     finer than the delay bins off a kept set's span, takes the peaks of the
-    one-path concentrated cost of what remains as extensions; the _VP_BEAM
-    extensions with the lowest projected residual are settled (``_settle``)
-    and kept. The profile peaks, resized to k delays and settled too, compete
-    with the final beam; they also stand in when the cost has fewer distinct
-    peaks than paths.
+    one-path concentrated cost of what remains as extensions, and settles
+    (``_settle``) the _VP_BEAM extensions with the lowest projected residual
+    as one stack; they form the next beam. The profile peaks, resized to k
+    delays, join the last stage's stack and win ties with the final beam;
+    they also stand in alone when the cost has fewer distinct peaks than
+    paths.
     """
     step = bin_s / _VP_OVERSAMPLE
     grid = np.arange(0.0, hi + 0.5 * step, step)
@@ -371,9 +436,10 @@ def _refine(model: _GatedModel, k: int, peaks: np.ndarray, hi: float,
     # settling reaches the fringes next to a peak, so the beam spends its
     # width on peaks farther apart than that
     spacing = int(np.ceil(offsets.max() / step)) + 1 if len(offsets) else 1
-    cols = model.columns(grid[:, None])[:, :, 0].T   # (G, T)
+    cols = model.grid_columns(_VP_OVERSAMPLE, len(grid))
     target = model.target
-    beam, best_res = [np.empty(0)], np.inf
+    start = np.resize(np.sort(peaks), k)
+    beam = np.empty((1, 0))
     for j in range(1, k + 1):
         extended: dict[tuple[float, ...], tuple[float, np.ndarray]] = {}
         for chosen in beam:
@@ -393,12 +459,13 @@ def _refine(model: _GatedModel, k: int, peaks: np.ndarray, hi: float,
         ranked = sorted(extended.values(), key=lambda item: item[0])[:_VP_BEAM]
         if not ranked:  # fewer distinct peaks than paths
             break
-        settled = sorted((_settle(model, ext, moves[j], hi) for _, ext in ranked),
-                         key=lambda sr: sr[1])
-        beam = [d for d, _ in settled]
-        best_res = settled[0][1] if j == k else np.inf
-    start, start_res = _settle(model, np.resize(np.sort(peaks), k), moves[k], hi)
-    return start if start_res <= best_res else beam[0]
+        stack = [ext for _, ext in ranked] + ([start] if j == k else [])
+        settled, res = _settle(model, np.array(stack), moves[j], hi)
+        if j == k:
+            n = len(ranked)
+            return settled[n] if res[n] <= res[:n].min() else settled[np.argmin(res[:n])]
+        beam = settled[np.argsort(res, kind="stable")]
+    return _settle(model, start[None, :], moves[k], hi)[0][0]
 
 
 def estimate_paths_psols(obs: DecoupledObservation, w: np.ndarray, layout: BandLayout,
@@ -417,6 +484,10 @@ def estimate_paths_psols(obs: DecoupledObservation, w: np.ndarray, layout: BandL
     polished by a bounded Levenberg-Marquardt fit on the delays and walked
     across |chi| fringes (one path or a pair of paths moved by whole
     fringes), which catches multiband fits that settled on the wrong fringe.
+    Each beam stage is settled as one stack whose rows do not affect each
+    other, and each fringe round ranks the moved copies by the residual one
+    Gauss-Newton step predicts and quick-polishes only the _VP_RANKED best
+    (see ``_settle``).
 
     The fit is deterministic: ``seed`` has no effect and is kept only so
     existing callers keep working.

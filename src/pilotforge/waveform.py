@@ -262,11 +262,6 @@ class PatternSet:
     def column(self, g: int) -> np.ndarray:
         return self.mask[:, g]
 
-    def validate_budgets(self, budgets: Sequence[int]) -> None:
-        got = self.budgets
-        if len(budgets) != self.n_groups or np.any(got != np.asarray(budgets)):
-            raise ValueError(f"pattern budgets {got.tolist()} != expected {list(budgets)}")
-
     @classmethod
     def from_indices(cls, n_subcarriers: int, columns: Sequence[Sequence[int]]) -> "PatternSet":
         mask = np.zeros((n_subcarriers, len(columns)), dtype=np.uint8)

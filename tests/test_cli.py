@@ -99,6 +99,16 @@ class TestConfig:
         assert a.values["users"]["budgets"] == [24, 24]
         assert a.values["sim"]["snr_db"] == [5.0, float("inf")]
 
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        assert main(["optimize", "--seed", "-1", "--out", str(tmp_path)]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        p = tmp_path / "bad.ini"
+        p.write_text("[output]\nseed = -1\n")
+        with pytest.raises(ConfigError, match="non-negative"):
+            ExperimentConfig.from_file(p)
+        assert main(["optimize", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert not list(tmp_path.glob("pattern_*.json"))
+
     def test_unknown_band_mode_exit_code(self, toy_artifact, tmp_path):
         _, _, pat = toy_artifact
         p = tmp_path / "bad.ini"

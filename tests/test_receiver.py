@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import pilotforge as pf
+from pilotforge import receiver
 from pilotforge.receiver import (EstimationError, baseline_schemes, decouple,
                                  estimate_paths_psols, extrapolate_fullband,
                                  nmse, path_residual, profile_peak_delays,
@@ -24,6 +25,19 @@ def single_user_obs(layout, delays, gains, w=None, noise_std=0.0, seed=None,
                           {(0, 0): np.asarray(gains, complex)}, noise_std)
     y = pf.synthesize_received(layout, pats, seqs, ch, seed=seed)
     return decouple(layout, y, w, seqs[0], gate)
+
+
+def random_multiband_obs(layout_multi, trial, user):
+    """A 15 dB observation of the random multiband baseline as
+    run_extrapolation_sim(..., seed=77) draws it ("random" is scheme 1)."""
+    pats = baseline_schemes(layout_multi, 2, [127, 127], seed=1)["random"]
+    ch = pf.draw_channels(2, 2, 2, 400e-9, 10 ** (-15 / 20), seed=np.random.SeedSequence(
+        77, spawn_key=(1, trial)).generate_state(1)[0])
+    seqs = pf.orthogonal_sequence_family(layout_multi.n_total, 2)
+    y = pf.synthesize_received(layout_multi, pats, seqs, ch, seed=np.random.SeedSequence(
+        77, spawn_key=(2, trial, 1)).generate_state(1)[0])
+    w = pats.column(user[0])
+    return decouple(layout_multi, y, w, seqs[user[1]], GATE, user=user), w, ch
 
 
 class TestDecouple:
@@ -228,6 +242,80 @@ class TestPsoLs:
         obs = decouple(layout_multi, y, w, seqs[z], GATE, user=user)
         est = estimate_paths_psols(obs, w, layout_multi, n_paths=2)
         assert est.residual <= path_residual(obs, w, ch.delays_s[user])
+
+
+class TestSearchStages:
+    def test_grid_columns_match_the_direct_transform(self, layout_multi):
+        obs, w, _ = random_multiband_obs(layout_multi, 15, (0, 0))
+        model = receiver._GatedModel(obs, np.flatnonzero(w))
+        step = obs.delay_bin_s / receiver._VP_OVERSAMPLE
+        grid = np.arange(0.0, GATE[1] + 0.5 * step, step)
+        direct = model.columns(grid[:, None])[:, :, 0].T
+        fast = model.grid_columns(receiver._VP_OVERSAMPLE, len(grid))
+        assert fast.shape == direct.shape
+        np.testing.assert_allclose(fast, direct, rtol=0, atol=1e-12 * np.abs(direct).max())
+
+    def test_linearized_gradient_matches_finite_differences(self, layout_multi):
+        obs, w, ch = random_multiband_obs(layout_multi, 15, (0, 0))
+        model = receiver._GatedModel(obs, np.flatnonzero(w))
+        delays = np.sort(ch.delays_s[(0, 0)])[None, :] + [[0.3e-9, -0.2e-9]]
+        res, _, grad = model.linearize(delays)
+        assert res[0] == pytest.approx(model.fit(delays)[1][0], rel=1e-12)
+        eps = 1e-15
+        for k in range(2):
+            shift = np.zeros((1, 2))
+            shift[0, k] = eps
+            fd = (model.fit(delays + shift)[1][0] - model.fit(delays - shift)[1][0]) / (2 * eps)
+            # the residual falls along +grad: d|r|^2/dtau = -2 Re(D^H r)
+            assert -2 * grad[0, k] == pytest.approx(fd, rel=1e-5)
+
+    def test_settled_stack_rows_match_rows_settled_alone(self, layout_multi):
+        obs, w, ch = random_multiband_obs(layout_multi, 15, (0, 0))
+        model = receiver._GatedModel(obs, np.flatnonzero(w))
+        step = obs.delay_bin_s / receiver._VP_OVERSAMPLE
+        offsets = receiver._fringe_offsets(model.f_grid, step / receiver._VP_OVERSAMPLE,
+                                           8 * obs.delay_bin_s)
+        moves = receiver._fringe_moves(offsets, 2)
+        assert len(moves) == 80
+        truth = np.sort(ch.delays_s[(0, 0)])
+        starts = np.array([truth, truth + [0.0, 3 * offsets[0]], [20e-9, 300e-9],
+                           np.resize(profile_peak_delays(obs), 2), [150e-9, 151e-9]])
+        delays, res = receiver._settle(model, starts, moves, GATE[1])
+        for b, start in enumerate(starts):
+            alone, alone_res = receiver._settle(model, start[None, :], moves, GATE[1])
+            np.testing.assert_allclose(delays[b], alone[0], rtol=1e-12)
+            np.testing.assert_allclose(res[b], alone_res[0], rtol=1e-12)
+
+    def test_fringe_rounds_quick_polish_only_the_ranked_copies(self, layout_multi,
+                                                             monkeypatch):
+        calls = []
+        polish = receiver._polish
+
+        def logged(model, starts, hi, steps=receiver._VP_LM_STEPS):
+            calls.append((len(starts), steps))
+            return polish(model, starts, hi, steps)
+
+        monkeypatch.setattr(receiver, "_polish", logged)
+        obs, w, _ = random_multiband_obs(layout_multi, 21, (0, 0))
+        estimate_paths_psols(obs, w, layout_multi, n_paths=2)
+        quick = [i for i, (_, steps) in enumerate(calls)
+                 if steps == receiver._VP_QUICK_STEPS]
+        per_set = []
+        for i in quick:
+            # the next call fully polishes one winner per set still walking
+            sets, steps = calls[i + 1]
+            assert steps == receiver._VP_LM_STEPS
+            per_set.append(calls[i][0] / sets)
+        # one path has 8 fringe moves, two paths 80
+        ranked = receiver._VP_RANKED
+        assert set(per_set) == {min(ranked, 8), ranked}
+        assert ranked < 80
+
+    def test_multiband_baselines_end_no_fit_above_the_truth(self, layout_multi):
+        schemes = baseline_schemes(layout_multi, 2, [127, 127], seed=1)
+        out = run_extrapolation_sim(layout_multi, schemes, 15.0, trials=2, seed=77)
+        for name, res in out.items():
+            assert (res.fits, res.search_failures) == (8, 0), name
 
 
 class TestExtrapolation:

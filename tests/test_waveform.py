@@ -163,12 +163,6 @@ class TestPatternSet:
         assert pats.mask.dtype == np.uint8
         np.testing.assert_array_equal(pats.mask, mask.astype(np.uint8))
 
-    def test_budget_validation(self):
-        pats = pf.PatternSet.from_indices(8, [[0, 1], [4, 5, 6]])
-        pats.validate_budgets([2, 3])
-        with pytest.raises(ValueError):
-            pats.validate_budgets([2, 2])
-
     def test_uniform_is_contiguous_blocks(self, layout_single):
         pats = pf.uniform_patterns(layout_single, 2, [128, 128])
         np.testing.assert_array_equal(np.flatnonzero(pats.column(0)), np.arange(128))
