@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .waveform import BandLayout
 
@@ -106,8 +105,9 @@ def isl_matrix(layout: BandLayout, region: SidelobeRegion) -> IslMatrix:
     """
     if layout.mode == "single":
         fs = layout.subbands[0].spacing_hz
-        col = _sine_quotient(np.arange(layout.n_total) * fs, region)
-        g = toeplitz(col)
+        n = np.arange(layout.n_total)
+        col = _sine_quotient(n * fs, region)
+        g = col[np.abs(n[:, None] - n[None, :])]
     else:
         f = layout.pinned_frequencies_hz
         g = _sine_quotient(f[:, None] - f[None, :], region)

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .waveform import (BandLayout, ChannelParams, PatternSet, PilotSequence,
                        channel_frequency_response, draw_channels,
@@ -152,6 +151,37 @@ def decouple(layout: BandLayout, y: np.ndarray, w: np.ndarray, x: PilotSequence,
                                 np.flatnonzero(keep))
 
 
+def _peaks(x: np.ndarray, height: float, distance: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and heights of the local maxima of x at least height tall,
+    thinned to peaks ceil(distance) or more samples apart.
+
+    A peak is a rise, a run of equal samples and a fall; the run counts once,
+    at its middle (left + right) // 2, and a run touching either end of x is
+    no peak. The thinning visits the peaks from the tallest down, in reverse
+    np.argsort order of the heights, and each peak still kept drops every
+    other peak closer than ceil(distance).
+    """
+    d = np.diff(x)
+    turns = np.flatnonzero(d)                 # x[t] != x[t + 1]
+    up = d[turns] > 0
+    rise = np.flatnonzero(up[:-1] & ~up[1:])  # a rise whose next change is a fall
+    idx = (turns[rise] + 1 + turns[rise + 1]) // 2
+    heights = x[idx]
+    keep = heights >= height
+    idx, heights = idx[keep], heights[keep]
+    dist = int(np.ceil(distance))
+    if len(idx) < 2 or np.diff(idx).min() >= dist:
+        return idx, heights
+    lo = np.searchsorted(idx, idx - dist, side="right").tolist()
+    hi = np.searchsorted(idx, idx + dist, side="left").tolist()
+    keep = np.ones(len(idx), dtype=bool)
+    for j in np.argsort(heights)[::-1].tolist():
+        if keep[j]:
+            keep[lo[j]:hi[j]] = False
+            keep[j] = True
+    return idx[keep], heights[keep]
+
+
 def profile_peak_delays(obs: DecoupledObservation, max_paths: int = 8,
                         threshold_db: float = 13.0) -> np.ndarray:
     """Model-order initializer: delays of the gated delay-profile peaks.
@@ -166,12 +196,12 @@ def profile_peak_delays(obs: DecoupledObservation, max_paths: int = 8,
         return np.array([obs.gate_s[0]])
     padded = np.concatenate(([0.0], prof, [0.0]))
     height = prof.max() * 10 ** (-threshold_db / 10.0)
-    idx, props = find_peaks(padded, height=height)
+    idx, heights = _peaks(padded, height)
     idx = idx - 1
     if len(idx) == 0:
         idx = np.array([int(np.argmax(prof))])
     elif len(idx) > max_paths:
-        order = np.argsort(-props["peak_heights"], kind="stable")[:max_paths]
+        order = np.argsort(-heights, kind="stable")[:max_paths]
         idx = np.sort(idx[order])
     return idx * obs.delay_bin_s
 
@@ -354,8 +384,8 @@ def _fringe_offsets(f_grid: np.ndarray, step: float, span: float) -> np.ndarray:
     """
     lags = np.arange(1, int(span / step) + 1) * step
     chi = np.abs(np.exp(-2j * np.pi * np.outer(lags, f_grid)).sum(axis=1)) / len(f_grid)
-    idx, props = find_peaks(np.concatenate(([1.0], chi)), height=_VP_FRINGE_LEVEL)
-    order = np.argsort(-props["peak_heights"], kind="stable")[:_VP_FRINGES]
+    idx, heights = _peaks(np.concatenate(([1.0], chi)), _VP_FRINGE_LEVEL)
+    order = np.argsort(-heights, kind="stable")[:_VP_FRINGES]
     return lags[np.sort(idx[order]) - 1]
 
 
@@ -450,12 +480,11 @@ def _refine(model: _GatedModel, k: int, peaks: np.ndarray, hi: float,
                 c = cols - q @ (q.conj().T @ cols)
             norm = np.sum(np.abs(c) ** 2, axis=0)
             gain = np.abs(c.conj().T @ r) ** 2 / np.where(norm > 0, norm, np.inf)
-            idx, props = find_peaks(np.concatenate(([0.0], gain, [0.0])), height=0.0,
-                                    distance=spacing)
+            idx, heights = _peaks(np.concatenate(([0.0], gain, [0.0])), 0.0, spacing)
             rest = float(np.sum(np.abs(r) ** 2))
-            for i in np.argsort(-props["peak_heights"], kind="stable")[:_VP_BEAM]:
+            for i in np.argsort(-heights, kind="stable")[:_VP_BEAM]:
                 ext = np.sort(np.append(chosen, grid[idx[i] - 1]))
-                extended[tuple(ext)] = (rest - props["peak_heights"][i], ext)
+                extended[tuple(ext)] = (rest - heights[i], ext)
         ranked = sorted(extended.values(), key=lambda item: item[0])[:_VP_BEAM]
         if not ranked:  # fewer distinct peaks than paths
             break

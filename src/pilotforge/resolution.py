@@ -140,20 +140,8 @@ def _fim_single_batch(f_support: np.ndarray, noise_std: float, gains: np.ndarray
 
 def _multiband_support(layout: BandLayout, sup: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pinned frequencies of the support indices sup, shape (..., S), and their
-    (..., S, 3 + 5M) moment weights.
-
-    The first three weight columns are f^k (k = 0, 1, 2) over the whole
-    support; then come the per-band weights 1, f, nf, nf f and nf^2
-    (nf = n f_s,i), weight by weight, each zero outside its band.
-    """
-    f_sup = layout.pinned_frequencies_hz[sup]
-    band = layout.band_index[sup]
-    spacings = np.array([sb.spacing_hz for sb in layout.subbands])
-    nf = layout.local_index[sup] * spacings[band]
-    per_band = np.stack([np.ones_like(f_sup), f_sup, nf, nf * f_sup, nf**2], axis=-1)
-    onehot = band[..., None] == np.arange(layout.n_bands)
-    table = (per_band[..., :, None] * onehot[..., None, :]).reshape(sup.shape + (-1,))
-    return f_sup, np.concatenate([_powers(f_sup), table], axis=-1)
+    (..., S, 3 + 5M) moment weights, the rows sup of ``layout.moment_weights``."""
+    return layout.pinned_frequencies_hz[sup], layout.moment_weights[sup]
 
 
 def _fim_multiband_batch(f_support: np.ndarray, table: np.ndarray, n_bands: int,

@@ -265,6 +265,22 @@ def fim_multiband_loop(f_support, band_support, nloc_support, band_spacings, n_b
     return J, J_obs
 
 
+def multiband_weights_per_call(layout, sup) -> np.ndarray:
+    """(..., S, 3 + 5M) multiband moment weights of the support indices sup,
+    built from the support's own frequencies, bands and local indices: f^k
+    (k = 0, 1, 2), then 1, f, nf, nf f and nf^2 (nf = n f_s,m) per band, weight
+    by weight, each zero outside its band."""
+    f_sup = layout.pinned_frequencies_hz[sup]
+    band = layout.band_index[sup]
+    spacings = np.array([sb.spacing_hz for sb in layout.subbands])
+    nf = layout.local_index[sup] * spacings[band]
+    powers = np.stack([np.ones_like(f_sup), f_sup, f_sup**2], axis=-1)
+    per_band = np.stack([np.ones_like(f_sup), f_sup, nf, nf * f_sup, nf**2], axis=-1)
+    onehot = band[..., None] == np.arange(layout.n_bands)
+    table = (per_band[..., :, None] * onehot[..., None, :]).reshape(sup.shape + (-1,))
+    return np.concatenate([powers, table], axis=-1)
+
+
 def repair_serial(draw, budgets, prob) -> np.ndarray:
     """Structural repair of one raw Bernoulli draw (N, G), slot by slot and row by row.
 

@@ -78,6 +78,12 @@ class TestIslMatrix:
         for k in range(1, 5):
             np.testing.assert_allclose(np.diag(mat, k), mat[k, 0])
 
+    def test_single_band_matches_scipy_toeplitz(self, layout_single):
+        from scipy.linalg import toeplitz
+        reg = SidelobeRegion(50e-9, 200e-9)
+        col = _sine_quotient(np.arange(layout_single.n_total) * FS, reg)
+        np.testing.assert_array_equal(isl_matrix(layout_single, reg).matrix, toeplitz(col))
+
     def test_entries_match_cosine_quadrature(self):
         lay = pf.BandLayout.single(32, FS, 0.0)
         reg = SidelobeRegion(50e-9, 200e-9)

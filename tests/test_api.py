@@ -1,7 +1,10 @@
 """Public surface: every exported name resolves, so a deletion cannot leave a stale export."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -37,3 +40,15 @@ def test_package_reexports_only_public_names():
         if attr.startswith("_") or not (home or "").startswith("pilotforge."):
             continue
         assert attr in importlib.import_module(home).__all__, attr
+
+
+def test_package_imports_without_scipy():
+    # a fresh interpreter: this process has scipy loaded by the oracle tests
+    code = ("import sys, pilotforge, pilotforge.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([os.path.dirname(pilotforge.__path__[0]),
+                                          os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"

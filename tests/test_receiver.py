@@ -116,6 +116,42 @@ class TestDecouple:
         assert totals["uniform"] < totals["random"]
 
 
+def peak_inputs(seed):
+    """Arrays that exercise every peak rule: random floats, small integers
+    (plateaus and tied heights), runs of repeated levels (edge plateaus), and
+    arrays too short to hold a peak."""
+    rng = np.random.default_rng(seed)
+    yield rng.standard_normal(rng.integers(50, 400)), 0.0
+    yield rng.integers(0, 4, rng.integers(2, 80)).astype(float), 1.0
+    levels = rng.integers(0, 3, rng.integers(1, 12))
+    yield np.repeat(levels, rng.integers(1, 5, len(levels))).astype(float), 0.0
+    yield rng.standard_normal(rng.integers(0, 3)), -np.inf
+
+
+class TestPeakFinder:
+    @pytest.mark.parametrize("distance", [1, 2, 3, 4, 5])
+    def test_matches_scipy_find_peaks(self, distance):
+        from scipy.signal import find_peaks
+        for seed in range(200):
+            for x, height in peak_inputs(1000 * distance + seed):
+                idx, heights = receiver._peaks(x, height, distance)
+                ref, props = find_peaks(x, height=height, distance=distance)
+                np.testing.assert_array_equal(idx, ref)
+                np.testing.assert_array_equal(heights, props["peak_heights"])
+
+    def test_plateau_counts_once_at_its_middle_and_not_at_the_ends(self):
+        x = np.array([2.0, 2.0, 0.0, 1.0, 3.0, 3.0, 3.0, 3.0, 1.0, 4.0, 4.0])
+        idx, heights = receiver._peaks(x, 0.0)
+        np.testing.assert_array_equal(idx, [5])
+        np.testing.assert_array_equal(heights, [3.0])
+
+    def test_distance_keeps_the_taller_and_height_filters_first(self):
+        x = np.array([0.0, 1.0, 0.0, 5.0, 0.0, 2.0, 0.0, 0.5, 0.0])
+        np.testing.assert_array_equal(receiver._peaks(x, 0.0, 3)[0], [3, 7])
+        np.testing.assert_array_equal(receiver._peaks(x, 1.5, 3)[0], [3])
+        assert len(receiver._peaks(x, 6.0, 2)[0]) == 0
+
+
 class TestPeakInitializer:
     def test_single_path_gives_one_peak(self, layout_single):
         obs = single_user_obs(layout_single, [123.4e-9], [1.0 + 0j])

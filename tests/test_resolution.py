@@ -7,7 +7,8 @@ from pilotforge.resolution import (_SCAN_CHUNK, SrlSearch, _fim_multiband_batch,
                                    resolvable_at, srl_at_most, srl_of_pattern, srl_search)
 
 from oracles import (crb_delta_tau_quadform, fd_fim_multiband, fd_fim_single,
-                     fim_multiband_loop, fim_scaled_error, fim_two_path_direct)
+                     fim_multiband_loop, fim_scaled_error, fim_two_path_direct,
+                     multiband_weights_per_call)
 
 FS = 120e3
 SIGMA = 0.1778
@@ -152,6 +153,16 @@ class TestFimMultiband:
             # idle nuisances stay structural zeros, so crb_batch still drops them
             np.testing.assert_array_equal(np.all(J_obs == 0.0, axis=1),
                                           np.all(ref_obs == 0.0, axis=1))
+
+    def test_gathered_weights_match_per_call_construction(self, layout_multi):
+        for lay, _, _ in self.moment_cases(layout_multi):
+            sup = np.stack([np.flatnonzero(random_column(lay.n_total, 20, seed))
+                            for seed in range(6)]).reshape(2, 3, 20)
+            f_sup, table = _multiband_support(lay, sup)
+            ref = multiband_weights_per_call(lay, sup)
+            assert table.shape == (2, 3, 20, 3 + 5 * lay.n_bands)
+            np.testing.assert_array_equal(f_sup, lay.pinned_frequencies_hz[sup])
+            assert table.tobytes() == ref.tobytes()  # bit for bit, signed zeros too
 
     def test_gate_decisions_match_per_band_loop(self, layout_multi):
         decisions = []
