@@ -11,13 +11,12 @@ from .ambiguity import IslMatrix, SidelobeRegion, ambiguity_function, isl_matrix
 from .optimizer import (EdaConfig, EdaResult, InfeasibleSamplingError, run_eda,
                         sample_individual, update_probabilities)
 from .receiver import (DecoupledObservation, EstimationError, PathEstimate, PsoConfig,
-                       decouple, estimate_paths_psols, extrapolate_fullband, nmse,
-                       run_extrapolation_sim)
+                       SimulationError, decouple, estimate_paths_psols,
+                       extrapolate_fullband, nmse, run_extrapolation_sim)
 from .resolution import SrlResult, SrlSearch, fim, srl_of_pattern, srl_search
 from .waveform import (BandLayout, ChannelParams, PatternSet, PilotSequence,
                        Subband, channel_frequency_response, draw_channels,
                        make_zc_sequence, orthogonal_sequence_family,
-                       random_patterns, steering_vector, synthesize_received,
-                       uniform_patterns)
+                       random_patterns, synthesize_received, uniform_patterns)
 
 __version__ = "0.1.0"

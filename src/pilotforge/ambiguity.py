@@ -2,10 +2,9 @@
 
 The ambiguity function of a pattern column is chi(dtau) = w^T a(dtau); it does
 not involve the pilot sequences (constant modulus cancels in the conjugate
-product) nor, in multiband mode, the per-band phase/timing distortions. The
-ISL integrates |chi|^2 over a symmetric delay region and normalizes by the
-main-lobe energy; the integral collapses to a quadratic form w^T G w with G
-assembled analytically from sine differences.
+product). The ISL integrates |chi|^2 over a symmetric delay region and
+normalizes by the main-lobe energy; the integral collapses to a quadratic form
+w^T G w with G assembled analytically from sine differences.
 """
 
 from __future__ import annotations

@@ -24,7 +24,8 @@ import numpy as np
 
 from .ambiguity import SidelobeRegion, ambiguity_function, isl_matrix
 from .optimizer import EdaConfig, InfeasibleSamplingError, run_eda
-from .receiver import PsoConfig, baseline_schemes, check_gate, run_extrapolation_sim
+from .receiver import (PsoConfig, SimulationError, baseline_schemes, check_gate,
+                       run_extrapolation_sim)
 from .resolution import SrlResult, SrlSearch, srl_of_pattern
 from .waveform import BandLayout, PatternSet, Subband
 
@@ -215,9 +216,16 @@ class ExperimentConfig:
         u = self.values["users"]
         key = "budgets" if self.mode == "single" else "multi_budgets"
         raw = u[key]
-        if len(raw) != int(u["groups"]):
-            raise ConfigError(f"{key} must list one budget per group")
+        if not raw or len(raw) != int(u["groups"]):
+            raise ConfigError(f"users.groups must be at least 1, and {key} must "
+                              "list one budget per group")
         return [int(p) for p in raw]
+
+    def n_codes(self) -> int:
+        codes = int(self.values["users"]["codes"])
+        if not 1 <= codes <= self.layout().n_total:
+            raise ConfigError("users.codes must lie between 1 and the subcarrier count")
+        return codes
 
     def region(self) -> SidelobeRegion:
         r = self.values["region"]
@@ -272,6 +280,12 @@ class ExperimentConfig:
     def pso_config(self) -> PsoConfig:
         p = self.values["pso"]
         return PsoConfig(int(p["max_paths"]))
+
+    def af_sweep(self) -> np.ndarray:
+        a = self.values["af"]
+        if int(a["points"]) < 1 or not np.isfinite(a["tau_max_s"]):
+            raise ConfigError("af.points must be at least 1 and af.tau_max_s finite")
+        return np.linspace(0.0, float(a["tau_max_s"]), int(a["points"]))
 
     def canonical_json(self) -> str:
         return json.dumps(self.values, sort_keys=True, separators=(",", ":"))
@@ -403,8 +417,7 @@ def cmd_srl(cfg: ExperimentConfig, pattern_path: str) -> int:
 def cmd_af(cfg: ExperimentConfig, pattern_path: str, out_dir: Path) -> int:
     layout = cfg.layout()
     patterns, _ = _load_pattern(pattern_path, layout)
-    sweep = np.linspace(0.0, float(cfg.values["af"]["tau_max_s"]),
-                        int(cfg.values["af"]["points"]))
+    sweep = cfg.af_sweep()
     header = ["delta_tau_ns"] + [f"group{g}_db" for g in range(patterns.n_groups)]
     mags = []
     for g in range(patterns.n_groups):
@@ -424,12 +437,12 @@ def cmd_simulate(cfg: ExperimentConfig, pattern_paths: list[str], out_dir: Path)
     sim = cfg.values["sim"]
     if int(sim["trials"]) < 1:
         raise ConfigError("sim.trials must be at least 1")
-    if not sim["snr_db"]:
-        raise ConfigError("sim.snr_db must list at least one SNR")
+    if not sim["snr_db"] or not all(snr > -np.inf for snr in sim["snr_db"]):
+        raise ConfigError("sim.snr_db must list at least one SNR, each a number or inf")
     n_paths, tau_max = int(sim["n_paths"]), float(sim["tau_max_s"])
     if n_paths < 1:
         raise ConfigError("sim.n_paths must be at least 1")
-    layout = cfg.layout()
+    layout, n_codes = cfg.layout(), cfg.n_codes()
     try:
         check_gate(layout, (0.0, tau_max))
     except ValueError as exc:
@@ -450,8 +463,7 @@ def cmd_simulate(cfg: ExperimentConfig, pattern_paths: list[str], out_dir: Path)
     for snr in sim["snr_db"]:
         out = run_extrapolation_sim(
             layout, schemes, float(snr), trials=int(sim["trials"]),
-            n_codes=int(cfg.values["users"]["codes"]), n_paths=n_paths,
-            tau_max_s=tau_max,
+            n_codes=n_codes, n_paths=n_paths, tau_max_s=tau_max,
             min_separation_s=float(sim["min_separation_s"]),
             pso=cfg.pso_config(), seed=cfg.seed)
         rows.append([float(snr)] + [out[n].nmse for n in names]
@@ -520,7 +532,7 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleSamplingError as exc:
         print(f"infeasible optimization: {exc}", file=sys.stderr)
         return 3
-    except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
+    except (np.linalg.LinAlgError, FloatingPointError, OverflowError, SimulationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

@@ -41,11 +41,15 @@ __all__ = [
     "extrapolate_fullband",
     "nmse",
     "SimulationOutcome",
+    "SimulationError",
     "run_extrapolation_sim",
     "baseline_schemes",
 ]
 
 _MAX_UNION_GRID = 1 << 22
+# dB below the tallest delay-profile peak that a peak may sit: just above the
+# first side lobe of a rectangular aperture (-13.3 dB)
+_PEAK_THRESHOLD_DB = 13.0
 
 
 class EstimationError(ValueError):
@@ -80,7 +84,6 @@ class PsoConfig:
     """Model-order settings of the maximum-likelihood path fit."""
 
     max_paths: int = 8
-    peak_threshold_db: float = 13.0
 
 
 def _transform_grid(layout: BandLayout) -> tuple[np.ndarray, int, float]:
@@ -182,20 +185,19 @@ def _peaks(x: np.ndarray, height: float, distance: int = 1) -> tuple[np.ndarray,
     return idx[keep], heights[keep]
 
 
-def profile_peak_delays(obs: DecoupledObservation, max_paths: int = 8,
-                        threshold_db: float = 13.0) -> np.ndarray:
+def profile_peak_delays(obs: DecoupledObservation, max_paths: int = 8) -> np.ndarray:
     """Model-order initializer: delays of the gated delay-profile peaks.
 
-    Peaks are local maxima of the power profile |y^D|^2 at least threshold_db
-    below the tallest one (the default sits just above the first side lobe of
-    a rectangular aperture); the profile is zero-padded so gate-edge bins can
-    qualify. Falls back to the single tallest bin when nothing qualifies.
+    Peaks are local maxima of the power profile |y^D|^2 no more than
+    _PEAK_THRESHOLD_DB below the tallest one; the profile is zero-padded so
+    gate-edge bins can qualify. Falls back to the single tallest bin when
+    nothing qualifies.
     """
     prof = np.abs(obs.delay_gated) ** 2
     if prof.max() == 0:
         return np.array([obs.gate_s[0]])
     padded = np.concatenate(([0.0], prof, [0.0]))
-    height = prof.max() * 10 ** (-threshold_db / 10.0)
+    height = prof.max() * 10 ** (-_PEAK_THRESHOLD_DB / 10.0)
     idx, heights = _peaks(padded, height)
     idx = idx - 1
     if len(idx) == 0:
@@ -525,7 +527,7 @@ def estimate_paths_psols(obs: DecoupledObservation, w: np.ndarray, layout: BandL
     support = np.flatnonzero(w)
     if len(support) == 0:
         raise ValueError("pattern column has no pilots")
-    peaks = profile_peak_delays(obs, pso.max_paths, pso.peak_threshold_db)
+    peaks = profile_peak_delays(obs, pso.max_paths)
     if n_paths is not None:
         k = int(n_paths)
         if len(support) < 2 * k or len(obs.gate_bins) < 2 * k:
@@ -569,6 +571,10 @@ def nmse(estimates: Sequence[Mapping[tuple[int, int], np.ndarray]],
     return float(np.mean(per_trial))
 
 
+class SimulationError(RuntimeError):
+    """No trial of a scheme completed, so the scheme has no NMSE."""
+
+
 @dataclass(frozen=True)
 class SimulationOutcome:
     """Monte-Carlo NMSE of one scheme at one SNR."""
@@ -596,11 +602,14 @@ def run_extrapolation_sim(layout: BandLayout, schemes: Mapping[str, PatternSet],
     error propagates. A completed fit whose residual ends above the residual
     at the true delays (beyond rounding) is counted as a search failure: the
     maximum-likelihood optimum can never be worse than the truth, so such a
-    fit stopped short of it.
+    fit stopped short of it. A scheme with no completed trial raises
+    ``SimulationError``. snr_db = +inf runs noiseless.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    noise_std = 10 ** (-snr_db / 20.0) if np.isfinite(snr_db) else 0.0
+    if not snr_db > -np.inf:
+        raise ValueError(f"snr_db must be a number or +inf (noiseless), not {snr_db}")
+    noise_std = 10 ** (-snr_db / 20.0)  # 0 at +inf
     gate = (0.0, tau_max_s)
     results: dict[str, list[float]] = {name: [] for name in schemes}
     failures = {name: 0 for name in schemes}
@@ -646,7 +655,7 @@ def run_extrapolation_sim(layout: BandLayout, schemes: Mapping[str, PatternSet],
     for name in schemes:
         vals = np.asarray(results[name])
         if len(vals) == 0:
-            raise RuntimeError(f"every trial failed for scheme {name!r}")
+            raise SimulationError(f"every trial failed for scheme {name!r}")
         out[name] = SimulationOutcome(float(vals.mean()), trials, failures[name], vals,
                                       fits[name], search_failures[name])
     return out

@@ -138,20 +138,15 @@ def _fim_single_batch(f_support: np.ndarray, noise_std: float, gains: np.ndarray
     return J
 
 
-def _multiband_support(layout: BandLayout, sup: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pinned frequencies of the support indices sup, shape (..., S), and their
-    (..., S, 3 + 5M) moment weights, the rows sup of ``layout.moment_weights``."""
-    return layout.pinned_frequencies_hz[sup], layout.moment_weights[sup]
-
-
 def _fim_multiband_batch(f_support: np.ndarray, table: np.ndarray, n_bands: int,
                          noise_std: float, gains: np.ndarray, delta_taus: np.ndarray,
-                         prior_std_s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Multiband FIMs (total, observation-only), (..., B, D, D), over delay separations.
+                         prior_std_s: float) -> np.ndarray:
+    """Multiband FIMs, (..., B, D, D), over delay separations.
 
-    f_support (pinned: first band center at zero) and table come from
-    ``_multiband_support``. Parameter order: [tau_1, tau_2, a^R (2), a^I (2),
-    phi_2..phi_M, delta_1..delta_M]. With tau = (0, dtau), every nuisance
+    f_support holds the pinned frequencies (first band center at zero) of the
+    support, (..., S), and table their (..., S, 3 + 5M) rows of
+    ``BandLayout.moment_weights``. Parameter order: [tau_1, tau_2, a^R (2),
+    a^I (2), phi_2..phi_M, delta_1..delta_M]. With tau = (0, dtau), every nuisance
     entry is linear in the per-band moments sum w e^{j 2 pi f dtau}, w in
     {1, f, nf, nf f, nf^2}: the path-sum profile H = alpha_1 + alpha_2
     e^{-j 2 pi f dtau} enters through sum_k alpha_k e^{j 2 pi f (tau_r -
@@ -188,10 +183,8 @@ def _fim_multiband_batch(f_support: np.ndarray, table: np.ndarray, n_bands: int,
     J[..., iphi, iphi] = 2 * c * h2[..., 0, 1:]
     J[..., iphi, idel[1:]] = J[..., idel[1:], iphi] = -4 * np.pi * c * h2[..., 2, 1:]
     J[..., idel, idel] = 8 * np.pi**2 * c * h2[..., 4, :]
-
-    J_obs = J.copy()
     J[..., idel, idel] += 1.0 / prior_std_s**2
-    return J, J_obs
+    return J
 
 
 def _fim_builder(layout: BandLayout, columns: np.ndarray, noise_std: float, gains,
@@ -215,9 +208,9 @@ def _fim_builder(layout: BandLayout, columns: np.ndarray, noise_std: float, gain
         return lambda dtaus: _fim_single_batch(f_support, noise_std, gains, dtaus)
     if prior_std_s is None or not prior_std_s > 0:
         raise ValueError("multiband FIM needs a positive timing-offset prior std")
-    f_sup, table = _multiband_support(layout, sup)
+    f_sup, table = layout.pinned_frequencies_hz[sup], layout.moment_weights[sup]
     return lambda dtaus: _fim_multiband_batch(f_sup, table, layout.n_bands, noise_std,
-                                              gains, dtaus, prior_std_s)[0]
+                                              gains, dtaus, prior_std_s)
 
 
 def fim(layout: BandLayout, columns: np.ndarray, noise_std: float, gains,

@@ -23,7 +23,6 @@ __all__ = [
     "largest_prime_leq",
     "make_zc_sequence",
     "orthogonal_sequence_family",
-    "steering_vector",
     "channel_frequency_response",
     "synthesize_received",
     "uniform_patterns",
@@ -170,12 +169,6 @@ class BandLayout:
         table = (per_band[:, :, None] * onehot[:, None, :]).reshape(len(f), -1)
         return np.concatenate([np.stack([np.ones_like(f), f, f**2], axis=-1), table], axis=-1)
 
-    @cached_property
-    def spacing_per_position_hz(self) -> np.ndarray:
-        """Subcarrier spacing of the owning subband, per flattened position."""
-        return np.repeat([b.spacing_hz for b in self.subbands],
-                         [b.n_subcarriers for b in self.subbands])
-
 
 @dataclass(frozen=True)
 class PilotSequence:
@@ -297,16 +290,11 @@ class ChannelParams:
     gains : mapping (g, z) -> ndarray of complex path gains
     noise_std : float
         Per-element complex noise standard deviation (total variance sigma^2).
-    phase_offsets_rad, timing_offsets_s : ndarray or None
-        Per-subband distortions (multiband only); phase of the first band is
-        pinned to zero by convention.
     """
 
     delays_s: Mapping[tuple[int, int], np.ndarray]
     gains: Mapping[tuple[int, int], np.ndarray]
     noise_std: float
-    phase_offsets_rad: np.ndarray | None = None
-    timing_offsets_s: np.ndarray | None = None
 
     def __post_init__(self):
         if self.noise_std < 0:
@@ -316,65 +304,24 @@ class ChannelParams:
                 raise ValueError(f"negative path delay for user {key}")
             if len(d) != len(self.gains[key]):
                 raise ValueError(f"delay/gain count mismatch for user {key}")
-        if self.phase_offsets_rad is not None and self.phase_offsets_rad[0] != 0.0:
-            raise ValueError("phase offset of the first subband must be pinned to 0")
-
-    def distortions(self) -> tuple[np.ndarray, np.ndarray] | None:
-        if self.phase_offsets_rad is None and self.timing_offsets_s is None:
-            return None
-        return self.phase_offsets_rad, self.timing_offsets_s
 
     def users(self) -> list[tuple[int, int]]:
         return sorted(self.delays_s.keys())
 
 
-def _distortion_phase(layout: BandLayout,
-                      distortions: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
-    """Per-position factor exp(-j*2*pi*n*f_s,m*delta_m) * exp(j*phi_m)."""
-    if distortions is None:
-        return np.ones(layout.n_total, dtype=complex)
-    phi, delta = distortions
-    phi = np.zeros(layout.n_bands) if phi is None else np.asarray(phi, dtype=float)
-    delta = np.zeros(layout.n_bands) if delta is None else np.asarray(delta, dtype=float)
-    if len(phi) != layout.n_bands or len(delta) != layout.n_bands:
-        raise ValueError("one phase and one timing offset per subband required")
-    b = layout.band_index
-    ramp = layout.local_index * layout.spacing_per_position_hz * delta[b]
-    return np.exp(1j * (phi[b] - 2.0 * np.pi * ramp))
+def channel_frequency_response(layout: BandLayout, delays_s: np.ndarray,
+                               gains: np.ndarray) -> np.ndarray:
+    """Sum over paths of gain * exp(-j*2*pi*f*tau) on every subcarrier.
 
-
-def steering_vector(layout: BandLayout, tau_s: float,
-                    distortions: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Frequency-domain steering vector of a single path delay.
-
-    Single band: element n is exp(-j*2*pi*n*f_s*tau). Multiband: element
-    (m, n) is exp(-j*2*pi*f(m,n)*tau) times the per-band phase/timing
-    distortion factors, flattened in canonical order.
+    Single band: f = n * f_s (pinned). Multiband: f is the absolute frequency
+    f(m, n), so the channel is phase-coherent across subbands.
     """
-    if not np.isfinite(tau_s):
-        raise ValueError("delay must be finite")
-    if distortions is not None and layout.mode != "multi":
-        raise ValueError("phase/timing distortions only apply to multiband layouts")
-    if layout.mode == "single":
-        f = layout.pinned_frequencies_hz
-        return np.exp(-2j * np.pi * f * tau_s)
-    f = layout.frequencies_hz
-    return np.exp(-2j * np.pi * f * tau_s) * _distortion_phase(layout, distortions)
-
-
-def channel_frequency_response(layout: BandLayout, delays_s: np.ndarray, gains: np.ndarray,
-                               distortions: tuple[np.ndarray, np.ndarray] | None = None
-                               ) -> np.ndarray:
-    """Sum of gain-weighted steering vectors over the full grid."""
     delays_s = np.atleast_1d(np.asarray(delays_s, dtype=float))
+    if not np.all(np.isfinite(delays_s)):
+        raise ValueError("delays must be finite")
     gains = np.atleast_1d(np.asarray(gains, dtype=complex))
     f = layout.pinned_frequencies_hz if layout.mode == "single" else layout.frequencies_hz
-    h = np.exp(-2j * np.pi * np.outer(f, delays_s)) @ gains
-    if layout.mode == "multi":
-        h = h * _distortion_phase(layout, distortions)
-    elif distortions is not None:
-        raise ValueError("phase/timing distortions only apply to multiband layouts")
-    return h
+    return np.exp(-2j * np.pi * np.outer(f, delays_s)) @ gains
 
 
 def synthesize_received(layout: BandLayout, patterns: PatternSet,
@@ -393,12 +340,11 @@ def synthesize_received(layout: BandLayout, patterns: PatternSet,
         if len(x) != n:
             raise ValueError("pilot sequence length does not match the layout")
     y = np.zeros(n, dtype=complex)
-    dist = channels.distortions()
     for (g, z) in channels.users():
         if g >= patterns.n_groups or z >= len(sequences):
             raise ValueError(f"user {(g, z)} outside the pattern/sequence dimensions")
         h = channel_frequency_response(layout, channels.delays_s[(g, z)],
-                                       channels.gains[(g, z)], dist)
+                                       channels.gains[(g, z)])
         y += patterns.column(g) * sequences[z].values * h
     if seed is not None and channels.noise_std > 0:
         rng = np.random.default_rng(seed)
@@ -444,9 +390,7 @@ def random_patterns(layout: BandLayout, n_groups: int, budgets: Sequence[int],
 
 def draw_channels(n_groups: int, n_codes: int, n_paths: int, tau_max_s: float,
                   noise_std: float, seed: int = 0,
-                  min_separation_s: float = 0.0,
-                  phase_offsets_rad: np.ndarray | None = None,
-                  timing_offsets_s: np.ndarray | None = None) -> ChannelParams:
+                  min_separation_s: float = 0.0) -> ChannelParams:
     """Parametric multipath draw: delays uniform on [0, tau_max], gains CN(0, 1).
 
     A positive min_separation_s redraws each user's delays until adjacent
@@ -466,4 +410,4 @@ def draw_channels(n_groups: int, n_codes: int, n_paths: int, tau_max_s: float,
             delays[(g, z)] = d
             gains[(g, z)] = (rng.standard_normal(n_paths)
                              + 1j * rng.standard_normal(n_paths)) / np.sqrt(2.0)
-    return ChannelParams(delays, gains, noise_std, phase_offsets_rad, timing_offsets_s)
+    return ChannelParams(delays, gains, noise_std)

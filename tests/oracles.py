@@ -16,17 +16,11 @@ def zc_reference(length: int, root: int) -> np.ndarray:
     return out
 
 
-def steering_scalar_loop(freqs_hz, tau_s, band_ids=None, local_idx=None,
-                         spacings=None, phases=None, timings=None) -> np.ndarray:
+def steering_scalar_loop(freqs_hz, tau_s) -> np.ndarray:
     """Per-subcarrier scalar evaluation of the steering element."""
     out = np.empty(len(freqs_hz), dtype=complex)
     for i, f in enumerate(freqs_hz):
-        val = np.exp(-2j * np.pi * f * tau_s)
-        if phases is not None:
-            m = band_ids[i]
-            val *= np.exp(1j * phases[m])
-            val *= np.exp(-2j * np.pi * local_idx[i] * spacings[m] * timings[m])
-        out[i] = val
+        out[i] = np.exp(-2j * np.pi * f * tau_s)
     return out
 
 

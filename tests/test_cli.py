@@ -1,4 +1,6 @@
+import configparser
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +120,17 @@ class TestConfig:
         assert main(["isl", "--config", str(p), "--pattern", str(pat)]) == 2
         with pytest.raises(ConfigError, match="mode"):
             ExperimentConfig.from_mapping({"band": {"mode": "triple"}})
+
+    def test_readme_config_block_matches_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+        parser.read_string(block)
+        documented = {s: dict(parser[s]) for s in parser.sections()}
+        default = ExperimentConfig.default()
+        assert {s: set(o) for s, o in documented.items()} == \
+            {s: set(o) for s, o in default.values.items()}
+        assert ExperimentConfig.from_mapping(documented) == default
 
     def test_band_override_and_layout(self):
         cfg = ExperimentConfig.default().with_overrides(mode="multi")
@@ -288,6 +301,43 @@ class TestMetricsCommands:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("command,users", [
+        ("simulate", "budgets = 24, 24\ncodes = 0"),
+        ("simulate", "budgets = 24, 24\ncodes = 65"),  # more codes than subcarriers
+        ("optimize", "groups = 0\nbudgets ="),
+        ("simulate", "groups = 0\nbudgets ="),
+        ("af", "budgets = 24, 24\n[af]\npoints = -3"),
+        ("af", "budgets = 24, 24\n[af]\ntau_max_s = inf"),  # a sweep of NaN rows
+    ])
+    def test_bad_users_or_af_value_exit_code(self, toy_artifact, tmp_path, capsys,
+                                             command, users):
+        _, _, pat = toy_artifact
+        c2 = tmp_path / "cfg.ini"
+        c2.write_text(TOY_INI.replace("budgets = 24, 24", users) + "\n[sim]\ntrials = 1\n")
+        argv = [command, "--config", str(c2), "--out", str(tmp_path)]
+        if command != "optimize":
+            argv += ["--pattern", str(pat)]
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not [p for p in tmp_path.iterdir() if p.suffix in (".csv", ".json")]
+
+    def test_every_trial_failing_is_a_numerical_failure(self, tmp_path, capsys):
+        # 32 subcarriers put 2 delay bins in the 400 ns gate: too few for 2 paths
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[band]\nsubcarriers = 32\n[users]\nbudgets = 16, 16\n"
+                       "[sim]\ntrials = 2\n")
+        pat = tmp_path / "pattern.json"
+        pat.write_text(json.dumps({"format": "pilotforge-pattern-v1", "band": "single",
+                                   "groups": [{"indices": list(range(0, 32, 2))},
+                                              {"indices": list(range(1, 32, 2))}]}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--pattern", str(pat),
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "every trial failed" in err
+        assert "'proposed'" in err
+        assert not out.exists()
+
     def test_requires_pattern(self, toy_artifact):
         d, cfg, _ = toy_artifact
         assert main(["simulate", "--config", str(cfg), "--out", str(d)]) == 2
@@ -298,6 +348,8 @@ class TestSimulate:
         "n_paths = 0",
         "min_separation_s = 500e-9",  # two paths 500 ns apart in a 400 ns gate
         "snr_db =",
+        "snr_db = -inf",              # infinite noise, not a noiseless run
+        "snr_db = nan",
     ])
     def test_bad_sim_value_exit_code(self, toy_artifact, tmp_path, sim):
         _, _, pat = toy_artifact

@@ -3,8 +3,8 @@ import pytest
 
 import pilotforge as pf
 from pilotforge import receiver
-from pilotforge.receiver import (EstimationError, baseline_schemes, decouple,
-                                 estimate_paths_psols, extrapolate_fullband,
+from pilotforge.receiver import (EstimationError, SimulationError, baseline_schemes,
+                                 decouple, estimate_paths_psols, extrapolate_fullband,
                                  nmse, path_residual, profile_peak_delays,
                                  run_extrapolation_sim)
 
@@ -371,7 +371,7 @@ class TestExtrapolation:
         w[rng.permutation(256)[:100]] = 1
         est = PathEstimate(np.array([80e-9]), np.array([1.1 + 0j]), 0.0, 1)
         h_hat = extrapolate_fullband(est, layout_single)
-        model = 1.1 * pf.steering_vector(layout_single, 80e-9)
+        model = pf.channel_frequency_response(layout_single, [80e-9], [1.1])
         np.testing.assert_allclose(w * h_hat, w * model, rtol=1e-12)
 
     def test_delay_sensitivity_matches_finite_difference(self, layout_single):
@@ -455,9 +455,17 @@ class TestSimulationHarness:
         # every trial fails the same way, so the run ends with no trial left
         lay = pf.BandLayout.single(64, FS, 0.0)
         three = pf.PatternSet.from_indices(64, [[0, 20, 40], [10, 30, 50]])
-        with pytest.raises(RuntimeError, match="every trial failed"):
+        with pytest.raises(SimulationError, match="every trial failed for scheme 'three'"):
             run_extrapolation_sim(lay, {"three": three}, 15.0, trials=2,
                                   seed=2)
+
+    @pytest.mark.parametrize("snr_db", [-np.inf, np.nan])
+    def test_snr_must_be_a_number_or_plus_inf(self, snr_db):
+        # +inf means noiseless; -inf (infinite noise) and NaN have no meaning
+        lay = pf.BandLayout.single(64, FS, 0.0)
+        schemes = baseline_schemes(lay, 2, [16, 16], seed=1)
+        with pytest.raises(ValueError, match="snr_db"):
+            run_extrapolation_sim(lay, schemes, snr_db, trials=1, seed=2)
 
     def test_trial_count_validated(self, layout_single):
         schemes = baseline_schemes(layout_single, 2, [128, 128], seed=16)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import pilotforge as pf
-from pilotforge.resolution import (_SCAN_CHUNK, SrlSearch, _fim_multiband_batch,
-                                   _multiband_support, crb_batch, crb_of_columns, fim, pattern_crb_provider,
+from pilotforge.resolution import (_SCAN_CHUNK, SrlSearch, _fim_multiband_batch, crb_batch,
+                                   crb_of_columns, fim, pattern_crb_provider,
                                    resolvable_at, srl_at_most, srl_of_pattern, srl_search)
 
 from oracles import (crb_delta_tau_quadform, fd_fim_multiband, fd_fim_single,
@@ -142,11 +142,16 @@ class TestFimMultiband:
         for lay, w, gains in self.moment_cases(layout_multi):
             f, band, nloc, spacings, m = self.support(lay, w)
             dts = rng.uniform(0.01e-9, 50e-9, batch)
-            table = _multiband_support(lay, np.flatnonzero(w))[1]
-            J, J_obs = _fim_multiband_batch(f, table, m, SIGMA, gains, dts, 1e-9)
+            table = lay.moment_weights[np.flatnonzero(w)]
+            J = _fim_multiband_batch(f, table, m, SIGMA, gains, dts, 1e-9)
             ref, ref_obs = fim_multiband_loop(f, band, nloc, spacings, m, SIGMA, gains,
                                               dts, 1e-9)
             assert J.shape == ref.shape == (batch, 6 + 2 * m - 1, 6 + 2 * m - 1)
+            # the observation part: J less the prior on the delta diagonal; an
+            # untouched band's entry is 0 + p - p, so its zero stays exact
+            idel = 6 + (m - 1) + np.arange(m)
+            J_obs = J.copy()
+            J_obs[:, idel, idel] -= 1.0 / (1e-9) ** 2
             for k in range(batch):
                 assert fim_scaled_error(J[k], ref[k]) <= 1e-12
                 assert fim_scaled_error(J_obs[k], ref_obs[k]) <= 1e-12
@@ -158,10 +163,9 @@ class TestFimMultiband:
         for lay, _, _ in self.moment_cases(layout_multi):
             sup = np.stack([np.flatnonzero(random_column(lay.n_total, 20, seed))
                             for seed in range(6)]).reshape(2, 3, 20)
-            f_sup, table = _multiband_support(lay, sup)
+            table = lay.moment_weights[sup]
             ref = multiband_weights_per_call(lay, sup)
             assert table.shape == (2, 3, 20, 3 + 5 * lay.n_bands)
-            np.testing.assert_array_equal(f_sup, lay.pinned_frequencies_hz[sup])
             assert table.tobytes() == ref.tobytes()  # bit for bit, signed zeros too
 
     def test_gate_decisions_match_per_band_loop(self, layout_multi):
@@ -198,24 +202,20 @@ class TestFimMultiband:
         assert J[6, 9] != 0.0  # phi_2 couples to its own band's delta only
         assert J[6, 10] == 0.0
 
-    @staticmethod
-    def total_and_observation(w, prior_std_s):
-        f_sup, table = _multiband_support(TWO_BANDS, np.flatnonzero(w))
-        J, J_obs = _fim_multiband_batch(f_sup, table, 2, SIGMA, GAINS,
-                                        np.array([5e-9]), prior_std_s)
-        np.testing.assert_array_equal(J, fim(TWO_BANDS, w, SIGMA, GAINS, 5e-9, prior_std_s))
-        return J[0], J_obs[0]
-
     def test_prior_only_on_delta_diagonal(self):
-        J, J_obs = self.total_and_observation(random_column(34, 18, seed=5), 2e-9)
-        prior = J - J_obs
-        expected = np.zeros_like(prior)
-        expected[7, 7] = expected[8, 8] = 1.0 / (2e-9) ** 2
-        np.testing.assert_allclose(prior, expected, rtol=1e-12)
+        w = random_column(34, 18, seed=5)
+        J, J_wide = (fim(TWO_BANDS, w, SIGMA, GAINS, 5e-9, p)[0] for p in (2e-9, 1e3))
+        expected = np.zeros_like(J)
+        expected[7, 7] = expected[8, 8] = 1.0 / (2e-9) ** 2 - 1.0 / 1e3**2
+        np.testing.assert_allclose(J - J_wide, expected, rtol=1e-12)
 
     def test_wide_prior_limit_reaches_observation_fim(self):
-        J, J_obs = self.total_and_observation(random_column(34, 18, seed=6), 1e3)
-        np.testing.assert_allclose(J, J_obs, atol=1e-12 * np.abs(J_obs).max())
+        w = random_column(34, 18, seed=6)
+        J = fim(TWO_BANDS, w, SIGMA, GAINS, 5e-9, 1e3)
+        f, band, nloc, spacings, m = self.support(TWO_BANDS, w)
+        _, ref_obs = fim_multiband_loop(f, band, nloc, spacings, m, SIGMA, GAINS,
+                                        np.array([5e-9]), 1e3)
+        np.testing.assert_allclose(J, ref_obs, atol=1e-12 * np.abs(ref_obs).max())
 
     def test_unsounded_band_has_zero_phase_row(self):
         w = np.zeros(34, dtype=np.uint8)

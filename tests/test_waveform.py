@@ -93,48 +93,39 @@ class TestBandLayout:
                           mode="single")
 
 
+def one_path(layout, tau_s):
+    """Channel of a single unit-gain path: the steering vector of tau_s."""
+    return pf.channel_frequency_response(layout, [tau_s], [1.0])
+
+
 class TestSteering:
     def test_zero_delay_is_all_ones(self, layout_single):
-        np.testing.assert_allclose(pf.steering_vector(layout_single, 0.0), 1.0)
+        np.testing.assert_allclose(one_path(layout_single, 0.0), 1.0)
 
     def test_quarter_cycle_steps(self):
         lay = pf.BandLayout.single(4, FS, 0.0)
         tau = 1.0 / (4 * FS)
         expected = np.array([1, -1j, -1, 1j])
-        np.testing.assert_allclose(pf.steering_vector(lay, tau), expected, atol=1e-12)
+        np.testing.assert_allclose(one_path(lay, tau), expected, atol=1e-12)
 
     def test_multiband_against_scalar_loop(self, layout_multi):
         tau = 100e-9
-        got = pf.steering_vector(layout_multi, tau)
+        got = one_path(layout_multi, tau)
         ref = steering_scalar_loop(layout_multi.frequencies_hz, tau)
         np.testing.assert_allclose(got, ref, rtol=1e-12)
-
-    def test_multiband_distortions_against_scalar_loop(self, layout_multi):
-        phi = np.array([0.0, 0.8])
-        delta = np.array([0.4e-9, -0.7e-9])
-        got = pf.steering_vector(layout_multi, 50e-9, distortions=(phi, delta))
-        ref = steering_scalar_loop(
-            layout_multi.frequencies_hz, 50e-9, layout_multi.band_index,
-            layout_multi.local_index, [b.spacing_hz for b in layout_multi.subbands],
-            phi, delta)
-        np.testing.assert_allclose(got, ref, rtol=1e-12)
-
-    def test_distortions_require_multiband(self, layout_single):
-        with pytest.raises(ValueError):
-            pf.steering_vector(layout_single, 0.0,
-                               distortions=(np.zeros(1), np.zeros(1)))
 
     def test_conjugate_symmetry_identity(self, layout_single):
         # a(t1)* o a(t2) = a(t2 - t1) elementwise in single-band mode
         t1, t2 = 120e-9, 310e-9
-        lhs = np.conj(pf.steering_vector(layout_single, t1)) \
-            * pf.steering_vector(layout_single, t2)
-        np.testing.assert_allclose(lhs, pf.steering_vector(layout_single, t2 - t1),
-                                   rtol=1e-10)
+        lhs = np.conj(one_path(layout_single, t1)) * one_path(layout_single, t2)
+        np.testing.assert_allclose(lhs, one_path(layout_single, t2 - t1), rtol=1e-10)
 
     def test_nonfinite_delay_rejected(self, layout_single):
-        with pytest.raises(ValueError):
-            pf.steering_vector(layout_single, np.inf)
+        for tau in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                one_path(layout_single, tau)
+            with pytest.raises(ValueError, match="finite"):
+                pf.channel_frequency_response(layout_single, [10e-9, tau], [1.0, 1.0])
 
 
 class TestPatternSet:
@@ -203,12 +194,6 @@ class TestChannels:
         ch = pf.draw_channels(2, 2, 2, 400e-9, 0.0, seed=5, min_separation_s=60e-9)
         for u in ch.users():
             assert np.diff(ch.delays_s[u])[0] >= 60e-9
-
-    def test_first_band_phase_must_be_pinned(self):
-        with pytest.raises(ValueError, match="pinned"):
-            pf.ChannelParams({(0, 0): np.array([1e-9])}, {(0, 0): np.array([1.0 + 0j])},
-                             0.1, phase_offsets_rad=np.array([0.3, 0.0]),
-                             timing_offsets_s=np.zeros(2))
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
