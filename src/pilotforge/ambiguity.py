@@ -98,17 +98,11 @@ def _sine_quotient(delta_f: np.ndarray, region: SidelobeRegion) -> np.ndarray:
 def isl_matrix(layout: BandLayout, region: SidelobeRegion) -> IslMatrix:
     """Side-lobe energy matrix G for a layout.
 
-    Single band: symmetric Toeplitz from the first column of sine differences.
-    Multiband: dense block matrix over all pairwise subcarrier-frequency
-    differences (Toeplitz structure is lost across band gaps).
+    G is the sine quotient of every pairwise difference of the pinned
+    subcarrier frequencies, one dense matrix for any number of subbands. A
+    single band's differences are multiples of f_s, so there G is symmetric
+    Toeplitz.
     """
-    if layout.mode == "single":
-        fs = layout.subbands[0].spacing_hz
-        n = np.arange(layout.n_total)
-        col = _sine_quotient(n * fs, region)
-        g = col[np.abs(n[:, None] - n[None, :])]
-    else:
-        f = layout.pinned_frequencies_hz
-        g = _sine_quotient(f[:, None] - f[None, :], region)
-    return IslMatrix(g, layout, region)
+    f = layout.pinned_frequencies_hz
+    return IslMatrix(_sine_quotient(f[:, None] - f[None, :], region), layout, region)
 

@@ -236,8 +236,11 @@ class ExperimentConfig:
 
     def srl_search(self) -> SrlSearch:
         s = self.values["srl"]
-        return SrlSearch(float(s["tau_lo_s"]), float(s["tau_hi_s"]),
-                         float(s["step_s"]), float(s["tol_s"]))
+        try:
+            return SrlSearch(float(s["tau_lo_s"]), float(s["tau_hi_s"]),
+                             float(s["step_s"]), float(s["tol_s"]))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def offline_model(self) -> tuple[tuple[float, float], float, float]:
         """The SRL model's (gains, noise std, timing-offset prior std), checked.
@@ -278,8 +281,10 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
     def pso_config(self) -> PsoConfig:
-        p = self.values["pso"]
-        return PsoConfig(int(p["max_paths"]))
+        try:
+            return PsoConfig(int(self.values["pso"]["max_paths"]))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def af_sweep(self) -> np.ndarray:
         a = self.values["af"]
@@ -319,7 +324,7 @@ def _dump_csv(path: Path, cfg: ExperimentConfig, header: list[str],
     path.write_text("\n".join(out) + "\n")
 
 
-def _load_pattern(path: str | Path, layout: BandLayout) -> tuple[PatternSet, dict]:
+def _load_pattern(path: str | Path, layout: BandLayout) -> PatternSet:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"pattern file {path} does not exist")
@@ -343,7 +348,7 @@ def _load_pattern(path: str | Path, layout: BandLayout) -> tuple[PatternSet, dic
             raise ConfigError(f"group {g} of {path} has missing or out-of-range indices")
         columns.append(idx)
     try:
-        return PatternSet.from_indices(layout.n_total, columns), data
+        return PatternSet.from_indices(layout.n_total, columns)
     except ValueError as exc:
         raise ConfigError(f"pattern file {path}: {exc}") from exc
 
@@ -389,7 +394,7 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_isl(cfg: ExperimentConfig, pattern_path: str) -> int:
     layout = cfg.layout()
-    patterns, _ = _load_pattern(pattern_path, layout)
+    patterns = _load_pattern(pattern_path, layout)
     matrix = isl_matrix(layout, cfg.region())
     vals = [float(matrix.isl(patterns.column(g))) for g in range(patterns.n_groups)]
     print(json.dumps({
@@ -402,13 +407,15 @@ def cmd_isl(cfg: ExperimentConfig, pattern_path: str) -> int:
 
 def cmd_srl(cfg: ExperimentConfig, pattern_path: str) -> int:
     layout = cfg.layout()
-    gains, noise, prior = cfg.offline_model()  # a bad config is reported before a bad pattern
-    patterns, _ = _load_pattern(pattern_path, layout)
+    # a bad config is reported before a bad pattern
+    gains, noise, prior = cfg.offline_model()
+    search = cfg.srl_search()
+    patterns = _load_pattern(pattern_path, layout)
     matrix = isl_matrix(layout, cfg.region())
     groups = []
     for g in range(patterns.n_groups):
         col = patterns.column(g)
-        res = srl_of_pattern(layout, col, noise, gains, prior, cfg.srl_search())
+        res = srl_of_pattern(layout, col, noise, gains, prior, search)
         groups.append(_group_entry(col, matrix.isl(col), res))
     print(json.dumps({"groups": groups}, sort_keys=True))
     return 0
@@ -416,7 +423,7 @@ def cmd_srl(cfg: ExperimentConfig, pattern_path: str) -> int:
 
 def cmd_af(cfg: ExperimentConfig, pattern_path: str, out_dir: Path) -> int:
     layout = cfg.layout()
-    patterns, _ = _load_pattern(pattern_path, layout)
+    patterns = _load_pattern(pattern_path, layout)
     sweep = cfg.af_sweep()
     header = ["delta_tau_ns"] + [f"group{g}_db" for g in range(patterns.n_groups)]
     mags = []
@@ -442,7 +449,7 @@ def cmd_simulate(cfg: ExperimentConfig, pattern_paths: list[str], out_dir: Path)
     n_paths, tau_max = int(sim["n_paths"]), float(sim["tau_max_s"])
     if n_paths < 1:
         raise ConfigError("sim.n_paths must be at least 1")
-    layout, n_codes = cfg.layout(), cfg.n_codes()
+    layout, n_codes, pso = cfg.layout(), cfg.n_codes(), cfg.pso_config()
     try:
         check_gate(layout, (0.0, tau_max))
     except ValueError as exc:
@@ -453,7 +460,7 @@ def cmd_simulate(cfg: ExperimentConfig, pattern_paths: list[str], out_dir: Path)
     schemes: dict[str, PatternSet] = {}
     for i, p in enumerate(pattern_paths):
         name = "proposed" if i == 0 else f"proposed{i + 1}"
-        schemes[name], _ = _load_pattern(p, layout)
+        schemes[name] = _load_pattern(p, layout)
     schemes.update(baseline_schemes(layout, int(cfg.values["users"]["groups"]),
                                     cfg.budgets(), seed=cfg.seed))
     names = [n for n in schemes if n.startswith("proposed")] + ["uniform", "random"]
@@ -465,7 +472,7 @@ def cmd_simulate(cfg: ExperimentConfig, pattern_paths: list[str], out_dir: Path)
             layout, schemes, float(snr), trials=int(sim["trials"]),
             n_codes=n_codes, n_paths=n_paths, tau_max_s=tau_max,
             min_separation_s=float(sim["min_separation_s"]),
-            pso=cfg.pso_config(), seed=cfg.seed)
+            pso=pso, seed=cfg.seed)
         rows.append([float(snr)] + [out[n].nmse for n in names]
                     + [int(sim["trials"])] + [out[n].failures for n in names])
     path = out_dir / f"nmse_{cfg.mode}.csv"

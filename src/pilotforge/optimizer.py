@@ -226,17 +226,15 @@ def _fill(draw: Callable[[np.ndarray], np.ndarray],
 
 def sample_individual(prob: np.ndarray, budgets: Sequence[int],
                       srl_gate: Callable[[np.ndarray], np.ndarray] | None,
-                      rng: np.random.Generator | Sequence[np.random.Generator],
-                      retry_cap: int = 500) -> tuple[PatternSet | np.ndarray, int]:
-    """Feasible individuals from the Bernoulli model.
+                      rng: Sequence[np.random.Generator],
+                      retry_cap: int = 500) -> tuple[np.ndarray, int]:
+    """Feasible individuals from the Bernoulli model, one per generator in ``rng``.
 
-    ``rng`` is one generator, or a sequence of generators with one per slot.
     Every pending slot draws cellwise from its own stream; the draws are
     repaired together and passed to ``srl_gate`` as one (Q, N, G) stack, which
     returns one verdict per slot (None accepts every draw). Only the rejected
     slots draw again, so each stream is consumed as if its slot were sampled
-    alone. Returns the pattern (a ``PatternSet`` for one generator, the
-    (Q, N, G) uint8 stack for a sequence) and the number of rejected draws.
+    alone. Returns the (Q, N, G) uint8 stack and the number of rejected draws.
 
     Raises
     ------
@@ -249,8 +247,7 @@ def sample_individual(prob: np.ndarray, budgets: Sequence[int],
     budgets = np.asarray(budgets, dtype=int)
     if budgets.sum() > prob.shape[0]:
         raise ValueError("total pilot budget exceeds the number of subcarriers")
-    one = isinstance(rng, np.random.Generator)
-    rngs = [rng] if one else list(rng)
+    rngs = list(rng)
     if not rngs:
         raise ValueError("need at least one generator")
 
@@ -258,11 +255,10 @@ def sample_individual(prob: np.ndarray, budgets: Sequence[int],
         raw = np.stack([rngs[q].random(prob.shape) for q in slots]) < prob
         return _repair(raw, budgets, prob)
 
-    masks, rejected = _fill(
+    return _fill(
         draw, srl_gate, len(rngs), retry_cap,
         f"sampler rejected {retry_cap} consecutive draws on the SRL ceiling; relax "
         f"the ceilings or raise the retry cap")
-    return (PatternSet(masks[0]) if one else masks), rejected
 
 
 def _srl_gate(layout: BandLayout, cfg: EdaConfig,
@@ -281,17 +277,16 @@ def _srl_gate(layout: BandLayout, cfg: EdaConfig,
     its g(beta): the traced benchmark times the gate by its ``srl_at_most``
     calls, and a run whose misses all pass at beta would otherwise have none.
     """
-    gains = np.asarray(cfg.offline_gains, dtype=complex)
-    prior = cfg.prior_std_s if layout.mode == "multi" else None
     decided: dict[tuple[int, bytes], bool] = {}
 
     def decide(g: int, cols: np.ndarray) -> np.ndarray:
-        ok = resolvable_at(layout, cols, cfg.offline_noise_std, gains, beta_s[g], prior)
+        ok = resolvable_at(layout, cols, cfg.offline_noise_std, cfg.offline_gains,
+                           beta_s[g], cfg.prior_std_s)
         exact = ~ok
         exact[0] = True
         for i in np.flatnonzero(exact):
             provider = pattern_crb_provider(layout, cols[i], cfg.offline_noise_std,
-                                            gains, prior)
+                                            cfg.offline_gains, cfg.prior_std_s)
             ok[i] = srl_at_most(provider, beta_s[g], cfg.gate_step_s)
         return ok
 
@@ -318,8 +313,6 @@ def _srl_gate(layout: BandLayout, cfg: EdaConfig,
 
 def random_srl_reference(layout: BandLayout, cfg: EdaConfig) -> np.ndarray:
     """Mean per-group SRL of seeded random feasible patterns (the beta reference)."""
-    gains = np.asarray(cfg.offline_gains, dtype=complex)
-    prior = cfg.prior_std_s if layout.mode == "multi" else None
     acc = np.zeros(len(cfg.budgets))
     for d in range(cfg.beta_reference_draws):
         seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0xBE7A, d))
@@ -327,7 +320,7 @@ def random_srl_reference(layout: BandLayout, cfg: EdaConfig) -> np.ndarray:
                                seed=seed.generate_state(1)[0])
         for g in range(len(cfg.budgets)):
             res = srl_of_pattern(layout, pats.column(g), cfg.offline_noise_std,
-                                 gains, prior, cfg.final_search)
+                                 cfg.offline_gains, cfg.prior_std_s, cfg.final_search)
             if not res.found:
                 raise InfeasibleSamplingError(
                     d, "random reference pattern has no SRL in the search range; "
@@ -428,8 +421,6 @@ def run_eda(layout: BandLayout, cfg: EdaConfig,
     n, n_groups = layout.n_total, len(cfg.budgets)
     if sum(cfg.budgets) > n:
         raise ValueError("total pilot budget exceeds the number of subcarriers")
-    if layout.mode == "multi" and not cfg.prior_std_s > 0:
-        raise ValueError("a multiband run needs a positive timing-offset prior std")
     budgets = np.asarray(cfg.budgets, dtype=int)
 
     if cfg.srl_ceilings_s is not None:
@@ -489,10 +480,9 @@ def run_eda(layout: BandLayout, cfg: EdaConfig,
     prob = update_probabilities(population[elite_idx])
 
     best = PatternSet(best_mask)
-    gains = np.asarray(cfg.offline_gains, dtype=complex)
-    prior = cfg.prior_std_s if layout.mode == "multi" else None
-    srls = tuple(srl_of_pattern(layout, best.column(g), cfg.offline_noise_std, gains,
-                                prior, cfg.final_search) for g in range(n_groups))
+    srls = tuple(srl_of_pattern(layout, best.column(g), cfg.offline_noise_std,
+                                cfg.offline_gains, cfg.prior_std_s, cfg.final_search)
+                 for g in range(n_groups))
     isl_pg = np.array([matrix.isl(best.column(g)) for g in range(n_groups)])
     return EdaResult(best, best_fit, np.asarray(trace), prob, tuple(beta),
                      isl_pg, srls, rejected_total)

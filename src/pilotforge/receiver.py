@@ -85,6 +85,10 @@ class PsoConfig:
 
     max_paths: int = 8
 
+    def __post_init__(self):
+        if self.max_paths < 1:
+            raise ValueError("max_paths must be at least 1")
+
 
 def _transform_grid(layout: BandLayout) -> tuple[np.ndarray, int, float]:
     """Positions of the layout's subcarriers inside a uniform transform grid.
@@ -218,21 +222,6 @@ def _ridged(gram: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _batched_ls(steering: np.ndarray, target: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares gains and residuals for a stack of steering matrices.
-
-    steering: (P, S, K); target: (S,). Near-singular normal matrices get a
-    small ridge.
-    """
-    herm = steering.conj().transpose(0, 2, 1)
-    gram = _ridged(herm @ steering)
-    gains = np.linalg.solve(gram, (herm @ target)[..., None])[..., 0]
-    fitted = (steering @ gains[..., None])[..., 0]
-    residual = np.sum(np.abs(target[None, :] - fitted) ** 2, axis=1)
-    return gains, residual
-
-
 class _GatedModel:
     """The multipath model pushed through an observation's delay gate.
 
@@ -278,9 +267,20 @@ class _GatedModel:
         row = self._bins[:, None] - t // oversample - shift[0]
         return kernel.ravel()[oversample * row + t % oversample]
 
+    def _solve(self, a_rows: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(A, A^H, A^H A, gains g, residual t - A g) of the gated rows a_rows =
+        A^T, (P, K, G); near-singular A^H A get a small ridge."""
+        a, ah = a_rows.transpose(0, 2, 1), a_rows.conj()
+        gram = _ridged(ah @ a)
+        gains = np.linalg.solve(gram, (ah @ self.target)[..., None])[..., 0]
+        r = self.target[None, :] - (a @ gains[..., None])[..., 0]
+        return a, ah, gram, gains, r
+
     def fit(self, delays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Least-squares gains and residuals for delays of shape (P, K)."""
-        return _batched_ls(self.columns(delays), self.target)
+        *_, gains, r = self._solve(self.columns(delays).transpose(0, 2, 1))
+        return gains, np.sum(np.abs(r) ** 2, axis=1)
 
     def linearize(self, delays: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -296,11 +296,7 @@ class _GatedModel:
         steer = self._steer(distinct)
         rows = np.concatenate([steer, (-2j * np.pi * self.f_grid) * steer]) @ self.gate_map.T
         at = at.reshape(delays.shape)
-        a_rows = rows[at]                            # (P, K, G), A transposed
-        a, ah = a_rows.transpose(0, 2, 1), a_rows.conj()
-        gram = _ridged(ah @ a)
-        gains = np.linalg.solve(gram, (ah @ self.target)[..., None])[..., 0]
-        r = self.target[None, :] - (a @ gains[..., None])[..., 0]
+        a, ah, gram, gains, r = self._solve(rows[at])
         # d(A g)/d tau_k, column k
         moved = rows[at + len(distinct)].transpose(0, 2, 1) * gains[:, None, :]
         d = moved - a @ np.linalg.solve(gram, ah @ moved)

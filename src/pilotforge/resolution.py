@@ -51,9 +51,9 @@ class SrlSearch:
     tol_s: float = 1e-13
 
     def __post_init__(self):
-        if not 0 < self.tau_lo_s < self.tau_hi_s:
-            raise ValueError("need 0 < tau_lo < tau_hi")
-        if self.step_s <= 0 or self.tol_s <= 0:
+        if not 0 < self.tau_lo_s < self.tau_hi_s < np.inf:
+            raise ValueError("need 0 < tau_lo < tau_hi < inf")
+        if not (self.step_s > 0 and self.tol_s > 0):
             raise ValueError("grid step and tolerance must be positive")
 
     def grid(self) -> np.ndarray:
@@ -104,11 +104,6 @@ def _two_path_block(J: np.ndarray, plain: np.ndarray, cross: np.ndarray,
         np.concatenate([np.swapaxes(ti, -1, -2), -ss, cc], axis=-1)], axis=-2)
 
 
-def _powers(f_support: np.ndarray) -> np.ndarray:
-    """(..., S, 3) weights f^k, k = 0, 1, 2, of the two-path moments."""
-    return np.stack([np.ones_like(f_support), f_support, f_support**2], axis=-1)
-
-
 def _moments(f_support: np.ndarray, weights: np.ndarray,
              delta_taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Phase moments sum_f w e^{j 2 pi f dtau}, (..., B, K), and plain sums
@@ -123,45 +118,33 @@ def _moments(f_support: np.ndarray, weights: np.ndarray,
     return ephase @ weights, weights.sum(axis=-2, keepdims=True)
 
 
-def _fim_single_batch(f_support: np.ndarray, noise_std: float, gains: np.ndarray,
-                      delta_taus: np.ndarray) -> np.ndarray:
-    """Single-band 6x6 FIMs, (..., B, 6, 6), over a batch of delay separations.
+def _fim_batch(f_support: np.ndarray, weights: np.ndarray, noise_std: float,
+               gains: np.ndarray, delta_taus: np.ndarray,
+               prior_std_s: float | None) -> np.ndarray:
+    """Two-path FIMs, (..., B, D, D), over delay separations.
 
-    f_support holds the supported subcarrier frequencies n * f_s, (..., S);
-    every entry follows the closed-form expressions of the two-path expected
-    Hessian.
-    """
-    moments, plain = _moments(f_support, _powers(f_support), delta_taus)
-    J = np.zeros(moments.shape[:-1] + (6, 6))
-    _two_path_block(J, plain, moments, np.asarray(gains, dtype=complex),
-                    1.0 / noise_std**2)
-    return J
-
-
-def _fim_multiband_batch(f_support: np.ndarray, table: np.ndarray, n_bands: int,
-                         noise_std: float, gains: np.ndarray, delta_taus: np.ndarray,
-                         prior_std_s: float) -> np.ndarray:
-    """Multiband FIMs, (..., B, D, D), over delay separations.
-
-    f_support holds the pinned frequencies (first band center at zero) of the
-    support, (..., S), and table their (..., S, 3 + 5M) rows of
-    ``BandLayout.moment_weights``. Parameter order: [tau_1, tau_2, a^R (2),
-    a^I (2), phi_2..phi_M, delta_1..delta_M]. With tau = (0, dtau), every nuisance
-    entry is linear in the per-band moments sum w e^{j 2 pi f dtau}, w in
-    {1, f, nf, nf f, nf^2}: the path-sum profile H = alpha_1 + alpha_2
-    e^{-j 2 pi f dtau} enters through sum_k alpha_k e^{j 2 pi f (tau_r -
-    tau_k)} and through |H|^2 = |alpha_1|^2 + |alpha_2|^2 + 2 Re(alpha_1
-    alpha_2^* e^{j 2 pi f dtau}). So one product ephase @ table gives every
-    moment of the batch.
+    f_support (..., S) holds the support's frequencies and weights (..., S, K)
+    their moment weights; the first three, f^k (k = 0, 1, 2), give the 6x6
+    [tau (2), a^R (2), a^I (2)] block, the whole FIM when prior_std_s is None
+    (single band). Otherwise weights are rows of ``BandLayout.moment_weights``
+    (K = 3 + 5M) at the pinned frequencies, and phi_2..phi_M, delta_1..delta_M
+    follow. With tau = (0, dtau), every nuisance entry is linear in the
+    per-band moments sum w e^{j 2 pi f dtau}, w in {1, f, nf, nf f, nf^2}: the
+    path-sum profile H = alpha_1 + alpha_2 e^{-j 2 pi f dtau} enters through
+    sum_k alpha_k e^{j 2 pi f (tau_r - tau_k)} and through |H|^2 = |alpha_1|^2
+    + |alpha_2|^2 + 2 Re(alpha_1 alpha_2^* e^{j 2 pi f dtau}). So one product
+    ephase @ weights gives every moment of the batch.
     """
     al = np.asarray(gains, dtype=complex)
     c = 1.0 / noise_std**2
-    moments, plain = _moments(f_support, table, delta_taus)         # (..., B, 3 + 5M)
-    m = n_bands
-    dim = 6 + (m - 1) + m
+    moments, plain = _moments(f_support, weights, delta_taus)       # (..., B, K)
+    m = (weights.shape[-1] - 3) // 5
+    dim = 6 if prior_std_s is None else 6 + (m - 1) + m
 
     J = np.zeros(moments.shape[:-1] + (dim, dim))
     _two_path_block(J, plain[..., :3], moments[..., :3], al, c)
+    if prior_std_s is None:
+        return J
 
     mom = moments[..., 3:].reshape(moments.shape[:-1] + (5, m))    # weight, band
     pb = plain[..., 3:].reshape(plain.shape[:-1] + (5, m))
@@ -203,14 +186,14 @@ def _fim_builder(layout: BandLayout, columns: np.ndarray, noise_std: float, gain
     if counts.size == 0 or counts[0] == 0 or np.any(counts != counts[0]):
         raise ValueError("pattern columns need the same positive pilot count")
     sup = np.nonzero(cols)[-1].reshape(cols.shape[:-1] + (counts[0],))
-    if layout.mode == "single":
-        f_support = sup * layout.subbands[0].spacing_hz
-        return lambda dtaus: _fim_single_batch(f_support, noise_std, gains, dtaus)
-    if prior_std_s is None or not prior_std_s > 0:
+    if layout.mode == "single":  # the model has no nuisances, so no prior to read
+        f_sup, prior_std_s = sup * layout.subbands[0].spacing_hz, None
+        weights = np.stack([np.ones_like(f_sup), f_sup, f_sup**2], axis=-1)
+    elif prior_std_s is None or not prior_std_s > 0:
         raise ValueError("multiband FIM needs a positive timing-offset prior std")
-    f_sup, table = layout.pinned_frequencies_hz[sup], layout.moment_weights[sup]
-    return lambda dtaus: _fim_multiband_batch(f_sup, table, layout.n_bands, noise_std,
-                                              gains, dtaus, prior_std_s)
+    else:
+        f_sup, weights = layout.pinned_frequencies_hz[sup], layout.moment_weights[sup]
+    return lambda dtaus: _fim_batch(f_sup, weights, noise_std, gains, dtaus, prior_std_s)
 
 
 def fim(layout: BandLayout, columns: np.ndarray, noise_std: float, gains,

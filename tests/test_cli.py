@@ -241,6 +241,24 @@ class TestMetricsCommands:
         assert main([command, "--band", band, "--config", str(cfg)] + args) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["srl", "optimize"])
+    @pytest.mark.parametrize("line,message", [
+        ("tau_lo_s = 60e-9", "tau_lo < tau_hi"),   # above the default 50 ns tau_hi
+        ("tau_hi_s = inf", "tau_lo < tau_hi"),
+        ("step_s = 0", "grid step"),
+        ("step_s = nan", "grid step"),
+        ("tol_s = nan", "grid step"),
+    ])
+    def test_bad_srl_search_value_exit_code(self, toy_artifact, tmp_path, capsys, command,
+                                            line, message):
+        _, _, pat = toy_artifact
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(TOY_INI + f"{line}\n")  # the toy INI ends in its [srl] section
+        args = ["--pattern", str(pat)] if command == "srl" else ["--out", str(tmp_path)]
+        assert main([command, "--config", str(cfg)] + args) == 2
+        assert message in capsys.readouterr().err
+        assert not [p for p in tmp_path.iterdir() if p.suffix in (".csv", ".json")]
+
     def test_isl_output(self, toy_artifact, capsys):
         d, cfg, pat = toy_artifact
         assert main(["isl", "--config", str(cfg), "--pattern", str(pat)]) == 0
@@ -357,6 +375,18 @@ class TestSimulate:
         c2.write_text(TOY_INI + f"\n[sim]\ntrials = 1\n{sim}\n")
         assert main(["simulate", "--config", str(c2), "--pattern", str(pat),
                      "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "nmse_single.csv").exists()
+
+    @pytest.mark.parametrize("max_paths", [0, -2])
+    def test_bad_pso_value_exit_code(self, toy_artifact, tmp_path, capsys, max_paths):
+        _, _, pat = toy_artifact
+        c2 = tmp_path / "cfg.ini"
+        c2.write_text(TOY_INI + f"\n[sim]\ntrials = 1\n[pso]\nmax_paths = {max_paths}\n")
+        with pytest.raises(ConfigError, match="max_paths"):
+            ExperimentConfig.from_file(c2).pso_config()
+        assert main(["simulate", "--config", str(c2), "--pattern", str(pat),
+                     "--out", str(tmp_path)]) == 2
+        assert "max_paths" in capsys.readouterr().err
         assert not (tmp_path / "nmse_single.csv").exists()
 
     def test_zero_trials_rejected(self, toy_artifact, tmp_path):

@@ -159,29 +159,29 @@ class TestSampleIndividual:
     def test_deterministic_at_unit_probabilities(self):
         mask = pf.random_patterns(toy_layout(), 2, [8, 8], seed=2).mask
         rng = np.random.default_rng(0)
-        got, rejected = sample_individual(mask.astype(float), [8, 8], None, rng)
-        np.testing.assert_array_equal(got.mask, mask)
+        got, rejected = sample_individual(mask.astype(float), [8, 8], None, [rng])
+        np.testing.assert_array_equal(got[0], mask)
         assert rejected == 0
 
     def test_repaired_draws_are_always_feasible(self):
         prob = np.full((32, 2), 0.5)
         rng = np.random.default_rng(7)
         for _ in range(1000):
-            ind, _ = sample_individual(prob, [8, 8], None, rng)
-            assert ind.budgets.tolist() == [8, 8]
-            assert ind.mask.sum(axis=1).max() <= 1
+            ind, _ = sample_individual(prob, [8, 8], None, [rng])
+            assert pf.PatternSet(ind[0]).budgets.tolist() == [8, 8]
+            assert ind[0].sum(axis=1).max() <= 1
 
     def test_same_seed_same_individual(self):
         prob = np.full((32, 2), 0.5)
-        a, _ = sample_individual(prob, [8, 8], None, np.random.default_rng(11))
-        b, _ = sample_individual(prob, [8, 8], None, np.random.default_rng(11))
-        np.testing.assert_array_equal(a.mask, b.mask)
+        a, _ = sample_individual(prob, [8, 8], None, [np.random.default_rng(11)])
+        b, _ = sample_individual(prob, [8, 8], None, [np.random.default_rng(11)])
+        np.testing.assert_array_equal(a, b)
 
     def test_gate_rejection_counted_and_capped(self):
         prob = np.full((32, 2), 0.5)
         never = lambda masks: np.zeros(len(masks), dtype=bool)  # noqa: E731
         with pytest.raises(InfeasibleSamplingError) as err:
-            sample_individual(prob, [8, 8], never, np.random.default_rng(3), retry_cap=17)
+            sample_individual(prob, [8, 8], never, [np.random.default_rng(3)], retry_cap=17)
         assert err.value.attempts == 17
         rngs = [np.random.default_rng(s) for s in range(5)]
         with pytest.raises(InfeasibleSamplingError) as err:
@@ -199,15 +199,15 @@ class TestSampleIndividual:
         assert stack.shape == (12, 32, 2) and stack.dtype == np.uint8
         alone = 0
         for s in range(12):
-            ind, rej = sample_individual(prob, [8, 8], gate, np.random.default_rng(s))
-            np.testing.assert_array_equal(stack[s], ind.mask)
+            ind, rej = sample_individual(prob, [8, 8], gate, [np.random.default_rng(s)])
+            np.testing.assert_array_equal(stack[s], ind[0])
             alone += rej
         assert rejected == alone > 0
 
     def test_invalid_probabilities_rejected(self):
         with pytest.raises(ValueError):
             sample_individual(np.full((8, 1), 1.5), [2], None,
-                              np.random.default_rng(0))
+                              [np.random.default_rng(0)])
 
 
 class TestRunEda:

@@ -180,6 +180,12 @@ class TestPeakInitializer:
         obs = single_user_obs(layout_single, delays, gains)
         assert len(profile_peak_delays(obs, max_paths=3)) <= 3
 
+    @pytest.mark.parametrize("max_paths", [0, -2])
+    def test_max_paths_must_be_positive(self, max_paths):
+        # the cap is a slice of the ranked peaks, so 0 would keep none
+        with pytest.raises(ValueError, match="max_paths"):
+            receiver.PsoConfig(max_paths=max_paths)
+
 
 class TestPsoLs:
     def test_noiseless_on_grid_path_recovered_exactly(self, layout_single):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import pilotforge as pf
-from pilotforge.resolution import (_SCAN_CHUNK, SrlSearch, _fim_multiband_batch, crb_batch,
+from pilotforge.resolution import (_SCAN_CHUNK, SrlSearch, _fim_batch, crb_batch,
                                    crb_of_columns, fim, pattern_crb_provider,
                                    resolvable_at, srl_at_most, srl_of_pattern, srl_search)
 
@@ -143,7 +143,7 @@ class TestFimMultiband:
             f, band, nloc, spacings, m = self.support(lay, w)
             dts = rng.uniform(0.01e-9, 50e-9, batch)
             table = lay.moment_weights[np.flatnonzero(w)]
-            J = _fim_multiband_batch(f, table, m, SIGMA, gains, dts, 1e-9)
+            J = _fim_batch(f, table, SIGMA, gains, dts, 1e-9)
             ref, ref_obs = fim_multiband_loop(f, band, nloc, spacings, m, SIGMA, gains,
                                               dts, 1e-9)
             assert J.shape == ref.shape == (batch, 6 + 2 * m - 1, 6 + 2 * m - 1)
@@ -236,6 +236,45 @@ class TestFimMultiband:
             fim(layout_single, random_column(254, 127, 0), SIGMA, GAINS, 5e-9, 1e-9)
         with pytest.raises(ValueError):
             fim(layout_multi, random_column(256, 128, 0), SIGMA, GAINS, 5e-9, 1e-9)
+
+
+def offline_model_calls(lay, w):
+    """Each public entry point of the offline SRL model, as prior -> result."""
+    dts = np.array([2e-9, 5e-9])
+    cols = np.stack([w, np.roll(w, 1)])
+    return {
+        "fim": lambda prior: fim(lay, w, SIGMA, GAINS, dts, prior),
+        "pattern_crb_provider": lambda prior: pattern_crb_provider(
+            lay, w, SIGMA, GAINS, prior)(dts),
+        "resolvable_at": lambda prior: resolvable_at(lay, cols, SIGMA, GAINS, 3e-9, prior),
+        "srl_of_pattern": lambda prior: srl_of_pattern(lay, w, SIGMA, GAINS, prior),
+    }
+
+
+class TestPriorDecision:
+    """The layout decides whether the timing-offset prior is read, so callers
+    pass the configured prior whatever the band."""
+
+    @pytest.mark.parametrize("name", ["fim", "pattern_crb_provider", "resolvable_at",
+                                      "srl_of_pattern"])
+    def test_single_band_ignores_the_prior(self, layout_single, name):
+        call = offline_model_calls(layout_single, random_column(256, 128, seed=8))[name]
+        ref = call(None)
+        for prior in (0.0, np.nan, 1e-9):
+            got = call(prior)
+            if name == "srl_of_pattern":
+                assert got == ref and got.found
+            else:
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("name", ["fim", "pattern_crb_provider", "resolvable_at",
+                                      "srl_of_pattern"])
+    def test_multiband_needs_a_positive_prior(self, name):
+        call = offline_model_calls(TWO_BANDS, random_column(34, 18, seed=0))[name]
+        for prior in (0.0, None):
+            with pytest.raises(ValueError, match="prior std"):
+                call(prior)
+        call(1e-9)
 
 
 class TestCrb:
@@ -579,3 +618,7 @@ class TestSrlSearch:
             SrlSearch(tau_lo_s=0.0)
         with pytest.raises(ValueError):
             SrlSearch(tau_lo_s=5e-9, tau_hi_s=1e-9)
+        for bad in ({"tau_lo_s": np.nan}, {"tau_hi_s": np.inf}, {"step_s": np.nan},
+                    {"tol_s": np.nan}, {"step_s": 0.0}):
+            with pytest.raises(ValueError):
+                SrlSearch(**bad)
