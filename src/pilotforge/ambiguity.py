@@ -47,19 +47,15 @@ class IslMatrix:
     region: SidelobeRegion
 
     def isl(self, w: np.ndarray) -> float:
-        """ISL of one pattern column (linear scale)."""
-        w = np.asarray(w, dtype=float)
-        p = w.sum()
-        if p == 0:
-            raise ValueError("ISL of an all-zero pattern column is undefined")
-        return float(w @ self.matrix @ w) / (self.region.measure_s * p * p)
+        """ISL of one pattern column (linear scale), as ``isl_many`` of a stack of one."""
+        return float(self.isl_many(np.asarray(w)[None])[0])
 
     def isl_many(self, columns: np.ndarray) -> np.ndarray:
-        """Vectorized ISL over stacked pattern columns, shape (Q, N).
+        """ISL of each of a stack of pattern columns, shape (Q, N); the one ISL path.
 
         The quadratic forms w^T G w come from one BLAS matrix product
-        (Q, N) @ (N, N) and a row sum, so they can differ from ``isl`` in the
-        last bits.
+        (Q, N) @ (N, N) and a row sum, so they can differ in the last bits
+        from a column-by-column w @ G @ w.
         """
         cols = np.asarray(columns, dtype=float)
         p = cols.sum(axis=1)

@@ -248,12 +248,15 @@ class ExperimentConfig:
         The prior is read by multiband layouts only, so it is checked only there.
         """
         o = self.values["offline"]
+        gains = float(o["gain1"]), float(o["gain2"])
         noise, prior = float(o["noise_std"]), float(o["prior_std_s"])
-        if not noise > 0:
-            raise ConfigError("offline noise std must be positive")
-        if self.mode == "multi" and not prior > 0:
-            raise ConfigError("a multiband run needs a positive timing-offset prior std")
-        return (float(o["gain1"]), float(o["gain2"])), noise, prior
+        if not np.isfinite(gains).all():
+            raise ConfigError("offline gains must be finite")
+        if not 0 < noise < np.inf:
+            raise ConfigError("offline noise std must be positive and finite")
+        if self.mode == "multi" and not 0 < prior < np.inf:
+            raise ConfigError("a multiband run needs a positive, finite timing-offset prior std")
+        return gains, noise, prior
 
     def eda_config(self) -> EdaConfig:
         e, s = self.values["eda"], self.values["srl"]

@@ -7,10 +7,13 @@ samples fresh individuals from it with a deterministic structural repair,
 rejects any draw whose per-group SRL exceeds its ceiling, and carries the best
 individual over unchanged, so the best fitness never increases.
 
-A generation is handled as one stack: every slot draws from its own random
-stream, the draws are repaired and SRL-gated together, and only the slots the
-gate rejects draw again. Each stream is consumed exactly as a slot-by-slot
-loop would consume it, so the result does not depend on the batching.
+A generation is handled as one stack: every slot draws, the draws are
+repaired and SRL-gated together, and only the slots the gate rejects draw
+again. Retry round r of generation it draws one seeded uniform block, from
+``default_rng(SeedSequence(seed, spawn_key=(it, r)))``, and slot q reads row
+q of it (key 0 seeds the initial population). A slot is pending from round 0
+until it is accepted, so its r-th draw is always row q of round r: what a slot
+draws does not depend on the other slots or on the batching.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .ambiguity import IslMatrix, SidelobeRegion, isl_matrix
 from .resolution import (SrlResult, SrlSearch, pattern_crb_provider, resolvable_at,
@@ -84,8 +86,8 @@ class EdaConfig:
                 raise ValueError("one SRL ceiling per group required")
             if any(b <= 0 for b in self.srl_ceilings_s):
                 raise ValueError("SRL ceilings must be positive")
-        if self.offline_noise_std <= 0:
-            raise ValueError("offline noise std must be positive")
+        if not 0 < self.offline_noise_std < np.inf:
+            raise ValueError("offline noise std must be positive and finite")
         if self.retry_cap < 1:
             raise ValueError("retry cap must be positive")
         if not self.gate_step_s > 0:
@@ -192,15 +194,28 @@ def _repair(draws: np.ndarray, budgets: np.ndarray, prob: np.ndarray) -> np.ndar
     return np.stack(list(planes), axis=-1)
 
 
-def _fill(draw: Callable[[np.ndarray], np.ndarray],
+def _round_block(seed: int, key: int, r: int, slots: np.ndarray,
+                 shape: tuple[int, ...]) -> np.ndarray:
+    """Rows ``slots`` (ascending) of retry round r's uniform block under key.
+
+    The block is ``default_rng(SeedSequence(seed, spawn_key=(key, r))).random``
+    of shape (n_slots,) + shape. A generator fills an array in order, so
+    drawing only the first slots[-1] + 1 rows gives those rows' values.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key, r)))
+    return rng.random((slots[-1] + 1,) + shape)[slots]
+
+
+def _fill(draw: Callable[[np.ndarray, int], np.ndarray],
           gate: Callable[[np.ndarray], np.ndarray] | None, n_slots: int, retry_cap: int,
           failure: str) -> tuple[np.ndarray, int]:
     """Draw every slot, gate the stack, and draw again only the rejected slots.
 
-    draw(slots) returns fresh (len(slots), N, G) masks of those slots, each
-    from the slot's own stream, so what a slot draws does not depend on which
-    other slots are pending. Every stack gets the ``PatternSet`` structure
-    checks once. Returns the accepted stack and the number of rejected draws.
+    draw(slots, r) returns the (len(slots), N, G) masks of the pending slots
+    in retry round r. A slot is pending from round 0 until it is accepted, so
+    its r-th draw always comes from round r. Every stack gets the
+    ``PatternSet`` structure checks once. Returns the accepted stack and the
+    number of rejected draws.
 
     Raises
     ------
@@ -210,8 +225,8 @@ def _fill(draw: Callable[[np.ndarray], np.ndarray],
     pending = np.arange(n_slots)
     out = None
     rejected = 0
-    for _ in range(retry_cap):
-        masks = draw(pending)
+    for r in range(retry_cap):
+        masks = draw(pending, r)
         PatternSet.check_masks(masks)
         ok = np.ones(len(pending), dtype=bool) if gate is None else gate(masks)
         if out is None:
@@ -226,15 +241,17 @@ def _fill(draw: Callable[[np.ndarray], np.ndarray],
 
 def sample_individual(prob: np.ndarray, budgets: Sequence[int],
                       srl_gate: Callable[[np.ndarray], np.ndarray] | None,
-                      rng: Sequence[np.random.Generator],
+                      seed: int, key: int, n_slots: int,
                       retry_cap: int = 500) -> tuple[np.ndarray, int]:
-    """Feasible individuals from the Bernoulli model, one per generator in ``rng``.
+    """n_slots feasible individuals from the Bernoulli model.
 
-    Every pending slot draws cellwise from its own stream; the draws are
-    repaired together and passed to ``srl_gate`` as one (Q, N, G) stack, which
-    returns one verdict per slot (None accepts every draw). Only the rejected
-    slots draw again, so each stream is consumed as if its slot were sampled
-    alone. Returns the (Q, N, G) uint8 stack and the number of rejected draws.
+    In retry round r, pending slot q sets the cells where row q of the
+    (n_slots, N, G) uniform block of ``SeedSequence(seed, spawn_key=(key, r))``
+    falls below ``prob``. The draws are repaired together and passed to
+    ``srl_gate`` as one (Q, N, G) stack, which returns one verdict per slot
+    (None accepts every draw). Only the rejected slots draw again, in the next
+    round, so a slot's mask does not depend on which other slots are pending.
+    Returns the (n_slots, N, G) uint8 stack and the number of rejected draws.
 
     Raises
     ------
@@ -247,16 +264,14 @@ def sample_individual(prob: np.ndarray, budgets: Sequence[int],
     budgets = np.asarray(budgets, dtype=int)
     if budgets.sum() > prob.shape[0]:
         raise ValueError("total pilot budget exceeds the number of subcarriers")
-    rngs = list(rng)
-    if not rngs:
-        raise ValueError("need at least one generator")
+    if n_slots < 1:
+        raise ValueError("need at least one slot")
 
-    def draw(slots: np.ndarray) -> np.ndarray:
-        raw = np.stack([rngs[q].random(prob.shape) for q in slots]) < prob
-        return _repair(raw, budgets, prob)
+    def draw(slots: np.ndarray, r: int) -> np.ndarray:
+        return _repair(_round_block(seed, key, r, slots, prob.shape) < prob, budgets, prob)
 
     return _fill(
-        draw, srl_gate, len(rngs), retry_cap,
+        draw, srl_gate, n_slots, retry_cap,
         f"sampler rejected {retry_cap} consecutive draws on the SRL ceiling; relax "
         f"the ceilings or raise the retry cap")
 
@@ -329,91 +344,12 @@ def random_srl_reference(layout: BandLayout, cfg: EdaConfig) -> np.ndarray:
     return acc / cfg.beta_reference_draws
 
 
-# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_POOL = 4
-_M32 = 0xFFFFFFFF
-
-
-def _uint32_words(n: int) -> list[int]:
-    """n >= 0 as little-endian 32-bit words, [0] for zero, as SeedSequence reads it."""
-    if n < 0:
-        raise ValueError("seed sequence entropy must be a non-negative integer")
-    words = []
-    while True:
-        words.append(n & _M32)
-        n >>= 32
-        if not n:
-            return words
-
-
-class _PcgSeed(ISeedSequence):
-    """The four 64-bit words PCG64 draws from its seed sequence, precomputed."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("only PCG64's four 64-bit seed words are precomputed")
-        return self.words
-
-
-def _rng_for(seed: int, key: int, slots: np.ndarray) -> list[np.random.Generator]:
-    """One generator per slot q, the stream of
-    ``np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key, q)))``.
-
-    This is the stream contract of every EDA slot: key 0 seeds the initial
-    population and key it the draws of generation it. SeedSequence's entropy
-    mixing and state generation run once over all slots in uint32 arithmetic,
-    where only the last entropy word (q < 2**32) differs, and each slot's
-    four state words seed its PCG64 directly.
-    """
-    slots = np.asarray(slots, dtype=np.uint32)
-    run = _uint32_words(seed)
-    entropy = [np.full(slots.shape, w, dtype=np.uint32)
-               for w in run + [0] * (_POOL - len(run)) + _uint32_words(key)] + [slots]
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * _MULT_A & _M32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        out = _MIX_L * x - _MIX_R * y
-        return out ^ (out >> np.uint32(16))
-
-    pool = [hashmix(entropy[i]) for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL, len(entropy)):
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
-    const = _INIT_B
-    state = []
-    for i in range(8):
-        value = pool[i % _POOL] ^ np.uint32(const)
-        const = const * _MULT_B & _M32
-        value = value * np.uint32(const)
-        state.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
-    words = np.stack([state[i] | state[i + 1] << np.uint64(32) for i in range(0, 8, 2)],
-                     axis=-1)
-    return [np.random.Generator(np.random.PCG64(_PcgSeed(w))) for w in words]
-
-
 def run_eda(layout: BandLayout, cfg: EdaConfig,
             on_iteration: Callable[[int, np.ndarray, np.ndarray], None] | None = None
             ) -> EdaResult:
     """Full constrained EDA run; returns the best individual and its trace.
 
-    Population slots are seeded individually from the master seed, so the
+    Each slot reads its own row of a seeded block per retry round, so the
     result does not depend on evaluation order or on how a generation is
     batched. ``on_iteration`` receives (iteration, population masks,
     fitnesses) after every evaluation, for instrumentation.
@@ -430,13 +366,17 @@ def run_eda(layout: BandLayout, cfg: EdaConfig,
     gate = _srl_gate(layout, cfg, beta)
     matrix = isl_matrix(layout, cfg.region)
 
-    # uniform draws over feasible budgeted masks, SRL-gated
-    init_rngs = _rng_for(cfg.seed, 0, np.arange(cfg.population))
+    # uniform draws over feasible budgeted masks, SRL-gated: the subcarriers of
+    # rank [b_0 + .. + b_{g-1}, b_0 + .. + b_g) in a slot's row go to group g
+    edges = np.cumsum(budgets)
+
+    def draw_initial(slots: np.ndarray, r: int) -> np.ndarray:
+        ranks = np.argsort(np.argsort(_round_block(cfg.seed, 0, r, slots, (n,)), axis=1), axis=1)
+        group = np.searchsorted(edges, ranks, side="right")
+        return (group[..., None] == np.arange(n_groups)).astype(np.uint8)
+
     population, rejected_total = _fill(
-        lambda slots: np.stack([random_patterns(layout, n_groups, budgets,
-                                                seed=init_rngs[q].integers(0, 2**63)).mask
-                                for q in slots]),
-        gate, cfg.population, cfg.retry_cap,
+        draw_initial, gate, cfg.population, cfg.retry_cap,
         "could not initialize a feasible population; the SRL ceilings are below "
         "what random patterns achieve")
 
@@ -462,9 +402,8 @@ def run_eda(layout: BandLayout, cfg: EdaConfig,
     for it in range(1, cfg.iterations + 1):
         elite_idx = np.argsort(fits, kind="stable")[:cfg.elite]
         prob = update_probabilities(population[elite_idx])
-        drawn, rej = sample_individual(
-            prob, budgets, gate, _rng_for(cfg.seed, it, np.arange(1, cfg.population)),
-            cfg.retry_cap)
+        drawn, rej = sample_individual(prob, budgets, gate, cfg.seed, it, cfg.population - 1,
+                                       cfg.retry_cap)
         rejected_total += rej
         population = np.concatenate([best_mask[None], drawn])  # elitist carry-over
         fits = evaluate(population)

@@ -174,11 +174,11 @@ def _fim_builder(layout: BandLayout, columns: np.ndarray, noise_std: float, gain
                  prior_std_s: float | None) -> Callable[[np.ndarray], np.ndarray]:
     """dtaus (B,) -> FIM stack (..., B, D, D) for one column (N,) or a stack of
     columns (Q, N) with equal pilot counts; the inputs are checked here."""
-    if not noise_std > 0:
-        raise ValueError("noise std must be positive (the FIM diverges at zero noise)")
+    if not 0 < noise_std < np.inf:
+        raise ValueError("noise std must be positive and finite (the FIM diverges at zero noise)")
     gains = np.asarray(gains, dtype=complex)
-    if gains.shape != (2,):
-        raise ValueError("the two-path model takes exactly two gains")
+    if gains.shape != (2,) or not np.isfinite(gains).all():
+        raise ValueError("the two-path model takes exactly two finite gains")
     cols = np.asarray(columns)
     if cols.ndim not in (1, 2) or cols.shape[-1] != layout.n_total:
         raise ValueError("need one pattern column or a (Q, N) stack of them for this layout")
@@ -189,8 +189,8 @@ def _fim_builder(layout: BandLayout, columns: np.ndarray, noise_std: float, gain
     if layout.mode == "single":  # the model has no nuisances, so no prior to read
         f_sup, prior_std_s = sup * layout.subbands[0].spacing_hz, None
         weights = np.stack([np.ones_like(f_sup), f_sup, f_sup**2], axis=-1)
-    elif prior_std_s is None or not prior_std_s > 0:
-        raise ValueError("multiband FIM needs a positive timing-offset prior std")
+    elif prior_std_s is None or not 0 < prior_std_s < np.inf:
+        raise ValueError("multiband FIM needs a positive, finite timing-offset prior std")
     else:
         f_sup, weights = layout.pinned_frequencies_hz[sup], layout.moment_weights[sup]
     return lambda dtaus: _fim_batch(f_sup, weights, noise_std, gains, dtaus, prior_std_s)

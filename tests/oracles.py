@@ -310,21 +310,43 @@ def repair_serial(draw, budgets, prob) -> np.ndarray:
     return mask
 
 
-def slot_rng(seed, key, q):
-    """The stream of EDA slot q under key (0: initial population, it: generation it)."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key, q)))
+def slot_draw(seed, key, r, q, n_slots, shape):
+    """The r-th uniform draw of EDA slot q under key (0: initial population, it:
+    generation it): row q of retry round r's full (n_slots, *shape) block."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key, r)))
+    return rng.random((n_slots,) + tuple(shape))[q]
+
+
+def ranked_mask(u, budgets) -> np.ndarray:
+    """The budgeted mask (N, G) of one uniform row u (N,): the subcarriers in
+    ascending order of u are dealt out to group 0, then group 1, and so on."""
+    order = np.argsort(u)
+    mask = np.zeros((len(u), len(budgets)), dtype=np.uint8)
+    start = 0
+    for g, p in enumerate(budgets):
+        mask[order[start:start + p], g] = 1
+        start += p
+    return mask
+
+
+def isl_scalar(matrix, w) -> float:
+    """ISL of one pattern column as the scalar quadratic form w G w / (|R| p^2)."""
+    w = np.asarray(w, dtype=float)
+    p = w.sum()
+    return float(w @ matrix.matrix @ w) / (matrix.region.measure_s * p * p)
 
 
 def run_eda_serial(layout, cfg):
     """The EDA one slot and one draw at a time: each slot's draws are repaired by
     ``repair_serial`` and gated alone, group by group, with every (group,
-    column) decided by a fresh ``srl_at_most`` scan (memoized per pair). Each
-    slot's stream is built by numpy's own ``SeedSequence``."""
+    column) decided by a fresh ``srl_at_most`` scan (memoized per pair). A
+    slot's r-th draw is its row of the whole block of retry round r, drawn
+    afresh for every slot and round."""
     from pilotforge.ambiguity import isl_matrix
     from pilotforge.optimizer import (EdaResult, InfeasibleSamplingError, _fitness_many,
                                       random_srl_reference, update_probabilities)
     from pilotforge.resolution import pattern_crb_provider, srl_at_most, srl_of_pattern
-    from pilotforge.waveform import PatternSet, random_patterns
+    from pilotforge.waveform import PatternSet
 
     n_groups = len(cfg.budgets)
     budgets = np.asarray(cfg.budgets, dtype=int)
@@ -351,10 +373,9 @@ def run_eda_serial(layout, cfg):
     rejected = 0
     population = []
     for q in range(cfg.population):
-        rng = slot_rng(cfg.seed, 0, q)
-        for _ in range(cfg.retry_cap):
-            mask = random_patterns(layout, n_groups, budgets,
-                                   seed=rng.integers(0, 2**63)).mask
+        for r in range(cfg.retry_cap):
+            mask = ranked_mask(slot_draw(cfg.seed, 0, r, q, cfg.population, (layout.n_total,)),
+                               budgets)
             if gate(mask):
                 break
             rejected += 1
@@ -369,10 +390,10 @@ def run_eda_serial(layout, cfg):
     for it in range(1, cfg.iterations + 1):
         prob = update_probabilities(population[np.argsort(fits, kind="stable")[:cfg.elite]])
         new_pop = [best_mask]
-        for q in range(1, cfg.population):
-            rng = slot_rng(cfg.seed, it, q)
-            for _ in range(cfg.retry_cap):
-                mask = repair_serial(rng.random(prob.shape) < prob, budgets, prob)
+        for q in range(cfg.population - 1):
+            for r in range(cfg.retry_cap):
+                draw = slot_draw(cfg.seed, it, r, q, cfg.population - 1, prob.shape)
+                mask = repair_serial(draw < prob, budgets, prob)
                 if gate(mask):
                     break
                 rejected += 1

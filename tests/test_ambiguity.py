@@ -8,7 +8,7 @@ from pilotforge.ambiguity import SidelobeRegion, _sine_quotient, isl_matrix
 from pilotforge.cli import _group_entry
 from pilotforge.resolution import SrlResult, SrlSearch
 
-from oracles import dirichlet_magnitude, isl_quadrature, isl_region_integral_cos
+from oracles import dirichlet_magnitude, isl_quadrature, isl_region_integral_cos, isl_scalar
 
 FS = 120e3
 
@@ -159,7 +159,9 @@ class TestIsl:
             cols[i, rng.permutation(256)[:128]] = 1
         batch = mat.isl_many(cols)
         for i in range(5):
-            assert batch[i] == pytest.approx(mat.isl(cols[i]), rel=1e-12)
+            ref = isl_scalar(mat, cols[i])
+            assert batch[i] == pytest.approx(ref, rel=1e-12)
+            assert mat.isl(cols[i]) == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("mode", ["single", "multi"])
     def test_isl_many_matches_per_column_einsum(self, mode, layout_single, layout_multi,

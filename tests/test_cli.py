@@ -231,6 +231,12 @@ class TestMetricsCommands:
         ("single", "noise_std = 0", "noise std"),
         ("single", "noise_std = -0.1", "noise std"),
         ("multi", "prior_std_s = 0", "prior std"),
+        ("single", "noise_std = inf", "noise std"),
+        ("single", "noise_std = nan", "noise std"),
+        ("single", "gain1 = nan", "gains"),
+        ("single", "gain2 = inf", "gains"),
+        ("multi", "gain2 = -inf", "gains"),
+        ("multi", "prior_std_s = inf", "prior std"),
     ])
     def test_bad_offline_value_exit_code(self, toy_artifact, tmp_path, capsys, command,
                                          band, line, message):
@@ -239,7 +245,9 @@ class TestMetricsCommands:
         cfg.write_text(TOY_INI + f"[offline]\n{line}\n")
         args = ["--pattern", str(pat)] if command == "srl" else ["--out", str(tmp_path)]
         assert main([command, "--band", band, "--config", str(cfg)] + args) == 2
-        assert message in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert message in captured.err and not captured.out
+        assert not [p for p in tmp_path.iterdir() if p.suffix in (".csv", ".json")]
 
     @pytest.mark.parametrize("command", ["srl", "optimize"])
     @pytest.mark.parametrize("line,message", [

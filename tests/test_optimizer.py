@@ -7,12 +7,12 @@ import pilotforge as pf
 from pilotforge import optimizer, resolution
 from pilotforge.ambiguity import SidelobeRegion, isl_matrix
 from pilotforge.optimizer import (EdaConfig, InfeasibleSamplingError, _fitness_many,
-                                  _repair, _rng_for, _srl_gate, random_srl_reference, run_eda,
+                                  _repair, _srl_gate, random_srl_reference, run_eda,
                                   sample_individual, update_probabilities)
 from pilotforge.resolution import (SrlSearch, pattern_crb_provider, srl_at_most,
                                    srl_of_pattern)
 
-from oracles import repair_serial, run_eda_serial, slot_rng
+from oracles import repair_serial, run_eda_serial, slot_draw
 
 FS = 120e3
 
@@ -106,29 +106,6 @@ def assert_same_result(got, ref):
     assert got.rejected_draws == ref.rejected_draws
 
 
-class TestSlotStreams:
-    @pytest.mark.parametrize("seed", [0, 1, 15, 301, 2**32 + 5, 2**70 + 3])
-    def test_bulk_streams_are_seed_sequence_streams(self, seed):
-        # the initial population's key 0, generation keys, keys of one and two
-        # 32-bit words, and the largest one-word slot index
-        cases = [(0, np.arange(400)), (1, np.arange(1, 400)), (60, np.arange(1, 400)),
-                 (2**31, np.array([0, 1, 399])), (2**32 + 1, np.array([5, 2**32 - 1]))]
-        for key, slots in cases:
-            got = _rng_for(seed, key, slots)
-            assert len(got) == len(slots)
-            for q, rng in zip(slots.tolist(), got):
-                ref = slot_rng(seed, key, q)
-                assert rng.bit_generator.state == ref.bit_generator.state, (key, q)
-                np.testing.assert_array_equal(rng.random(3), ref.random(3))
-
-    @pytest.mark.parametrize("seed,key", [(-1, 1), (1, -1)])
-    def test_negative_entropy_rejected_as_by_seed_sequence(self, seed, key):
-        with pytest.raises(ValueError):
-            slot_rng(seed, key, 0)
-        with pytest.raises(ValueError):
-            _rng_for(seed, key, np.arange(3))
-
-
 class TestRepair:
     @pytest.mark.parametrize("n_groups", [1, 2, 3])
     def test_stack_matches_serial_oracle(self, n_groups):
@@ -158,35 +135,33 @@ class TestRepair:
 class TestSampleIndividual:
     def test_deterministic_at_unit_probabilities(self):
         mask = pf.random_patterns(toy_layout(), 2, [8, 8], seed=2).mask
-        rng = np.random.default_rng(0)
-        got, rejected = sample_individual(mask.astype(float), [8, 8], None, [rng])
-        np.testing.assert_array_equal(got[0], mask)
+        got, rejected = sample_individual(mask.astype(float), [8, 8], None, 0, 1, 3)
+        np.testing.assert_array_equal(got, np.stack([mask] * 3))
         assert rejected == 0
 
     def test_repaired_draws_are_always_feasible(self):
         prob = np.full((32, 2), 0.5)
-        rng = np.random.default_rng(7)
-        for _ in range(1000):
-            ind, _ = sample_individual(prob, [8, 8], None, [rng])
-            assert pf.PatternSet(ind[0]).budgets.tolist() == [8, 8]
-            assert ind[0].sum(axis=1).max() <= 1
+        stack, _ = sample_individual(prob, [8, 8], None, 7, 1, 1000)
+        for ind in stack:
+            assert pf.PatternSet(ind).budgets.tolist() == [8, 8]
+            assert ind.sum(axis=1).max() <= 1
 
     def test_same_seed_same_individual(self):
         prob = np.full((32, 2), 0.5)
-        a, _ = sample_individual(prob, [8, 8], None, [np.random.default_rng(11)])
-        b, _ = sample_individual(prob, [8, 8], None, [np.random.default_rng(11)])
+        a, _ = sample_individual(prob, [8, 8], None, 11, 1, 4)
+        b, _ = sample_individual(prob, [8, 8], None, 11, 1, 4)
         np.testing.assert_array_equal(a, b)
+        for seed, key in [(12, 1), (11, 2)]:
+            c, _ = sample_individual(prob, [8, 8], None, seed, key, 4)
+            assert not np.array_equal(a, c)
 
     def test_gate_rejection_counted_and_capped(self):
         prob = np.full((32, 2), 0.5)
         never = lambda masks: np.zeros(len(masks), dtype=bool)  # noqa: E731
-        with pytest.raises(InfeasibleSamplingError) as err:
-            sample_individual(prob, [8, 8], never, [np.random.default_rng(3)], retry_cap=17)
-        assert err.value.attempts == 17
-        rngs = [np.random.default_rng(s) for s in range(5)]
-        with pytest.raises(InfeasibleSamplingError) as err:
-            sample_individual(prob, [8, 8], never, rngs, retry_cap=17)
-        assert err.value.attempts == 17
+        for n_slots in (1, 5):
+            with pytest.raises(InfeasibleSamplingError) as err:
+                sample_individual(prob, [8, 8], never, 3, 1, n_slots, retry_cap=17)
+            assert err.value.attempts == 17
 
     def test_generators_draw_each_slot_as_if_alone(self):
         prob = np.random.default_rng(4).random((32, 2))
@@ -194,20 +169,72 @@ class TestSampleIndividual:
         def gate(masks):  # a pure function of the mask, as the SRL gate is
             return masks[:, :4, 0].sum(axis=1) <= 1
 
-        stack, rejected = sample_individual(prob, [8, 8], gate,
-                                            [np.random.default_rng(s) for s in range(12)])
+        stack, rejected = sample_individual(prob, [8, 8], gate, 5, 2, 12)
         assert stack.shape == (12, 32, 2) and stack.dtype == np.uint8
+        # slot q alone: its r-th draw is row q of round r, until the gate accepts one
         alone = 0
-        for s in range(12):
-            ind, rej = sample_individual(prob, [8, 8], gate, [np.random.default_rng(s)])
-            np.testing.assert_array_equal(stack[s], ind[0])
-            alone += rej
+        for q in range(12):
+            for r in range(500):
+                ind = repair_serial(slot_draw(5, 2, r, q, 12, (32, 2)) < prob, [8, 8], prob)
+                if gate(ind[None])[0]:
+                    break
+                alone += 1
+            np.testing.assert_array_equal(stack[q], ind)
         assert rejected == alone > 0
+        # slots 5..11 never pending: slots 0..4 are pending in fewer rounds with
+        # fewer others, and draw the same masks
+        head, head_rejected = sample_individual(prob, [8, 8], gate, 5, 2, 5)
+        np.testing.assert_array_equal(head, stack[:5])
+        assert 0 < head_rejected < rejected
 
     def test_invalid_probabilities_rejected(self):
         with pytest.raises(ValueError):
-            sample_individual(np.full((8, 1), 1.5), [2], None,
-                              [np.random.default_rng(0)])
+            sample_individual(np.full((8, 1), 1.5), [2], None, 0, 1, 1)
+        with pytest.raises(ValueError):
+            sample_individual(np.full((8, 1), 0.5), [2], None, 0, 1, 0)
+
+
+class TestInitialPopulation:
+    @staticmethod
+    def initial(monkeypatch, population, gate=None, budgets=(8, 8)):
+        """Generation 0 of a one-iteration run whose SRL gate is replaced by ``gate``."""
+        monkeypatch.setattr(optimizer, "_srl_gate", lambda layout, cfg, beta: gate)
+        seen = {}
+        cfg = toy_config(seed=3, budgets=budgets, population=population,
+                         elite=population // 2, iterations=1, srl_ceilings_s=(1e-6, 1e-6))
+        run_eda(toy_layout(), cfg, on_iteration=lambda it, pop, fits: seen.setdefault(it, pop))
+        return seen[0]
+
+    def test_budgeted_disjoint_uniform_and_independent_of_pending_slots(self, monkeypatch):
+        def gate(masks):  # a pure function of the mask, as the SRL gate is
+            return masks[:, :4, 0].sum(axis=1) <= 1
+
+        free = self.initial(monkeypatch, 200)
+        gated = self.initial(monkeypatch, 200, gate)
+        for pop in (free, gated):
+            np.testing.assert_array_equal(pop.sum(axis=1), np.full((200, 2), 8))
+            assert pop.sum(axis=2).max() <= 1
+        assert gate(gated).all()
+        # round 0 is the ungated draw: the slots it passes keep it, the others redraw
+        first = gate(free)
+        assert 0 < first.sum() < 200
+        np.testing.assert_array_equal(gated[first], free[first])
+        # also rejecting the round-0 masks of slots 0..9 keeps all ten pending
+        # beside the others: every other slot still draws the same masks
+        extra = {mask.tobytes() for mask in free[:10]}
+
+        def stricter(masks):
+            return gate(masks) & np.array([mask.tobytes() not in extra for mask in masks])
+
+        strict = self.initial(monkeypatch, 200, stricter)
+        assert stricter(strict).all() and not np.array_equal(strict[:10], gated[:10])
+        np.testing.assert_array_equal(strict[10:], gated[10:])
+
+    def test_occupancy_per_group_is_budget_over_subcarriers(self, monkeypatch):
+        pop = self.initial(monkeypatch, 4000, budgets=(4, 12))
+        np.testing.assert_array_equal(pop.sum(axis=1), np.broadcast_to([4, 12], (4000, 2)))
+        np.testing.assert_allclose(pop.mean(axis=0), np.broadcast_to([4 / 32, 12 / 32], (32, 2)),
+                                   atol=0.03)
 
 
 class TestRunEda:
@@ -415,6 +442,11 @@ class TestEdaConfigValidation:
     def test_positive_noise(self):
         with pytest.raises(ValueError):
             toy_config(offline_noise_std=0.0)
+
+    @pytest.mark.parametrize("noise", [float("inf"), float("nan")])
+    def test_finite_noise(self, noise):
+        with pytest.raises(ValueError, match="noise std"):
+            toy_config(offline_noise_std=noise)
 
     @pytest.mark.parametrize("key,value", [
         ("gate_step_s", 0.0), ("gate_step_s", -1e-11), ("gate_step_s", float("nan")),

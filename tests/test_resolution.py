@@ -238,16 +238,16 @@ class TestFimMultiband:
             fim(layout_multi, random_column(256, 128, 0), SIGMA, GAINS, 5e-9, 1e-9)
 
 
-def offline_model_calls(lay, w):
+def offline_model_calls(lay, w, noise=SIGMA, gains=GAINS):
     """Each public entry point of the offline SRL model, as prior -> result."""
     dts = np.array([2e-9, 5e-9])
     cols = np.stack([w, np.roll(w, 1)])
     return {
-        "fim": lambda prior: fim(lay, w, SIGMA, GAINS, dts, prior),
+        "fim": lambda prior: fim(lay, w, noise, gains, dts, prior),
         "pattern_crb_provider": lambda prior: pattern_crb_provider(
-            lay, w, SIGMA, GAINS, prior)(dts),
-        "resolvable_at": lambda prior: resolvable_at(lay, cols, SIGMA, GAINS, 3e-9, prior),
-        "srl_of_pattern": lambda prior: srl_of_pattern(lay, w, SIGMA, GAINS, prior),
+            lay, w, noise, gains, prior)(dts),
+        "resolvable_at": lambda prior: resolvable_at(lay, cols, noise, gains, 3e-9, prior),
+        "srl_of_pattern": lambda prior: srl_of_pattern(lay, w, noise, gains, prior),
     }
 
 
@@ -271,10 +271,23 @@ class TestPriorDecision:
                                       "srl_of_pattern"])
     def test_multiband_needs_a_positive_prior(self, name):
         call = offline_model_calls(TWO_BANDS, random_column(34, 18, seed=0))[name]
-        for prior in (0.0, None):
+        for prior in (0.0, None, np.inf, np.nan):
             with pytest.raises(ValueError, match="prior std"):
                 call(prior)
         call(1e-9)
+
+    @pytest.mark.parametrize("name", ["fim", "pattern_crb_provider", "resolvable_at",
+                                      "srl_of_pattern"])
+    @pytest.mark.parametrize("noise,gains,message", [
+        (np.inf, GAINS, "noise std"), (np.nan, GAINS, "noise std"),
+        (SIGMA, (np.nan, 1.0), "finite gains"), (SIGMA, (1.0, np.inf), "finite gains")])
+    def test_non_finite_noise_or_gains_rejected(self, layout_single, name, noise, gains,
+                                                message):
+        for lay, prior in ((layout_single, None), (TWO_BANDS, 1e-9)):
+            call = offline_model_calls(lay, random_column(lay.n_total, 18, seed=0),
+                                       noise, gains)[name]
+            with pytest.raises(ValueError, match=message):
+                call(prior)
 
 
 class TestCrb:
