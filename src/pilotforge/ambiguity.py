@@ -30,8 +30,8 @@ class SidelobeRegion:
     b_s: float
 
     def __post_init__(self):
-        if not 0 < self.a_s < self.b_s:
-            raise ValueError("side-lobe region requires 0 < a < b")
+        if not 0 < self.a_s < self.b_s < np.inf:
+            raise ValueError("side-lobe region requires 0 < a < b < inf")
 
     @property
     def measure_s(self) -> float:

@@ -457,9 +457,10 @@ def cmd_simulate(cfg: ExperimentConfig, pattern_paths: list[str], out_dir: Path)
         check_gate(layout, (0.0, tau_max))
     except ValueError as exc:
         raise ConfigError(f"sim.tau_max_s: {exc}") from exc
-    if float(sim["min_separation_s"]) * (n_paths - 1) >= tau_max:
-        raise ConfigError("sim.min_separation_s leaves no room for sim.n_paths "
-                          "paths inside sim.tau_max_s")
+    sep = float(sim["min_separation_s"])
+    if not 0 <= sep < np.inf or sep * (n_paths - 1) >= tau_max:
+        raise ConfigError("sim.min_separation_s must be non-negative, finite and leave "
+                          "room for sim.n_paths paths inside sim.tau_max_s")
     schemes: dict[str, PatternSet] = {}
     for i, p in enumerate(pattern_paths):
         name = "proposed" if i == 0 else f"proposed{i + 1}"
@@ -474,7 +475,7 @@ def cmd_simulate(cfg: ExperimentConfig, pattern_paths: list[str], out_dir: Path)
         out = run_extrapolation_sim(
             layout, schemes, float(snr), trials=int(sim["trials"]),
             n_codes=n_codes, n_paths=n_paths, tau_max_s=tau_max,
-            min_separation_s=float(sim["min_separation_s"]),
+            min_separation_s=sep,
             pso=pso, seed=cfg.seed)
         rows.append([float(snr)] + [out[n].nmse for n in names]
                     + [int(sim["trials"])] + [out[n].failures for n in names])

@@ -84,8 +84,8 @@ class EdaConfig:
         if self.srl_ceilings_s is not None:
             if len(self.srl_ceilings_s) != len(self.budgets):
                 raise ValueError("one SRL ceiling per group required")
-            if any(b <= 0 for b in self.srl_ceilings_s):
-                raise ValueError("SRL ceilings must be positive")
+            if not all(0 < b < np.inf for b in self.srl_ceilings_s):
+                raise ValueError("SRL ceilings must be positive and finite")
         if not 0 < self.offline_noise_std < np.inf:
             raise ValueError("offline noise std must be positive and finite")
         if self.retry_cap < 1:
@@ -284,25 +284,20 @@ def _srl_gate(layout: BandLayout, cfg: EdaConfig,
     tested in order, each only for the slots that passed the groups before
     it. Each decision is a pure function of (group, column), so the gate
     caches it under (group, packed column) for its own lifetime, which is one
-    ``run_eda``. The misses of one call are decided together: one
-    ``resolvable_at`` per group accepts every column with g(beta) >= 0, the
-    test ``srl_at_most`` makes first. A column with g(beta) < 0, or with no
-    finite CRB in the stack, gets its own CRB provider and the full
-    ``srl_at_most`` decision. So does the first miss of every call, whatever
-    its g(beta): the traced benchmark times the gate by its ``srl_at_most``
-    calls, and a run whose misses all pass at beta would otherwise have none.
+    ``run_eda``. The misses of one call are decided together, group by
+    group: one ``resolvable_at`` accepts every column with g(beta) >= 0, the
+    test ``srl_at_most`` makes first, and only if some column fails there, one
+    CRB provider over the failing columns and one ``srl_at_most`` scan of
+    that stack decide the rest.
     """
     decided: dict[tuple[int, bytes], bool] = {}
+    model = (cfg.offline_noise_std, cfg.offline_gains)
 
     def decide(g: int, cols: np.ndarray) -> np.ndarray:
-        ok = resolvable_at(layout, cols, cfg.offline_noise_std, cfg.offline_gains,
-                           beta_s[g], cfg.prior_std_s)
-        exact = ~ok
-        exact[0] = True
-        for i in np.flatnonzero(exact):
-            provider = pattern_crb_provider(layout, cols[i], cfg.offline_noise_std,
-                                            cfg.offline_gains, cfg.prior_std_s)
-            ok[i] = srl_at_most(provider, beta_s[g], cfg.gate_step_s)
+        ok = resolvable_at(layout, cols, *model, beta_s[g], cfg.prior_std_s)
+        if not ok.all():
+            provider = pattern_crb_provider(layout, cols[~ok], *model, cfg.prior_std_s)
+            ok[~ok] = srl_at_most(provider, beta_s[g], cfg.gate_step_s)
         return ok
 
     def gate(masks: np.ndarray) -> np.ndarray:

@@ -10,6 +10,8 @@ The SRL is the smallest delay separation solving dtau = sqrt(CRB(dtau)). With
 g(dtau) = dtau - sqrt(CRB(dtau)), it is located by a grid scan for the first
 crossing, the first grid point with g >= 0, in ascending chunks that stop at
 the first chunk holding it, then bisection of the bracket that ends there.
+The EDA gate's ``srl_at_most`` decides "SRL <= beta" for a whole stack of
+columns in one scan: a column's CRB in a stack is its CRB alone.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ __all__ = [
     "SrlSearch",
     "fim",
     "crb_batch",
-    "crb_of_columns",
     "resolvable_at",
     "srl_search",
     "pattern_crb_provider",
@@ -216,31 +217,28 @@ def fim(layout: BandLayout, columns: np.ndarray, noise_std: float, gains,
 
 
 def crb_batch(J: np.ndarray) -> np.ndarray:
-    """CRB of tau_2 - tau_1 for a (B, D, D) stack of FIMs, +inf where unresolvable.
+    """CRB of tau_2 - tau_1 for each FIM of a (..., D, D) stack, +inf where unresolvable.
 
-    This is the (1,1)+(2,2)-(1,2)-(2,1) combination of the inverse FIM.
-    Rows/columns that are exactly zero (nuisance parameters of subbands the
-    pattern never touches, which carry no prior) are dropped before inversion.
-    The conditioning test runs on the Jacobi-scaled matrix D J D with unit
-    diagonal: the raw FIM mixes seconds and unit gains, so its condition
-    number reflects units rather than resolvability.
+    This is the (1,1)+(2,2)-(1,2)-(2,1) combination of the inverse FIM, each
+    FIM decided on its own. A nuisance with an exactly zero row (of a subband
+    the pattern never touches, with no prior) gets a unit diagonal entry: so
+    decoupled, it changes neither the delay block of the inverse nor the
+    extreme eigenvalues of the unit-diagonal Jacobi-scaled D J D, on which
+    conditioning is tested (the raw FIM mixes seconds and unit gains).
     """
     J = np.asarray(J, dtype=float)
-    out = np.full(J.shape[0], np.inf)
-    # parameters with no information anywhere in the batch (nuisances of
-    # untouched subbands) share one structural zero pattern; drop them once
-    keep = ~np.all(J == 0.0, axis=(0, 1))
-    if not (keep[0] and keep[1]):
-        return out
-    Jr = J if keep.all() else J[:, keep][:, :, keep]
-    diag = np.diagonal(Jr, axis1=1, axis2=2)
+    shape, dim = J.shape[:-2], J.shape[-1]
+    idle = np.all(J == 0.0, axis=-1) & (np.arange(dim) >= 2)  # never the delays
+    J = (J + idle[..., None] * np.eye(dim)).reshape(-1, dim, dim)
+    out = np.full(len(J), np.inf)
+    diag = np.diagonal(J, axis1=1, axis2=2)
     ok = np.all(diag > 0, axis=1)
     if not np.any(ok):
-        return out
+        return out.reshape(shape)
     ds = np.sqrt(np.where(diag > 0, diag, 1.0))
-    Js = Jr / (ds[:, :, None] * ds[:, None, :])
+    Js = J / (ds[:, :, None] * ds[:, None, :])
     if not ok.all():
-        Js[~ok] = np.eye(Jr.shape[1])  # placeholder keeps the batched algebra finite
+        Js[~ok] = np.eye(dim)  # placeholder keeps the batched algebra finite
     eig = np.linalg.eigvalsh(Js)
     ok &= (eig[:, 0] > 0) & (eig[:, -1] <= _COND_CAP * np.maximum(eig[:, 0], 1e-300))
     if np.any(ok):
@@ -250,43 +248,30 @@ def crb_batch(J: np.ndarray) -> np.ndarray:
         val = (Ji[:, 0, 0] / d00**2 + Ji[:, 1, 1] / d11**2
                - (Ji[:, 0, 1] + Ji[:, 1, 0]) / (d00 * d11))
         out[np.flatnonzero(ok)[val > 0]] = val[val > 0]
-    return out
+    return out.reshape(shape)
 
 
 def pattern_crb_provider(layout: BandLayout, w: np.ndarray, noise_std: float, gains,
                          prior_std_s: float | None = None
                          ) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch dtau -> CRB callable for one pattern column under the offline model."""
+    """dtaus (B,) -> CRBs under the offline model, (B,) for one pattern column
+    and (Q, B) for a (Q, N) stack with equal pilot counts, each row as alone."""
     fims = _fim_builder(layout, w, noise_std, gains, prior_std_s)
     return lambda dtaus: crb_batch(fims(np.atleast_1d(dtaus)))
 
 
-def crb_of_columns(layout: BandLayout, columns: np.ndarray, noise_std: float, gains,
-                   delta_tau_s: float, prior_std_s: float | None = None) -> np.ndarray:
-    """CRB at one delay separation for each column of a (Q, N) stack.
-
-    Every column must hold the same number of pilots, so one batched product
-    gives all the moments. A finite entry equals what ``pattern_crb_provider``
-    gives for that column alone. An entry can be +inf here and finite alone:
-    ``crb_batch`` drops a parameter only when it carries no information in
-    any column, so a multiband column with no pilot in a subband that another
-    column touches comes out unresolvable.
-    """
-    J = fim(layout, columns, noise_std, gains, delta_tau_s, prior_std_s)
-    return crb_batch(J.reshape((-1,) + J.shape[-2:]))
-
-
 def resolvable_at(layout: BandLayout, columns: np.ndarray, noise_std: float, gains,
                   beta_s: float, prior_std_s: float | None = None) -> np.ndarray:
-    """g(beta_s) >= 0 for each column of a (Q, N) stack (see ``crb_of_columns``).
+    """g(beta_s) >= 0 for each column of a (Q, N) stack.
 
     This is the test ``srl_at_most`` makes first, through the same ``_g``, so
     True certifies SRL <= beta_s for that column on any of its grids. False
-    decides nothing: the column may still have a root below beta_s, or be
-    unresolvable only inside this stack, so it needs ``srl_at_most``.
+    decides nothing: the column may still have a root below beta_s, which
+    only the ``srl_at_most`` scan finds.
     """
-    crb = crb_of_columns(layout, columns, noise_std, gains, beta_s, prior_std_s)
-    return _g(np.full(len(crb), float(beta_s)), crb) >= 0
+    beta = np.array([float(beta_s)])
+    crb = pattern_crb_provider(layout, columns, noise_std, gains, prior_std_s)(beta)
+    return _g(beta, crb)[..., 0] >= 0
 
 
 def _g(grid: np.ndarray, crb: np.ndarray) -> np.ndarray:
@@ -344,16 +329,22 @@ def srl_of_pattern(layout: BandLayout, w: np.ndarray, noise_std: float, gains,
 
 
 def srl_at_most(crb_provider: Callable[[np.ndarray], np.ndarray], beta_s: float,
-                step_s: float) -> bool:
-    """True when the SRL does not exceed beta_s: g >= 0 somewhere on a coarse grid.
+                step_s: float):
+    """True where the SRL does not exceed beta_s: g >= 0 somewhere on a coarse grid.
 
-    The grid starts at min(step_s, beta_s), advances by step_s while below
+    A provider of (B,) CRBs (one column) gets a bool, one of (Q, B) CRBs (a
+    stack) one verdict per column. The grid starts at min(step_s, beta_s), advances by step_s while below
     beta_s and ends at beta_s itself. The first grid point with g >= 0 marks
     a crossing at or below beta_s, as in ``srl_search``. g(beta_s) alone is
-    evaluated first, and the rest of the grid only when g < 0 there.
+    evaluated first, then the grid in ascending ``_SCAN_CHUNK``-point chunks
+    until every column has crossed.
     """
     grid = np.arange(min(step_s, beta_s), beta_s, step_s)
     grid = np.append(grid[grid < beta_s], beta_s)
-    if _g(grid[-1:], crb_provider(grid[-1:]))[0] >= 0:
-        return True
-    return bool(np.any(_g(grid, crb_provider(grid)) >= 0))
+    hit = _g(grid[-1:], crb_provider(grid[-1:]))[..., 0] >= 0
+    for start in range(0, len(grid), _SCAN_CHUNK):
+        if np.all(hit):
+            break
+        chunk = grid[start:start + _SCAN_CHUNK]
+        hit |= np.any(_g(chunk, crb_provider(chunk)) >= 0, axis=-1)
+    return hit if np.ndim(hit) else bool(hit)

@@ -64,8 +64,10 @@ class Subband:
     n_subcarriers: int
 
     def __post_init__(self):
-        if self.spacing_hz <= 0:
-            raise ValueError("subcarrier spacing must be positive")
+        if not np.isfinite(self.center_hz):
+            raise ValueError("subband center frequency must be finite")
+        if not 0 < self.spacing_hz < np.inf:
+            raise ValueError("subcarrier spacing must be positive and finite")
         if self.n_subcarriers < 1:
             raise ValueError("subband needs at least one subcarrier")
 
@@ -395,8 +397,10 @@ def draw_channels(n_groups: int, n_codes: int, n_paths: int, tau_max_s: float,
 
     A positive min_separation_s redraws each user's delays until adjacent
     paths are at least that far apart (for experiments that presuppose
-    resolvable paths).
+    resolvable paths); it must be non-negative and finite.
     """
+    if not 0 <= min_separation_s < np.inf:
+        raise ValueError("minimum separation must be non-negative and finite")
     if min_separation_s * (n_paths - 1) >= tau_max_s:
         raise ValueError("minimum separation is incompatible with the delay window")
     rng = np.random.default_rng(seed)

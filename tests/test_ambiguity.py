@@ -18,7 +18,8 @@ class TestSidelobeRegion:
         reg = SidelobeRegion(100e-9, 400e-9)
         assert reg.measure_s == pytest.approx(600e-9)
 
-    @pytest.mark.parametrize("a,b", [(0.0, 1e-9), (2e-9, 1e-9), (-1e-9, 1e-9)])
+    @pytest.mark.parametrize("a,b", [(0.0, 1e-9), (2e-9, 1e-9), (-1e-9, 1e-9),
+                                     (1e-9, np.inf)])
     def test_invalid_bounds(self, a, b):
         with pytest.raises(ValueError):
             SidelobeRegion(a, b)

@@ -9,6 +9,8 @@ restored when the tracer is removed.
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from pilotforge import ambiguity, cli, optimizer, receiver, resolution
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -43,3 +45,21 @@ def test_installed_replaces_and_restores_every_traced_name():
     with tracing.installed(tracing.Tracer()):
         assert changed_since(before) == TRACED
     assert changed_since(before) == set()
+
+
+def test_stacked_gate_is_timed_with_counting_providers():
+    # a toy run whose gate rejects draws: each exact decision is a
+    # ``resolution.gate`` span that scans the provider the tracer built
+    from test_optimizer import toy_config, toy_layout
+
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        res = optimizer.run_eda(toy_layout(), toy_config(seed=5, iterations=3))
+    assert res.rejected_draws > 0
+    tab = tracer.table()
+    gates = set(map(int, np.flatnonzero(tab["name"] == "resolution.gate")))
+    builds = tab["name"] == "resolution.crb_provider_build"
+    scans = tab["parent"][tab["name"] == "resolution.crb_provider"]
+    assert gates and builds.sum() == len(gates)
+    assert gates == set(map(int, scans))       # every gate span scanned its provider
+    assert tracer.count["fims"] >= len(scans) and tracer.gate_keys

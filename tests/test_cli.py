@@ -202,6 +202,8 @@ class TestOptimizeArtifacts(object):
         ("single", "beta_margin = 0", "beta margin"),
         ("single", "beta_margin = -1", "beta margin"),
         ("multi", "[offline]\nprior_std_s = 0", "prior std"),
+        ("single", "beta_s = nan, nan", "SRL ceilings"),
+        ("multi", "beta_s = inf, inf", "SRL ceilings"),
     ])
     def test_bad_gate_setting_exit_code(self, tmp_path, capsys, band, line, message):
         cfg = tmp_path / "cfg.ini"
@@ -266,6 +268,37 @@ class TestMetricsCommands:
         assert main([command, "--config", str(cfg)] + args) == 2
         assert message in capsys.readouterr().err
         assert not [p for p in tmp_path.iterdir() if p.suffix in (".csv", ".json")]
+
+    @pytest.mark.parametrize("command", ["isl", "srl", "optimize"])
+    def test_unbounded_region_exit_code(self, toy_artifact, tmp_path, capsys, command):
+        _, _, pat = toy_artifact
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(TOY_INI + "[region]\nb_s = inf\n")
+        args = ["--out", str(tmp_path)] if command == "optimize" else ["--pattern", str(pat)]
+        assert main([command, "--config", str(cfg)] + args) == 2
+        captured = capsys.readouterr()
+        assert "0 < a < b < inf" in captured.err and not captured.out
+        assert not [p for p in tmp_path.iterdir() if p.suffix in (".csv", ".json")]
+
+    @pytest.mark.parametrize("command", ["isl", "srl"])
+    @pytest.mark.parametrize("band,line,message", [
+        ("single", "spacing_hz = nan", "spacing"),
+        ("single", "spacing_hz = inf", "spacing"),
+        ("single", "center_hz = inf", "center"),
+        ("multi", "multi_spacings_hz = 120e3, nan", "spacing"),
+        ("multi", "multi_centers_hz = 3.5e9, inf", "center"),
+    ])
+    def test_non_finite_band_value_exit_code(self, toy_artifact, tmp_path, capsys, command,
+                                             band, line, message):
+        _, _, pat = toy_artifact
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(TOY_INI.replace("subcarriers = 64", f"subcarriers = 64\n{line}"))
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_file(cfg).with_overrides(mode=band).layout()
+        assert main([command, "--band", band, "--config", str(cfg),
+                     "--pattern", str(pat)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and not captured.out
 
     def test_isl_output(self, toy_artifact, capsys):
         d, cfg, pat = toy_artifact
@@ -376,6 +409,11 @@ class TestSimulate:
         "snr_db =",
         "snr_db = -inf",              # infinite noise, not a noiseless run
         "snr_db = nan",
+        # one path has no adjacent pair, so only the check itself catches these;
+        # with two paths a NaN separation made the delay redraw loop spin forever
+        "n_paths = 1\nmin_separation_s = nan",
+        "n_paths = 1\nmin_separation_s = inf",
+        "min_separation_s = -1e-9",
     ])
     def test_bad_sim_value_exit_code(self, toy_artifact, tmp_path, sim):
         _, _, pat = toy_artifact

@@ -273,17 +273,18 @@ class TestRunEda:
         batched, built, scanned, gated = [], [], [], []
 
         def batch(layout, cols, noise_std, gains, beta_s, *args, **kwargs):
-            batched.append((beta_s, [c.tobytes() for c in cols]))
-            return resolution.resolvable_at(layout, cols, noise_std, gains, beta_s,
-                                            *args, **kwargs)
+            out = resolution.resolvable_at(layout, cols, noise_std, gains, beta_s,
+                                           *args, **kwargs)
+            batched.append((beta_s, [c.tobytes() for c in cols], out.tolist()))
+            return out
 
         def build(layout, w, *args, **kwargs):
-            built.append(np.asarray(w).tobytes())
+            built.append([c.tobytes() for c in np.asarray(w)])
             return resolution.pattern_crb_provider(layout, w, *args, **kwargs)
 
         def decide(provider, beta_s, step_s):
             out = resolution.srl_at_most(provider, beta_s, step_s)
-            scanned.append((beta_s, out))
+            scanned.append((beta_s, out.tolist()))
             return out
 
         real_gate_factory = optimizer._srl_gate
@@ -307,7 +308,7 @@ class TestRunEda:
         beta = list(res.beta_s)
         assert len(set(beta)) == len(beta)
         # every miss is decided in a batch at beta, and no pair is decided twice
-        seen = [(beta.index(b), col) for b, cols in batched for col in cols]
+        seen = [(beta.index(b), col) for b, cols, _ in batched for col in cols]
         assert len(seen) == len(set(seen)), "a (group, column) pair was decided twice"
         gains = np.asarray(cfg.offline_gains, complex)
         answers = {}
@@ -315,15 +316,21 @@ class TestRunEda:
             w = np.frombuffer(col, dtype=np.uint8)
             provider = pattern_crb_provider(lay, w, cfg.offline_noise_std, gains)
             answers[(g, col)] = srl_at_most(provider, beta[g], cfg.gate_step_s)
-        # the full scan runs once per pair the batch could not accept, and for the
-        # first pair of every batch; every rejection went through it
-        assert built and len(built) == len(scanned)
-        exact = [(beta.index(b), col) for col, (b, _) in zip(built, scanned)]
+        # the exact path runs once per batch that has a column failing at beta,
+        # on exactly those columns, and every rejection went through it
+        failed = [[col for col, ok in zip(cols, oks) if not ok] for _, cols, oks in batched]
+        assert built and built == [cols for cols in failed if cols]
+        assert len(scanned) == len(built)
+        exact = []
+        for cols, (b, outs) in zip(built, scanned):
+            assert len(outs) == len(cols)
+            for col, out in zip(cols, outs):
+                exact.append((beta.index(b), col))
+                assert answers[exact[-1]] == out
         assert len(exact) == len(set(exact)) and set(exact) <= set(answers)
-        assert {(beta.index(b), cols[0]) for b, cols in batched} <= set(exact)
-        for key, (_, out) in zip(exact, scanned):
-            assert answers[key] == out
         assert {key for key, ok in answers.items() if not ok} <= set(exact)
+        for b, cols, oks in batched:   # a pass at beta is a pass
+            assert all(answers[(beta.index(b), col)] for col, ok in zip(cols, oks) if ok)
         # replay the gate's group order: group g is asked only after g - 1 passed
         asked, lookups = set(), 0
         for masks, out in gated:
@@ -393,13 +400,16 @@ class TestRunEda:
             monkeypatch.setattr(owner, name, spy)
         res = run_eda(toy_layout(), toy_config(seed=5, iterations=3,
                                                srl_ceilings_s=ceilings))
-        assert set(calls) == {"sample_individual", "pattern_crb_provider", "srl_at_most",
-                              "crb_batch", "resolvable_at"}
-        # every batch of misses makes at least one exact call
-        assert calls["srl_at_most"] >= calls["resolvable_at"]
+        # the exact path runs at most once per batch of misses, and only when a
+        # column fails at beta
+        assert calls["srl_at_most"] == calls["pattern_crb_provider"]
+        assert calls["srl_at_most"] <= calls["resolvable_at"]
         if ceilings is None:
+            assert set(calls) == {"sample_individual", "pattern_crb_provider",
+                                  "srl_at_most", "crb_batch", "resolvable_at"}
             assert res.rejected_draws > 0 and not all(answers)
         else:
+            assert set(calls) == {"sample_individual", "crb_batch", "resolvable_at"}
             assert res.rejected_draws == 0 and all(answers)
 
     def test_best_beats_random_baseline_over_seeds(self):
@@ -454,6 +464,11 @@ class TestEdaConfigValidation:
     def test_gate_settings(self, key, value):
         with pytest.raises(ValueError):
             toy_config(**{key: value})
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    def test_finite_ceilings(self, beta):
+        with pytest.raises(ValueError, match="SRL ceilings"):
+            toy_config(srl_ceilings_s=(beta, beta))
 
     def test_unused_settings_are_not_checked(self):
         # explicit ceilings never read the beta reference settings

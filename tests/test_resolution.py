@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import pilotforge as pf
-from pilotforge.resolution import (_SCAN_CHUNK, SrlSearch, _fim_batch, crb_batch,
-                                   crb_of_columns, fim, pattern_crb_provider,
-                                   resolvable_at, srl_at_most, srl_of_pattern, srl_search)
+from pilotforge.resolution import (_SCAN_CHUNK, SrlSearch, _fim_batch, crb_batch, fim,
+                                   pattern_crb_provider, resolvable_at, srl_at_most,
+                                   srl_of_pattern, srl_search)
 
 from oracles import (crb_delta_tau_quadform, fd_fim_multiband, fd_fim_single,
                      fim_multiband_loop, fim_scaled_error, fim_two_path_direct,
@@ -155,7 +155,7 @@ class TestFimMultiband:
             for k in range(batch):
                 assert fim_scaled_error(J[k], ref[k]) <= 1e-12
                 assert fim_scaled_error(J_obs[k], ref_obs[k]) <= 1e-12
-            # idle nuisances stay structural zeros, so crb_batch still drops them
+            # idle nuisances stay structural zeros, so crb_batch still decouples them
             np.testing.assert_array_equal(np.all(J_obs == 0.0, axis=1),
                                           np.all(ref_obs == 0.0, axis=1))
 
@@ -363,34 +363,51 @@ class TestFimStack:
                 assert fim_scaled_error(J[q, b], alone[0]) <= 1e-12
 
 
-class TestCrbOfColumns:
+class TestStackProvider:
     @pytest.mark.parametrize("mode", ["single", "multi"])
-    def test_each_entry_is_the_column_alone(self, mode, layout_single, layout_multi):
+    def test_each_row_is_the_column_alone(self, mode, layout_single, layout_multi):
         lay, prior = (layout_single, None) if mode == "single" else (layout_multi, 1e-9)
         rng = np.random.default_rng(4)
         for trial, p in enumerate((8, 64, 128)):
             cols = random_columns(lay.n_total, p, 12, seed=trial)
             gains = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            dt = rng.uniform(0.5e-9, 5e-9)
-            got = crb_of_columns(lay, cols, SIGMA, gains, dt, prior)
-            ref = [pattern_crb_provider(lay, c, SIGMA, gains, prior)(np.array([dt]))[0]
-                   for c in cols]
+            dts = rng.uniform(0.5e-9, 5e-9, 3)
+            got = pattern_crb_provider(lay, cols, SIGMA, gains, prior)(dts)
+            ref = [pattern_crb_provider(lay, c, SIGMA, gains, prior)(dts) for c in cols]
+            assert got.shape == (12, 3)
             np.testing.assert_array_equal(got, ref)
 
-    def test_column_missing_a_band_that_others_touch_is_unresolvable(self, layout_multi):
+    def test_column_missing_a_band_equals_the_column_alone(self, layout_multi):
         cols = random_columns(layout_multi.n_total, 60, 4, seed=9)
         cols[1] = 0
         cols[1, np.arange(0, 120, 2)] = 1      # 60 pilots, all in the first subband
-        got = crb_of_columns(layout_multi, cols, SIGMA, GAINS, 2e-9, 1e-9)
-        alone = pattern_crb_provider(layout_multi, cols[1], SIGMA, GAINS, 1e-9)
-        assert got[1] == np.inf and np.isfinite(alone(np.array([2e-9]))[0])
-        for q in (0, 2, 3):
-            provider = pattern_crb_provider(layout_multi, cols[q], SIGMA, GAINS, 1e-9)
-            assert got[q] == provider(np.array([2e-9]))[0]
-        # alone in its stack, the idle subband's nuisances are dropped as before
-        np.testing.assert_array_equal(
-            crb_of_columns(layout_multi, cols[[1, 1]], SIGMA, GAINS, 2e-9, 1e-9),
-            np.repeat(alone(np.array([2e-9])), 2))
+        dts = np.array([2e-9, 5e-9])
+        got = pattern_crb_provider(layout_multi, cols, SIGMA, GAINS, 1e-9)(dts)
+        for q in range(4):
+            alone = pattern_crb_provider(layout_multi, cols[q], SIGMA, GAINS, 1e-9)(dts)
+            assert np.all(np.isfinite(alone))
+            np.testing.assert_array_equal(got[q], alone)   # bit for bit
+        # phi_2 of the idle subband has an all-zero row (delta_2 keeps its prior);
+        # with that row and column dropped by hand, the CRB agrees
+        J = fim(layout_multi, cols[1], SIGMA, GAINS, dts, 1e-9)
+        assert np.all(J == 0.0, axis=(0, 1)).tolist() == [False] * 6 + [True, False, False]
+        for b in range(len(dts)):
+            assert got[1, b] == pytest.approx(crb_delta_tau_quadform(J[b]), rel=1e-12)
+
+    def test_crb_batch_decides_each_fim_on_its_own(self, layout_multi):
+        cols = random_columns(layout_multi.n_total, 60, 3, seed=9)
+        cols[1] = 0
+        cols[1, np.arange(0, 120, 2)] = 1
+        J = fim(layout_multi, cols, SIGMA, GAINS, [1e-9, 3e-9], 1e-9)
+        got = crb_batch(J)
+        assert got.shape == (3, 2)
+        for q in range(3):
+            for b in range(2):
+                assert got[q, b] == crb_batch(J[q, b][None])[0]
+        # a FIM without information on a delay stays unresolvable
+        J[0, 0, 0, :] = J[0, 0, :, 0] = 0.0
+        assert crb_batch(J)[0, 0] == np.inf
+        np.testing.assert_array_equal(crb_batch(J).ravel()[1:], got.ravel()[1:])
 
     def test_unequal_or_empty_columns_rejected(self, layout_single):
         cols = random_columns(256, 10, 2, seed=1)
@@ -398,9 +415,57 @@ class TestCrbOfColumns:
         # unequal counts, no pilots, no columns, a 3-D stack
         for bad in (cols, np.zeros((2, 256)), np.zeros((0, 256)), cols[None]):
             with pytest.raises(ValueError):
-                crb_of_columns(layout_single, bad, SIGMA, GAINS, 1e-9)
+                pattern_crb_provider(layout_single, bad, SIGMA, GAINS)
             with pytest.raises(ValueError):
                 fim(layout_single, bad, SIGMA, GAINS, [1e-9, 2e-9])
+
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    def test_stacked_srl_at_most_is_each_column_alone(self, mode, layout_single,
+                                                      layout_multi):
+        lay, prior = (layout_single, None) if mode == "single" else (layout_multi, 1e-9)
+        cols = random_columns(lay.n_total, 40, 10, seed=6)
+        if mode == "multi":   # a column without a pilot in the second subband
+            cols[0] = 0
+            cols[0, np.arange(0, 80, 2)] = 1
+        provider = pattern_crb_provider(lay, cols, SIGMA, GAINS, prior)
+        verdicts = []
+        for beta in np.geomspace(0.5e-9, 20e-9, 7):
+            got = srl_at_most(provider, beta, 0.05e-9)
+            ref = [srl_at_most(pattern_crb_provider(lay, c, SIGMA, GAINS, prior), beta,
+                               0.05e-9) for c in cols]
+            assert got.dtype == bool and got.tolist() == ref, beta
+            verdicts += ref
+        assert any(verdicts) and not all(verdicts)
+
+    def test_stacked_scan_goes_in_chunks_until_every_row_crossed(self):
+        # sqrt(CRB) = root_q everywhere for row q: g = dtau - root_q
+        roots = np.array([1e-9, 4e-9, 9e-9])
+        sizes = []
+
+        def provider(dts):
+            sizes.append(len(dts))
+            return np.broadcast_to(roots[:, None] ** 2, (3, len(dts)))
+
+        step = 0.05e-9    # 64-point chunks end at 3.2, 6.4 and 9.6 ns
+        for beta, expected, scanned in [
+                (10e-9, [True] * 3, [1]),                      # all pass at beta
+                (20e-9, [True] * 3, [1]),
+                (8e-9, [True, True, False], [1, 64, 64, 32]),  # one never crosses
+                (5e-9, [True, True, False], [1, 64, 36])]:
+            sizes.clear()
+            assert srl_at_most(provider, beta, step).tolist() == expected
+            assert sizes == scanned, beta
+
+        # g >= 0 only on [1, 2) ns in row 0 and on [5, 6) ns in row 1, so both
+        # fail at beta = 9 ns; the scan stops at the chunk where row 1 crosses
+        def windows(dts):
+            sizes.append(len(dts))
+            inside = np.stack([(dts >= 1e-9) & (dts < 2e-9), (dts >= 5e-9) & (dts < 6e-9)])
+            return np.where(inside, 0.5 * dts, 2.0 * dts) ** 2
+
+        sizes.clear()
+        assert srl_at_most(windows, 9e-9, step).tolist() == [True, True]
+        assert sizes == [1, 64, 64]
 
 
 class TestResolvableAt:
@@ -408,13 +473,13 @@ class TestResolvableAt:
     def test_is_the_first_test_of_srl_at_most(self, mode, layout_single, layout_multi):
         lay, prior = (layout_single, None) if mode == "single" else (layout_multi, 1e-9)
         cols = random_columns(lay.n_total, 40, 10, seed=5)
-        if mode == "multi":   # unresolvable in this stack, not alone
+        if mode == "multi":   # a column without a pilot in the second subband
             cols[0] = 0
             cols[0, np.arange(0, 80, 2)] = 1
         verdicts = []
         for beta in np.geomspace(0.5e-9, 20e-9, 7):
             got = resolvable_at(lay, cols, SIGMA, GAINS, beta, prior)
-            crb = crb_of_columns(lay, cols, SIGMA, GAINS, beta, prior)
+            crb = pattern_crb_provider(lay, cols, SIGMA, GAINS, prior)(np.array([beta]))[:, 0]
             np.testing.assert_array_equal(got, np.isfinite(crb) & (beta >= np.sqrt(crb)))
             for c, ok in zip(cols, got):
                 if ok:   # a certified column is accepted by the exact decision

@@ -87,6 +87,15 @@ class TestBandLayout:
             pf.BandLayout.multiband(
                 [pf.Subband(1e9, FS, 101), pf.Subband(1e9 + 20 * FS, FS, 101)])
 
+    @pytest.mark.parametrize("center,spacing,message", [
+        (np.inf, FS, "center"), (np.nan, FS, "center"), (-np.inf, FS, "center"),
+        (1e9, np.nan, "spacing"), (1e9, np.inf, "spacing")])
+    def test_non_finite_subband_rejected(self, center, spacing, message):
+        with pytest.raises(ValueError, match=message):
+            pf.Subband(center, spacing, 5)
+        with pytest.raises(ValueError, match=message):
+            pf.BandLayout.single(5, spacing, center)
+
     def test_single_band_needs_one_subband(self):
         with pytest.raises(ValueError):
             pf.BandLayout(subbands=(pf.Subband(1e9, FS, 4), pf.Subband(2e9, FS, 4)),
@@ -194,6 +203,13 @@ class TestChannels:
         ch = pf.draw_channels(2, 2, 2, 400e-9, 0.0, seed=5, min_separation_s=60e-9)
         for u in ch.users():
             assert np.diff(ch.delays_s[u])[0] >= 60e-9
+
+    @pytest.mark.parametrize("separation", [np.nan, np.inf, -1e-9])
+    def test_bad_min_separation_rejected(self, separation):
+        # one path has no adjacent pair, so no redraw loop would catch it
+        for n_paths in (1, 2):
+            with pytest.raises(ValueError, match="minimum separation"):
+                pf.draw_channels(1, 1, n_paths, 400e-9, 0.0, min_separation_s=separation)
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
