@@ -14,9 +14,9 @@ from .receiver import (DecoupledObservation, EstimationError, PathEstimate, PsoC
                        SimulationError, decouple, estimate_paths_psols,
                        extrapolate_fullband, nmse, run_extrapolation_sim)
 from .resolution import SrlResult, SrlSearch, fim, srl_of_pattern, srl_search
-from .waveform import (BandLayout, ChannelParams, PatternSet, PilotSequence,
-                       Subband, channel_frequency_response, draw_channels,
-                       make_zc_sequence, orthogonal_sequence_family,
-                       random_patterns, synthesize_received, uniform_patterns)
+from .waveform import (BandLayout, PatternSet, PilotSequence, Subband,
+                       channel_frequency_response, draw_channels, make_zc_sequence,
+                       orthogonal_sequence_family, random_patterns,
+                       synthesize_received, uniform_patterns)
 
 __version__ = "0.1.0"

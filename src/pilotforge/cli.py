@@ -206,9 +206,11 @@ class ExperimentConfig:
             if self.mode == "single":
                 return BandLayout.single(int(b["subcarriers"]), float(b["spacing_hz"]),
                                          float(b["center_hz"]))
-            bands = [Subband(c, s, int(n)) for c, s, n in
-                     zip(b["multi_centers_hz"], b["multi_spacings_hz"], b["multi_counts"])]
-            return BandLayout.multiband(bands)
+            lists = b["multi_centers_hz"], b["multi_spacings_hz"], b["multi_counts"]
+            if len(set(map(len, lists))) != 1:
+                raise ConfigError("multi_centers_hz, multi_spacings_hz and multi_counts "
+                                  "must have equal lengths")
+            return BandLayout.multiband([Subband(c, s, int(n)) for c, s, n in zip(*lists)])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -219,7 +221,11 @@ class ExperimentConfig:
         if not raw or len(raw) != int(u["groups"]):
             raise ConfigError(f"users.groups must be at least 1, and {key} must "
                               "list one budget per group")
-        return [int(p) for p in raw]
+        budgets = [int(p) for p in raw]
+        if min(budgets) < 1 or sum(budgets) > self.layout().n_total:
+            raise ConfigError(f"every {key} entry must be at least 1, and their sum "
+                              "at most the subcarrier count")
+        return budgets
 
     def n_codes(self) -> int:
         codes = int(self.values["users"]["codes"])
@@ -465,8 +471,11 @@ def cmd_simulate(cfg: ExperimentConfig, pattern_paths: list[str], out_dir: Path)
     for i, p in enumerate(pattern_paths):
         name = "proposed" if i == 0 else f"proposed{i + 1}"
         schemes[name] = _load_pattern(p, layout)
-    schemes.update(baseline_schemes(layout, int(cfg.values["users"]["groups"]),
-                                    cfg.budgets(), seed=cfg.seed))
+    budgets = cfg.budgets()
+    try:
+        schemes.update(baseline_schemes(layout, len(budgets), budgets, seed=cfg.seed))
+    except ValueError as exc:  # the uniform baseline's segment rule
+        raise ConfigError(f"users budgets: {exc}") from exc
     names = [n for n in schemes if n.startswith("proposed")] + ["uniform", "random"]
     header = (["snr_db"] + [f"nmse_{n}" for n in names] + ["trials"]
               + [f"failures_{n}" for n in names])

@@ -93,8 +93,8 @@ class EdaConfig:
         if not self.gate_step_s > 0:
             raise ValueError("gate step must be positive")
         if self.srl_ceilings_s is None:
-            if not self.beta_margin > 0:
-                raise ValueError("beta margin must be positive")
+            if not 0 < self.beta_margin < np.inf:
+                raise ValueError("beta margin must be positive and finite")
             if self.beta_reference_draws < 1:
                 raise ValueError("need at least one beta reference draw")
 

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .waveform import (BandLayout, ChannelParams, PatternSet, PilotSequence,
+from .waveform import (BandLayout, PatternSet, PilotSequence,
                        channel_frequency_response, draw_channels,
                        orthogonal_sequence_family, random_patterns,
                        synthesize_received, uniform_patterns)
@@ -537,9 +537,8 @@ def estimate_paths_psols(obs: DecoupledObservation, w: np.ndarray, layout: BandL
     delays = _refine(model, k, peaks, obs.gate_s[1], obs.delay_bin_s)
     gains, res = model.fit(delays[None, :])
     # gains were solved against grid-anchored frequencies; restore the
-    # layout's convention so reconstruction with the true steering is exact
-    anchor = layout.frequencies_hz[0] if layout.mode == "multi" else 0.0
-    phase = np.exp(2j * np.pi * anchor * delays)
+    # channel model's so reconstruction with the true steering is exact
+    phase = np.exp(2j * np.pi * layout.channel_frequencies_hz[0] * delays)
     return PathEstimate(delays, gains[0] * phase, float(res[0]), k)
 
 
@@ -548,23 +547,20 @@ def extrapolate_fullband(estimate: PathEstimate, layout: BandLayout) -> np.ndarr
     return channel_frequency_response(layout, estimate.delays_s, estimate.gains)
 
 
-def nmse(estimates: Sequence[Mapping[tuple[int, int], np.ndarray]],
-         truths: Sequence[Mapping[tuple[int, int], np.ndarray]]) -> float:
-    """Normalized MSE of reconstructed channels, averaged over users and trials."""
-    if len(estimates) != len(truths) or len(estimates) == 0:
-        raise ValueError("need matching, non-empty per-trial estimate/truth sequences")
-    per_trial = []
-    for est, tru in zip(estimates, truths):
-        if set(est.keys()) != set(tru.keys()):
-            raise ValueError("every (group, code) user must appear in each trial")
-        ratios = []
-        for key in sorted(tru.keys()):
-            energy = np.sum(np.abs(tru[key]) ** 2)
-            if energy == 0:
-                raise ValueError(f"truth channel of user {key} has zero energy")
-            ratios.append(np.sum(np.abs(est[key] - tru[key]) ** 2) / energy)
-        per_trial.append(np.mean(ratios))
-    return float(np.mean(per_trial))
+def nmse(estimates: np.ndarray, truths: np.ndarray) -> float:
+    """Normalized MSE of reconstructed channels.
+
+    estimates and truths are equal-shaped (..., N) stacks with one channel
+    per row, say (groups, codes, N) for a trial; the score is the mean over
+    rows of ||estimate - truth||^2 / ||truth||^2.
+    """
+    estimates, truths = np.asarray(estimates), np.asarray(truths)
+    if estimates.shape != truths.shape or truths.size == 0:
+        raise ValueError("need equal-shaped, non-empty estimate/truth stacks")
+    energy = np.sum(np.abs(truths) ** 2, axis=-1)
+    if np.any(energy == 0):
+        raise ValueError("a truth channel has zero energy")
+    return float(np.mean(np.sum(np.abs(estimates - truths) ** 2, axis=-1) / energy))
 
 
 class SimulationError(RuntimeError):
@@ -591,15 +587,17 @@ def run_extrapolation_sim(layout: BandLayout, schemes: Mapping[str, PatternSet],
                           ) -> dict[str, SimulationOutcome]:
     """Full-chain Monte Carlo: synthesize, decouple, fit, extrapolate, score.
 
-    All schemes see the same channel draws per trial (and scheme-specific
-    noise), so cross-scheme comparisons are paired. Per-user estimation
-    failures (``EstimationError`` or a singular linear solve) invalidate the
-    trial for that scheme and are counted, never silently dropped; any other
-    error propagates. A completed fit whose residual ends above the residual
-    at the true delays (beyond rounding) is counted as a search failure: the
-    maximum-likelihood optimum can never be worse than the truth, so such a
-    fit stopped short of it. A scheme with no completed trial raises
-    ``SimulationError``. snr_db = +inf runs noiseless.
+    Each trial draws one (groups, codes, paths) channel set and computes its
+    (groups, codes, N) responses once; a scheme of G groups synthesizes and
+    scores the first G rows of that stack under its own noise, so schemes see
+    the same channels and cross-scheme comparisons are paired. Per-user
+    estimation failures (``EstimationError`` or a singular linear solve)
+    invalidate the trial for that scheme and are counted, never silently
+    dropped; any other error propagates. A completed fit whose residual ends
+    above the residual at the true delays (beyond rounding) is counted as a
+    search failure: the maximum-likelihood optimum can never be worse than
+    the truth, so such a fit stopped short of it. A scheme with no completed
+    trial raises ``SimulationError``. snr_db = +inf runs noiseless.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -611,40 +609,36 @@ def run_extrapolation_sim(layout: BandLayout, schemes: Mapping[str, PatternSet],
     failures = {name: 0 for name in schemes}
     fits = {name: 0 for name in schemes}
     search_failures = {name: 0 for name in schemes}
-    n_groups = {name: p.n_groups for name, p in schemes.items()}
+    n_groups = max(p.n_groups for p in schemes.values())
     sequences = orthogonal_sequence_family(layout.n_total, n_codes)
 
     for t in range(trials):
         chan_seed = np.random.SeedSequence(entropy=seed, spawn_key=(1, t))
-        channels = draw_channels(max(n_groups.values()), n_codes, n_paths, tau_max_s,
-                                 noise_std, seed=chan_seed.generate_state(1)[0],
-                                 min_separation_s=min_separation_s)
-        truth = {u: channel_frequency_response(layout, channels.delays_s[u],
-                                               channels.gains[u])
-                 for u in channels.users()}
+        delays, gains = draw_channels(n_groups, n_codes, n_paths, tau_max_s,
+                                      seed=chan_seed.generate_state(1)[0],
+                                      min_separation_s=min_separation_s)
+        truth = np.array([[channel_frequency_response(layout, d, a)
+                           for d, a in zip(d_g, a_g)] for d_g, a_g in zip(delays, gains)])
         for si, (name, patterns) in enumerate(sorted(schemes.items())):
-            users = [(g, z) for g in range(patterns.n_groups) for z in range(n_codes)]
-            sub = ChannelParams({u: channels.delays_s[u] for u in users},
-                                {u: channels.gains[u] for u in users}, noise_std)
+            sub = truth[:patterns.n_groups]
             noise_seed = np.random.SeedSequence(entropy=seed, spawn_key=(2, t, si))
-            y = synthesize_received(layout, patterns, sequences, sub,
+            y = synthesize_received(layout, patterns, sequences, sub, noise_std,
                                     seed=noise_seed.generate_state(1)[0])
             try:
-                estimates = {}
-                for (g, z) in users:
+                estimates = np.empty_like(sub)
+                for g, z in np.ndindex(sub.shape[:2]):
                     obs = decouple(layout, y, patterns.column(g), sequences[z],
                                    gate, user=(g, z))
                     # the generator's path count stands in for the paper's
                     # order-selection stage, which out-resolves bin-level peaks
                     est = estimate_paths_psols(obs, patterns.column(g), layout, pso,
                                                n_paths=n_paths)
-                    truth_res = path_residual(obs, patterns.column(g),
-                                              channels.delays_s[(g, z)])
+                    truth_res = path_residual(obs, patterns.column(g), delays[g, z])
                     floor = 1e-12 * float(np.sum(np.abs(obs.delay_gated) ** 2))
                     fits[name] += 1
                     search_failures[name] += int(est.residual > truth_res + floor)
-                    estimates[(g, z)] = extrapolate_fullband(est, layout)
-                results[name].append(nmse([estimates], [{u: truth[u] for u in users}]))
+                    estimates[g, z] = extrapolate_fullband(est, layout)
+                results[name].append(nmse(estimates, sub))
             except (EstimationError, np.linalg.LinAlgError):
                 failures[name] += 1
     out = {}

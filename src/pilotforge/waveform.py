@@ -8,9 +8,9 @@ the code- and frequency-multiplexed user channels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +19,6 @@ __all__ = [
     "BandLayout",
     "PilotSequence",
     "PatternSet",
-    "ChannelParams",
     "largest_prime_leq",
     "make_zc_sequence",
     "orthogonal_sequence_family",
@@ -155,6 +154,15 @@ class BandLayout:
         return self.frequencies_hz - self.subbands[0].center_hz
 
     @cached_property
+    def channel_frequencies_hz(self) -> np.ndarray:
+        """Frequencies the channel model evaluates its paths at.
+
+        Single band: the pinned n * f_s. Multiband: the absolute f(m, n), so
+        the channel is phase-coherent across subbands.
+        """
+        return self.pinned_frequencies_hz if self.mode == "single" else self.frequencies_hz
+
+    @cached_property
     def moment_weights(self) -> np.ndarray:
         """(N, 3 + 5M) per-subcarrier weights of the multiband two-path FIM moments.
 
@@ -282,58 +290,27 @@ class PatternSet:
         return cls(mask)
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    """Multipath parameters of every (group, code) user plus the noise level.
-
-    Attributes
-    ----------
-    delays_s : mapping (g, z) -> ndarray of path delays, seconds
-    gains : mapping (g, z) -> ndarray of complex path gains
-    noise_std : float
-        Per-element complex noise standard deviation (total variance sigma^2).
-    """
-
-    delays_s: Mapping[tuple[int, int], np.ndarray]
-    gains: Mapping[tuple[int, int], np.ndarray]
-    noise_std: float
-
-    def __post_init__(self):
-        if self.noise_std < 0:
-            raise ValueError("noise std must be >= 0")
-        for key, d in self.delays_s.items():
-            if np.any(np.asarray(d) < 0):
-                raise ValueError(f"negative path delay for user {key}")
-            if len(d) != len(self.gains[key]):
-                raise ValueError(f"delay/gain count mismatch for user {key}")
-
-    def users(self) -> list[tuple[int, int]]:
-        return sorted(self.delays_s.keys())
-
-
 def channel_frequency_response(layout: BandLayout, delays_s: np.ndarray,
                                gains: np.ndarray) -> np.ndarray:
-    """Sum over paths of gain * exp(-j*2*pi*f*tau) on every subcarrier.
-
-    Single band: f = n * f_s (pinned). Multiband: f is the absolute frequency
-    f(m, n), so the channel is phase-coherent across subbands.
-    """
+    """Sum over paths of gain * exp(-j*2*pi*f*tau) at every
+    ``layout.channel_frequencies_hz`` f."""
     delays_s = np.atleast_1d(np.asarray(delays_s, dtype=float))
     if not np.all(np.isfinite(delays_s)):
         raise ValueError("delays must be finite")
     gains = np.atleast_1d(np.asarray(gains, dtype=complex))
-    f = layout.pinned_frequencies_hz if layout.mode == "single" else layout.frequencies_hz
-    return np.exp(-2j * np.pi * np.outer(f, delays_s)) @ gains
+    return np.exp(-2j * np.pi * np.outer(layout.channel_frequencies_hz, delays_s)) @ gains
 
 
 def synthesize_received(layout: BandLayout, patterns: PatternSet,
-                        sequences: Sequence[PilotSequence], channels: ChannelParams,
-                        seed: int | None = 0) -> np.ndarray:
+                        sequences: Sequence[PilotSequence], responses: np.ndarray,
+                        noise_std: float, seed: int = 0) -> np.ndarray:
     """Received pilot vector y = sum_{g,z} diag(w_g * x_z) h_{g,z} + noise.
 
-    The additive noise is circular complex Gaussian with per-element variance
-    noise_std^2; a seed of None yields the noiseless superposition regardless
-    of noise_std.
+    responses is a (G', Z', N) stack whose row (g, z) is the channel h_{g,z}
+    of user (g, z) on every subcarrier; G' and Z' may stop short of the
+    pattern's groups and the sequences. The additive noise is circular
+    complex Gaussian with per-element variance noise_std^2, drawn from seed;
+    noise_std = 0 gives the noiseless superposition.
     """
     n = layout.n_total
     if patterns.n_subcarriers != n:
@@ -341,16 +318,20 @@ def synthesize_received(layout: BandLayout, patterns: PatternSet,
     for x in sequences:
         if len(x) != n:
             raise ValueError("pilot sequence length does not match the layout")
+    responses = np.asarray(responses)
+    shape = responses.shape
+    if (len(shape) != 3 or shape[2] != n or shape[0] > patterns.n_groups
+            or shape[1] > len(sequences)):
+        raise ValueError("responses must be a (groups, codes, subcarriers) stack that "
+                         "fits the layout, the pattern and the sequences")
+    if not 0 <= noise_std < np.inf:
+        raise ValueError("noise std must be non-negative and finite")
     y = np.zeros(n, dtype=complex)
-    for (g, z) in channels.users():
-        if g >= patterns.n_groups or z >= len(sequences):
-            raise ValueError(f"user {(g, z)} outside the pattern/sequence dimensions")
-        h = channel_frequency_response(layout, channels.delays_s[(g, z)],
-                                       channels.gains[(g, z)])
-        y += patterns.column(g) * sequences[z].values * h
-    if seed is not None and channels.noise_std > 0:
+    for g, z in np.ndindex(shape[:2]):
+        y += patterns.column(g) * sequences[z].values * responses[g, z]
+    if noise_std > 0:
         rng = np.random.default_rng(seed)
-        scale = channels.noise_std / np.sqrt(2.0)
+        scale = noise_std / np.sqrt(2.0)
         y += scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     return y
 
@@ -390,28 +371,30 @@ def random_patterns(layout: BandLayout, n_groups: int, budgets: Sequence[int],
     return PatternSet.from_indices(n, cols)
 
 
-def draw_channels(n_groups: int, n_codes: int, n_paths: int, tau_max_s: float,
-                  noise_std: float, seed: int = 0,
-                  min_separation_s: float = 0.0) -> ChannelParams:
+def draw_channels(n_groups: int, n_codes: int, n_paths: int, tau_max_s: float, *,
+                  seed: int = 0, min_separation_s: float = 0.0
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Parametric multipath draw: delays uniform on [0, tau_max], gains CN(0, 1).
 
-    A positive min_separation_s redraws each user's delays until adjacent
-    paths are at least that far apart (for experiments that presuppose
-    resolvable paths); it must be non-negative and finite.
+    Returns (delays, gains), each of shape (n_groups, n_codes, n_paths); the
+    delays of each user ascend. A positive min_separation_s redraws each
+    user's delays until adjacent paths are at least that far apart (for
+    experiments that presuppose resolvable paths); it must be non-negative
+    and finite.
     """
     if not 0 <= min_separation_s < np.inf:
         raise ValueError("minimum separation must be non-negative and finite")
     if min_separation_s * (n_paths - 1) >= tau_max_s:
         raise ValueError("minimum separation is incompatible with the delay window")
     rng = np.random.default_rng(seed)
-    delays, gains = {}, {}
-    for g in range(n_groups):
-        for z in range(n_codes):
-            while True:
-                d = np.sort(rng.uniform(0.0, tau_max_s, n_paths))
-                if n_paths == 1 or np.min(np.diff(d)) >= min_separation_s:
-                    break
-            delays[(g, z)] = d
-            gains[(g, z)] = (rng.standard_normal(n_paths)
-                             + 1j * rng.standard_normal(n_paths)) / np.sqrt(2.0)
-    return ChannelParams(delays, gains, noise_std)
+    delays = np.empty((n_groups, n_codes, n_paths))
+    gains = np.empty((n_groups, n_codes, n_paths), dtype=complex)
+    for g, z in np.ndindex(n_groups, n_codes):
+        while True:
+            d = np.sort(rng.uniform(0.0, tau_max_s, n_paths))
+            if n_paths == 1 or np.min(np.diff(d)) >= min_separation_s:
+                break
+        delays[g, z] = d
+        gains[g, z] = (rng.standard_normal(n_paths)
+                       + 1j * rng.standard_normal(n_paths)) / np.sqrt(2.0)
+    return delays, gains

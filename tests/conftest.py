@@ -62,3 +62,10 @@ def toy_search():
 
 def seeded_rng(*key):
     return np.random.default_rng(np.random.SeedSequence(entropy=20240809, spawn_key=key))
+
+
+def user_responses(layout, delays, gains):
+    """(G, Z, N) channel responses of (G, Z, P) path arrays, one user at a time,
+    as ``run_extrapolation_sim`` computes its truth."""
+    return np.array([[pf.channel_frequency_response(layout, d, a) for d, a in zip(d_g, a_g)]
+                     for d_g, a_g in zip(delays, gains)])

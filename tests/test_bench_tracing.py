@@ -6,6 +6,7 @@ every one of those names live in the suite, and checks that each is
 restored when the tracer is removed.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -63,3 +64,27 @@ def test_stacked_gate_is_timed_with_counting_providers():
     assert gates and builds.sum() == len(gates)
     assert gates == set(map(int, scans))       # every gate span scanned its provider
     assert tracer.count["fims"] >= len(scans) and tracer.gate_keys
+
+
+def test_traced_toy_run_gives_finite_per_layer_metrics(tmp_path):
+    # the traced benchmark prints its per-layer metrics as JSON; a traced
+    # name the run stops calling leaves an empty percentile, NaN, which is
+    # not JSON
+    from test_cli import TOY_INI
+
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(TOY_INI)
+    cfg = cli.ExperimentConfig.from_file(cfg_path)
+    layout = cfg.layout()
+    schemes = receiver.baseline_schemes(layout, 2, cfg.budgets(), seed=1)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        assert cli.main(["optimize", "--config", str(cfg_path), "--seed", "5",
+                         "--out", str(tmp_path)]) == 0
+        sim = tracer.call("receiver.sim", receiver.run_extrapolation_sim, layout, schemes,
+                          15.0, trials=1, seed=2)
+    assert tracer.count["rejected_draws"] > 0
+    fits = sum(out.fits for out in sim.values())
+    search_failures = sum(out.search_failures for out in sim.values())
+    values = tracing.per_layer(tracer, 2, 0.0, [1.0], fits, 1.0, search_failures, 0, 0.0)
+    json.dumps(values, allow_nan=False)

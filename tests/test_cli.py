@@ -201,6 +201,7 @@ class TestOptimizeArtifacts(object):
         ("single", "beta_reference_draws = 0", "beta reference draw"),
         ("single", "beta_margin = 0", "beta margin"),
         ("single", "beta_margin = -1", "beta margin"),
+        ("single", "beta_margin = inf", "beta margin"),
         ("multi", "[offline]\nprior_std_s = 0", "prior std"),
         ("single", "beta_s = nan, nan", "SRL ceilings"),
         ("multi", "beta_s = inf, inf", "SRL ceilings"),
@@ -287,6 +288,8 @@ class TestMetricsCommands:
         ("single", "center_hz = inf", "center"),
         ("multi", "multi_spacings_hz = 120e3, nan", "spacing"),
         ("multi", "multi_centers_hz = 3.5e9, inf", "center"),
+        # three centers for two spacings and two counts
+        ("multi", "multi_centers_hz = 3.5e9, 3.9e9, 4.3e9", "equal lengths"),
     ])
     def test_non_finite_band_value_exit_code(self, toy_artifact, tmp_path, capsys, command,
                                              band, line, message):
@@ -367,6 +370,10 @@ class TestSimulate:
         ("simulate", "groups = 0\nbudgets ="),
         ("af", "budgets = 24, 24\n[af]\npoints = -3"),
         ("af", "budgets = 24, 24\n[af]\ntau_max_s = inf"),  # a sweep of NaN rows
+        ("optimize", "budgets = 40, 40"),  # 80 pilots on 64 subcarriers
+        ("simulate", "budgets = 0, 24"),
+        ("simulate", "budgets = -3, 24"),
+        ("simulate", "budgets = 40, 20"),  # past the uniform baseline's 32-subcarrier segment
     ])
     def test_bad_users_or_af_value_exit_code(self, toy_artifact, tmp_path, capsys,
                                              command, users):

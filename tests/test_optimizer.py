@@ -460,7 +460,8 @@ class TestEdaConfigValidation:
 
     @pytest.mark.parametrize("key,value", [
         ("gate_step_s", 0.0), ("gate_step_s", -1e-11), ("gate_step_s", float("nan")),
-        ("beta_margin", 0.0), ("beta_margin", -1.0), ("beta_reference_draws", 0)])
+        ("beta_margin", 0.0), ("beta_margin", -1.0), ("beta_margin", float("inf")),
+        ("beta_reference_draws", 0)])
     def test_gate_settings(self, key, value):
         with pytest.raises(ValueError):
             toy_config(**{key: value})

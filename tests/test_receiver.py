@@ -8,6 +8,8 @@ from pilotforge.receiver import (EstimationError, SimulationError, baseline_sche
                                  nmse, path_residual, profile_peak_delays,
                                  run_extrapolation_sim)
 
+from conftest import user_responses
+
 FS = 120e3
 GATE = (0.0, 400e-9)
 
@@ -16,28 +18,30 @@ def full_pattern(n):
     return np.ones(n, dtype=np.uint8)
 
 
-def single_user_obs(layout, delays, gains, w=None, noise_std=0.0, seed=None,
+def single_user_obs(layout, delays, gains, w=None, noise_std=0.0, seed=0,
                     gate=GATE):
     w = full_pattern(layout.n_total) if w is None else w
     pats = pf.PatternSet(w[:, None])
     seqs = pf.orthogonal_sequence_family(layout.n_total, 1)
-    ch = pf.ChannelParams({(0, 0): np.asarray(delays, float)},
-                          {(0, 0): np.asarray(gains, complex)}, noise_std)
-    y = pf.synthesize_received(layout, pats, seqs, ch, seed=seed)
+    h = pf.channel_frequency_response(layout, delays, gains)
+    y = pf.synthesize_received(layout, pats, seqs, h[None, None], noise_std, seed=seed)
     return decouple(layout, y, w, seqs[0], gate)
 
 
 def random_multiband_obs(layout_multi, trial, user):
     """A 15 dB observation of the random multiband baseline as
-    run_extrapolation_sim(..., seed=77) draws it ("random" is scheme 1)."""
+    run_extrapolation_sim(..., seed=77) draws it ("random" is scheme 1), its
+    pattern column and the trial's (G, Z, P) path delays."""
     pats = baseline_schemes(layout_multi, 2, [127, 127], seed=1)["random"]
-    ch = pf.draw_channels(2, 2, 2, 400e-9, 10 ** (-15 / 20), seed=np.random.SeedSequence(
+    delays, gains = pf.draw_channels(2, 2, 2, 400e-9, seed=np.random.SeedSequence(
         77, spawn_key=(1, trial)).generate_state(1)[0])
     seqs = pf.orthogonal_sequence_family(layout_multi.n_total, 2)
-    y = pf.synthesize_received(layout_multi, pats, seqs, ch, seed=np.random.SeedSequence(
-        77, spawn_key=(2, trial, 1)).generate_state(1)[0])
+    y = pf.synthesize_received(layout_multi, pats, seqs,
+                               user_responses(layout_multi, delays, gains), 10 ** (-15 / 20),
+                               seed=np.random.SeedSequence(
+                                   77, spawn_key=(2, trial, 1)).generate_state(1)[0])
     w = pats.column(user[0])
-    return decouple(layout_multi, y, w, seqs[user[1]], GATE, user=user), w, ch
+    return decouple(layout_multi, y, w, seqs[user[1]], GATE, user=user), w, delays
 
 
 class TestDecouple:
@@ -56,14 +60,12 @@ class TestDecouple:
         binw = 1.0 / (n * FS)
         pats = pf.PatternSet(np.ones((n, 1), dtype=np.uint8))
         seqs = pf.orthogonal_sequence_family(n, 2)
-        ch = pf.ChannelParams(
-            {(0, 0): np.array([3 * binw]), (0, 1): np.array([7 * binw])},
-            {(0, 0): np.array([1.2 - 0.5j]), (0, 1): np.array([0.3 + 0.9j])}, 0.0)
-        y = pf.synthesize_received(layout_single, pats, seqs, ch, seed=None)
+        h = user_responses(layout_single, [[[3 * binw], [7 * binw]]],
+                           [[[1.2 - 0.5j], [0.3 + 0.9j]]])
+        y = pf.synthesize_received(layout_single, pats, seqs, h, 0.0)
         for z in range(2):
             obs = decouple(layout_single, y, pats.column(0), seqs[z], GATE, (0, z))
-            truth = pf.channel_frequency_response(
-                layout_single, ch.delays_s[(0, z)], ch.gains[(0, z)])
+            truth = h[0, z]
             err = np.linalg.norm(obs.recovered - truth) / np.linalg.norm(truth)
             assert err < 1e-10
 
@@ -105,11 +107,10 @@ class TestDecouple:
         for name, pats in schemes.items():
             acc = 0.0
             for seed in range(50):
-                ch = pf.draw_channels(2, 2, 2, 400e-9, 0.0, seed=seed)
-                only_b = pf.ChannelParams({(0, 1): ch.delays_s[(0, 1)]},
-                                          {(0, 1): ch.gains[(0, 1)]}, 0.0)
-                y = pf.synthesize_received(layout_single, pats, seqs, only_b,
-                                           seed=None)
+                h = user_responses(layout_single,
+                                   *pf.draw_channels(2, 2, 2, 400e-9, seed=seed))[:1]
+                h[0, 0] = 0.0  # only user (0, 1) transmits
+                y = pf.synthesize_received(layout_single, pats, seqs, h, 0.0)
                 obs = decouple(layout_single, y, pats.column(0), seqs[0], GATE)
                 acc += float(np.sum(np.abs(obs.delay_gated) ** 2))
             totals[name] = acc
@@ -165,11 +166,11 @@ class TestPeakInitializer:
         hits = 0
         for seed in range(100):
             rng = np.random.default_rng(seed)
-            ch = pf.draw_channels(1, 1, 2, 400e-9, 10 ** (-15 / 20), seed=seed,
-                                  min_separation_s=80e-9)
+            delays, _ = pf.draw_channels(1, 1, 2, 400e-9, seed=seed,
+                                         min_separation_s=80e-9)
             gains = np.exp(1j * rng.uniform(0, 2 * np.pi, 2))  # equal strength
-            obs = single_user_obs(layout_single, ch.delays_s[(0, 0)], gains,
-                                  noise_std=ch.noise_std, seed=1000 + seed)
+            obs = single_user_obs(layout_single, delays[0, 0], gains,
+                                  noise_std=10 ** (-15 / 20), seed=1000 + seed)
             hits += len(profile_peak_delays(obs)) == 2
         assert hits == 100
 
@@ -218,20 +219,19 @@ class TestPsoLs:
         n = layout_multi.n_total
         w = np.zeros(n, dtype=np.uint8)
         w[np.sort(rng.permutation(n)[:127])] = 1
-        ch = pf.draw_channels(1, 1, 2, 400e-9, 10 ** (-15 / 20), seed=1)
-        obs = single_user_obs(layout_multi, ch.delays_s[(0, 0)],
-                              ch.gains[(0, 0)], w=w, noise_std=ch.noise_std,
-                              seed=1001)
-        truth = np.sort(ch.delays_s[(0, 0)])
+        delays, gains = pf.draw_channels(1, 1, 2, 400e-9, seed=1)
+        obs = single_user_obs(layout_multi, delays[0, 0], gains[0, 0], w=w,
+                              noise_std=10 ** (-15 / 20), seed=1001)
+        truth = delays[0, 0]
         est = estimate_paths_psols(obs, w, layout_multi, n_paths=2)
         assert est.residual <= path_residual(obs, w, truth)
         np.testing.assert_allclose(est.delays_s, truth, atol=1.25e-9)
 
     def test_path_residual_is_the_fitted_residual(self, layout_single):
-        ch = pf.draw_channels(1, 1, 2, 400e-9, 0.1, seed=17)
+        delays, gains = pf.draw_channels(1, 1, 2, 400e-9, seed=17)
         w = full_pattern(256)
-        obs = single_user_obs(layout_single, ch.delays_s[(0, 0)],
-                              ch.gains[(0, 0)], noise_std=0.1, seed=18)
+        obs = single_user_obs(layout_single, delays[0, 0], gains[0, 0],
+                              noise_std=0.1, seed=18)
         est = estimate_paths_psols(obs, w, layout_single, n_paths=2)
         assert path_residual(obs, w, est.delays_s) == pytest.approx(
             est.residual, rel=1e-9)
@@ -244,9 +244,9 @@ class TestPsoLs:
             estimate_paths_psols(obs, w, layout_single, n_paths=2)
 
     def test_seed_has_no_effect(self, layout_single):
-        ch = pf.draw_channels(1, 1, 2, 400e-9, 0.1, seed=9)
-        obs = single_user_obs(layout_single, ch.delays_s[(0, 0)],
-                              ch.gains[(0, 0)], noise_std=0.1, seed=10)
+        delays, gains = pf.draw_channels(1, 1, 2, 400e-9, seed=9)
+        obs = single_user_obs(layout_single, delays[0, 0], gains[0, 0],
+                              noise_std=0.1, seed=10)
         a = estimate_paths_psols(obs, full_pattern(256), layout_single,
                                  n_paths=2, seed=11)
         b = estimate_paths_psols(obs, full_pattern(256), layout_single,
@@ -272,18 +272,9 @@ class TestPsoLs:
         # 3-8 |chi| fringes off, rebuilt with the seeds that
         # run_extrapolation_sim(..., seed=77) gives them ("random" is scheme 1
         # of the sorted optimized/random/uniform)
-        pats = baseline_schemes(layout_multi, 2, [127, 127], seed=1)["random"]
-        sigma = 10 ** (-15 / 20)
-        ch = pf.draw_channels(2, 2, 2, 400e-9, sigma, seed=np.random.SeedSequence(
-            77, spawn_key=(1, trial)).generate_state(1)[0])
-        seqs = pf.orthogonal_sequence_family(layout_multi.n_total, 2)
-        y = pf.synthesize_received(layout_multi, pats, seqs, ch, seed=np.random.SeedSequence(
-            77, spawn_key=(2, trial, 1)).generate_state(1)[0])
-        g, z = user
-        w = pats.column(g)
-        obs = decouple(layout_multi, y, w, seqs[z], GATE, user=user)
+        obs, w, delays = random_multiband_obs(layout_multi, trial, user)
         est = estimate_paths_psols(obs, w, layout_multi, n_paths=2)
-        assert est.residual <= path_residual(obs, w, ch.delays_s[user])
+        assert est.residual <= path_residual(obs, w, delays[user])
 
 
 class TestSearchStages:
@@ -298,9 +289,9 @@ class TestSearchStages:
         np.testing.assert_allclose(fast, direct, rtol=0, atol=1e-12 * np.abs(direct).max())
 
     def test_linearized_gradient_matches_finite_differences(self, layout_multi):
-        obs, w, ch = random_multiband_obs(layout_multi, 15, (0, 0))
+        obs, w, truth = random_multiband_obs(layout_multi, 15, (0, 0))
         model = receiver._GatedModel(obs, np.flatnonzero(w))
-        delays = np.sort(ch.delays_s[(0, 0)])[None, :] + [[0.3e-9, -0.2e-9]]
+        delays = truth[0, 0][None, :] + [[0.3e-9, -0.2e-9]]
         res, _, grad = model.linearize(delays)
         assert res[0] == pytest.approx(model.fit(delays)[1][0], rel=1e-12)
         eps = 1e-15
@@ -312,14 +303,14 @@ class TestSearchStages:
             assert -2 * grad[0, k] == pytest.approx(fd, rel=1e-5)
 
     def test_settled_stack_rows_match_rows_settled_alone(self, layout_multi):
-        obs, w, ch = random_multiband_obs(layout_multi, 15, (0, 0))
+        obs, w, delays = random_multiband_obs(layout_multi, 15, (0, 0))
         model = receiver._GatedModel(obs, np.flatnonzero(w))
         step = obs.delay_bin_s / receiver._VP_OVERSAMPLE
         offsets = receiver._fringe_offsets(model.f_grid, step / receiver._VP_OVERSAMPLE,
                                            8 * obs.delay_bin_s)
         moves = receiver._fringe_moves(offsets, 2)
         assert len(moves) == 80
-        truth = np.sort(ch.delays_s[(0, 0)])
+        truth = delays[0, 0]
         starts = np.array([truth, truth + [0.0, 3 * offsets[0]], [20e-9, 300e-9],
                            np.resize(profile_peak_delays(obs), 2), [150e-9, 151e-9]])
         delays, res = receiver._settle(model, starts, moves, GATE[1])
@@ -398,35 +389,39 @@ class TestExtrapolation:
 
 class TestNmse:
     def test_perfect_estimate_is_zero(self):
-        h = {(0, 0): np.ones(8, dtype=complex)}
-        assert nmse([h], [h]) == 0.0
+        h = np.ones((1, 1, 8), dtype=complex)
+        assert nmse(h, h) == 0.0
 
     def test_zero_estimate_is_one(self):
-        truth = {(0, 0): np.full(8, 2.0 + 1j)}
-        est = {(0, 0): np.zeros(8, dtype=complex)}
-        assert nmse([est], [truth]) == pytest.approx(1.0)
+        truth = np.full((1, 1, 8), 2.0 + 1j)
+        assert nmse(np.zeros_like(truth), truth) == pytest.approx(1.0)
 
     def test_constant_relative_error(self):
+        # three trials of two users, every row 1% off
         rng = np.random.default_rng(13)
-        trials_est, trials_tru = [], []
-        for t in range(3):
-            tru, est = {}, {}
-            for u in [(0, 0), (0, 1)]:
-                h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-                e = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-                e *= np.sqrt(0.01 * np.sum(np.abs(h) ** 2) / np.sum(np.abs(e) ** 2))
-                tru[u], est[u] = h, h + e
-            trials_tru.append(tru)
-            trials_est.append(est)
-        assert nmse(trials_est, trials_tru) == pytest.approx(0.01, rel=1e-12)
+        h = rng.standard_normal((3, 2, 16)) + 1j * rng.standard_normal((3, 2, 16))
+        e = rng.standard_normal((3, 2, 16)) + 1j * rng.standard_normal((3, 2, 16))
+        e *= np.sqrt(0.01 * np.sum(np.abs(h) ** 2, axis=-1, keepdims=True)
+                     / np.sum(np.abs(e) ** 2, axis=-1, keepdims=True))
+        assert nmse(h + e, h) == pytest.approx(0.01, rel=1e-12)
+
+    def test_mean_of_per_row_ratios(self):
+        # rows scored 0.04 and 0.16 average to 0.1; pooling their energies
+        # would give about 0.159
+        truth = np.array([[1.0, 1.0], [10.0, 10.0]])
+        assert nmse(truth * [[1.2], [0.6]], truth) == pytest.approx(0.1, rel=1e-12)
 
     def test_zero_energy_truth_rejected(self):
         with pytest.raises(ValueError, match="zero energy"):
-            nmse([{(0, 0): np.ones(4)}], [{(0, 0): np.zeros(4)}])
+            nmse(np.ones((2, 4)), np.array([np.ones(4), np.zeros(4)]))
 
     def test_mismatched_users_rejected(self):
-        with pytest.raises(ValueError):
-            nmse([{(0, 0): np.ones(4)}], [{(0, 1): np.ones(4)}])
+        with pytest.raises(ValueError, match="equal-shaped"):
+            nmse(np.ones((1, 2, 4)), np.ones((1, 1, 4)))
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            nmse(np.ones((0, 4)), np.ones((0, 4)))
 
 
 class TestSimulationHarness:

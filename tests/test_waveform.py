@@ -4,6 +4,7 @@ import pytest
 import pilotforge as pf
 from pilotforge.waveform import largest_prime_leq
 
+from conftest import user_responses
 from oracles import steering_scalar_loop, zc_reference
 
 FS = 120e3
@@ -73,6 +74,14 @@ class TestBandLayout:
         np.testing.assert_array_equal(lay.local_index[5:], np.arange(-3, 4))
         assert lay.pinned_frequencies_hz[2] == 0.0
         assert np.all(np.diff(lay.frequencies_hz) > 0)
+
+    def test_channel_frequencies_are_pinned_in_single_band_only(self, layout_single,
+                                                                layout_multi):
+        # the receiver restores its fitted gains to the first of these, which
+        # must be exactly 0 Hz in single band
+        assert layout_single.channel_frequencies_hz is layout_single.pinned_frequencies_hz
+        assert layout_single.channel_frequencies_hz[0] == 0.0
+        assert layout_multi.channel_frequencies_hz is layout_multi.frequencies_hz
 
     def test_multiband_requires_odd_counts(self):
         with pytest.raises(ValueError, match="odd"):
@@ -192,38 +201,52 @@ class TestPatternSet:
 
 class TestChannels:
     def test_draw_within_window_and_reproducible(self):
-        ch = pf.draw_channels(2, 2, 3, 400e-9, 0.1, seed=5)
-        for u in ch.users():
-            assert np.all(ch.delays_s[u] >= 0) and np.all(ch.delays_s[u] <= 400e-9)
-        ch2 = pf.draw_channels(2, 2, 3, 400e-9, 0.1, seed=5)
-        for u in ch.users():
-            np.testing.assert_array_equal(ch.delays_s[u], ch2.delays_s[u])
+        delays, gains = pf.draw_channels(2, 2, 3, 400e-9, seed=5)
+        assert delays.shape == gains.shape == (2, 2, 3)
+        assert np.all(delays >= 0) and np.all(delays <= 400e-9)
+        assert np.all(np.diff(delays, axis=-1) >= 0)
+        again = pf.draw_channels(2, 2, 3, 400e-9, seed=5)
+        np.testing.assert_array_equal(delays, again[0])
+        np.testing.assert_array_equal(gains, again[1])
+
+    def test_draws_run_user_by_user(self):
+        # user (g, z) in row-major order takes its sorted delays, then the
+        # real and imaginary parts of its gains, from one generator
+        delays, gains = pf.draw_channels(2, 3, 2, 400e-9, seed=21)
+        rng = np.random.default_rng(21)
+        for g, z in np.ndindex(2, 3):
+            np.testing.assert_array_equal(delays[g, z], np.sort(rng.uniform(0.0, 400e-9, 2)))
+            re, im = rng.standard_normal(2), rng.standard_normal(2)
+            np.testing.assert_array_equal(gains[g, z], (re + 1j * im) / np.sqrt(2.0))
 
     def test_min_separation_enforced(self):
-        ch = pf.draw_channels(2, 2, 2, 400e-9, 0.0, seed=5, min_separation_s=60e-9)
-        for u in ch.users():
-            assert np.diff(ch.delays_s[u])[0] >= 60e-9
+        delays, _ = pf.draw_channels(2, 2, 2, 400e-9, seed=5, min_separation_s=60e-9)
+        assert np.all(np.diff(delays, axis=-1) >= 60e-9)
 
     @pytest.mark.parametrize("separation", [np.nan, np.inf, -1e-9])
     def test_bad_min_separation_rejected(self, separation):
         # one path has no adjacent pair, so no redraw loop would catch it
         for n_paths in (1, 2):
             with pytest.raises(ValueError, match="minimum separation"):
-                pf.draw_channels(1, 1, n_paths, 400e-9, 0.0, min_separation_s=separation)
+                pf.draw_channels(1, 1, n_paths, 400e-9, min_separation_s=separation)
 
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            pf.ChannelParams({(0, 0): np.array([-1e-9])},
-                             {(0, 0): np.array([1.0 + 0j])}, 0.1)
+    def test_seed_is_keyword_only(self):
+        # the draw once took a noise level fifth; a call in that form must fail
+        with pytest.raises(TypeError):
+            pf.draw_channels(2, 2, 3, 400e-9, 0.1, 5)
+
+
+def one_user(layout, delays, gains):
+    """(1, 1, N) response stack of a single user."""
+    return pf.channel_frequency_response(layout, delays, gains)[None, None]
 
 
 class TestSynthesis:
     def test_identity_channel(self, layout_single):
         pats = pf.PatternSet(np.ones((256, 1), dtype=np.uint8))
         seqs = [pf.PilotSequence(np.ones(256, dtype=complex), 0, 0, 0.0)]
-        ch = pf.ChannelParams({(0, 0): np.array([0.0])},
-                              {(0, 0): np.array([1.0 + 0j])}, 0.0)
-        y = pf.synthesize_received(layout_single, pats, seqs, ch, seed=None)
+        y = pf.synthesize_received(layout_single, pats, seqs,
+                                   one_user(layout_single, [0.0], [1.0]), 0.0)
         np.testing.assert_allclose(y, 1.0, atol=1e-14)
 
     def test_two_path_scalar_loop(self, layout_single):
@@ -231,8 +254,8 @@ class TestSynthesis:
         seqs = [pf.PilotSequence(np.ones(256, dtype=complex), 0, 0, 0.0)]
         delays = np.array([80e-9, 230e-9])
         gains = np.array([1.1 - 0.2j, -0.4 + 0.9j])
-        ch = pf.ChannelParams({(0, 0): delays}, {(0, 0): gains}, 0.0)
-        y = pf.synthesize_received(layout_single, pats, seqs, ch, seed=None)
+        y = pf.synthesize_received(layout_single, pats, seqs,
+                                   one_user(layout_single, delays, gains), 0.0)
         n = np.arange(256)
         ref = sum(g * np.exp(-2j * np.pi * n * FS * t) for g, t in zip(gains, delays))
         np.testing.assert_allclose(y, ref, rtol=1e-12)
@@ -240,25 +263,20 @@ class TestSynthesis:
     def test_disjoint_masks_do_not_mix(self, layout_single):
         pats = pf.uniform_patterns(layout_single, 2, [128, 128])
         seqs = pf.orthogonal_sequence_family(256, 1)
-        ch = pf.ChannelParams(
-            {(0, 0): np.array([50e-9]), (1, 0): np.array([90e-9])},
-            {(0, 0): np.array([1.0 + 0j]), (1, 0): np.array([2.0 + 0j])}, 0.0)
-        y = pf.synthesize_received(layout_single, pats, [seqs[0]], ch, seed=None)
+        h = user_responses(layout_single, [[[50e-9]], [[90e-9]]], [[[1.0]], [[2.0]]])
+        y = pf.synthesize_received(layout_single, pats, seqs, h, 0.0)
         sup1 = pats.column(0) != 0
-        y_only_g0 = pf.synthesize_received(
-            layout_single, pats, [seqs[0]],
-            pf.ChannelParams({(0, 0): ch.delays_s[(0, 0)]},
-                             {(0, 0): ch.gains[(0, 0)]}, 0.0), seed=None)
+        y_only_g0 = pf.synthesize_received(layout_single, pats, seqs, h[:1], 0.0)
         np.testing.assert_allclose(y[sup1], y_only_g0[sup1], rtol=1e-12)
 
     def test_noise_seed_reproducible_and_scaled(self, layout_single):
         pats = pf.uniform_patterns(layout_single, 2, [128, 128])
         seqs = pf.orthogonal_sequence_family(256, 2)
-        ch = pf.draw_channels(2, 2, 2, 400e-9, 0.5, seed=1)
-        y1 = pf.synthesize_received(layout_single, pats, seqs, ch, seed=42)
-        y2 = pf.synthesize_received(layout_single, pats, seqs, ch, seed=42)
+        h = user_responses(layout_single, *pf.draw_channels(2, 2, 2, 400e-9, seed=1))
+        y1 = pf.synthesize_received(layout_single, pats, seqs, h, 0.5, seed=42)
+        y2 = pf.synthesize_received(layout_single, pats, seqs, h, 0.5, seed=42)
         np.testing.assert_array_equal(y1, y2)
-        y0 = pf.synthesize_received(layout_single, pats, seqs, ch, seed=None)
+        y0 = pf.synthesize_received(layout_single, pats, seqs, h, 0.0, seed=42)
         noise = y1 - y0
         assert 0.3 < np.std(noise) < 0.7  # sigma = 0.5 per complex element
 
@@ -271,8 +289,8 @@ class TestSynthesis:
         seqs = pf.orthogonal_sequence_family(256, 1)
         delays = np.sort(rng.uniform(0, 400e-9, 3))
         gains = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        ch = pf.ChannelParams({(0, 0): delays}, {(0, 0): gains}, 0.0)
-        y = pf.synthesize_received(layout_single, pats, seqs, ch, seed=None)
+        y = pf.synthesize_received(layout_single, pats, seqs,
+                                   one_user(layout_single, delays, gains), 0.0)
         acc = 0.0
         for k in range(3):
             for kp in range(3):
@@ -284,7 +302,23 @@ class TestSynthesis:
     def test_dimension_mismatch_rejected(self, layout_single):
         pats = pf.PatternSet(np.ones((128, 1), dtype=np.uint8))
         seqs = pf.orthogonal_sequence_family(256, 1)
-        ch = pf.ChannelParams({(0, 0): np.array([0.0])},
-                              {(0, 0): np.array([1.0 + 0j])}, 0.0)
         with pytest.raises(ValueError):
-            pf.synthesize_received(layout_single, pats, seqs, ch)
+            pf.synthesize_received(layout_single, pats, seqs,
+                                   one_user(layout_single, [0.0], [1.0]), 0.0)
+
+    @pytest.mark.parametrize("shape", [(256,), (1, 256), (2, 1, 256), (1, 2, 256),
+                                       (1, 1, 128)])
+    def test_response_stack_shape_checked(self, layout_single, shape):
+        # one group, one code: a stack must be (G', Z', 256) with G', Z' <= 1
+        pats = pf.PatternSet(np.ones((256, 1), dtype=np.uint8))
+        seqs = pf.orthogonal_sequence_family(256, 1)
+        with pytest.raises(ValueError, match="responses"):
+            pf.synthesize_received(layout_single, pats, seqs, np.ones(shape, complex), 0.0)
+
+    @pytest.mark.parametrize("noise_std", [-0.1, np.inf, np.nan])
+    def test_noise_std_must_be_non_negative_and_finite(self, layout_single, noise_std):
+        pats = pf.PatternSet(np.ones((256, 1), dtype=np.uint8))
+        seqs = pf.orthogonal_sequence_family(256, 1)
+        with pytest.raises(ValueError, match="noise std"):
+            pf.synthesize_received(layout_single, pats, seqs,
+                                   one_user(layout_single, [0.0], [1.0]), noise_std)
