@@ -54,8 +54,9 @@ class IslMatrix:
         """ISL of each of a stack of pattern columns, shape (Q, N); the one ISL path.
 
         The quadratic forms w^T G w come from one BLAS matrix product
-        (Q, N) @ (N, N) and a row sum, so they can differ in the last bits
-        from a column-by-column w @ G @ w.
+        (Q, N) @ (N, N) and a row sum. BLAS may block the product differently
+        for different stacks, so a row's last bits can depend on the other
+        rows of the stack, not only differ from a column-by-column w @ G @ w.
         """
         cols = np.asarray(columns, dtype=float)
         p = cols.sum(axis=1)

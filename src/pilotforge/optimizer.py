@@ -90,8 +90,8 @@ class EdaConfig:
             raise ValueError("offline noise std must be positive and finite")
         if self.retry_cap < 1:
             raise ValueError("retry cap must be positive")
-        if not self.gate_step_s > 0:
-            raise ValueError("gate step must be positive")
+        if not 0 < self.gate_step_s < np.inf:
+            raise ValueError("gate step must be positive and finite")
         if self.srl_ceilings_s is None:
             if not 0 < self.beta_margin < np.inf:
                 raise ValueError("beta margin must be positive and finite")
@@ -280,10 +280,10 @@ def _srl_gate(layout: BandLayout, cfg: EdaConfig,
               beta_s: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The SRL rejection test of one EDA run over a (Q, N, G) stack of masks.
 
-    A slot passes when every group's SRL is at most its beta. Groups are
-    tested in order, each only for the slots that passed the groups before
-    it. Each decision is a pure function of (group, column), so the gate
-    caches it under (group, packed column) for its own lifetime, which is one
+    A slot passes when every group's SRL is at most its beta; every group of
+    every slot is decided, and the verdict is the AND over the groups. Each
+    decision is a pure function of (group, column), so the gate caches it
+    under (group, packed column) for its own lifetime, which is one
     ``run_eda``. The misses of one call are decided together, group by
     group: one ``resolvable_at`` accepts every column with g(beta) >= 0, the
     test ``srl_at_most`` makes first, and only if some column fails there, one
@@ -303,10 +303,7 @@ def _srl_gate(layout: BandLayout, cfg: EdaConfig,
     def gate(masks: np.ndarray) -> np.ndarray:
         passed = np.ones(len(masks), dtype=bool)
         for g in range(masks.shape[2]):
-            alive = np.flatnonzero(passed)
-            if not alive.size:
-                break
-            cols = masks[alive, :, g]
+            cols = masks[:, :, g]
             keys = [(g, packed.tobytes()) for packed in np.packbits(cols, axis=1)]
             misses: dict[tuple[int, bytes], int] = {}
             for i, key in enumerate(keys):
@@ -315,7 +312,7 @@ def _srl_gate(layout: BandLayout, cfg: EdaConfig,
             if misses:
                 verdicts = decide(g, cols[list(misses.values())])
                 decided.update(zip(misses, verdicts.tolist()))
-            passed[alive] = [decided[key] for key in keys]
+            passed &= [decided[key] for key in keys]
         return passed
 
     return gate
@@ -344,9 +341,13 @@ def run_eda(layout: BandLayout, cfg: EdaConfig,
             ) -> EdaResult:
     """Full constrained EDA run; returns the best individual and its trace.
 
-    Each slot reads its own row of a seeded block per retry round, so the
-    result does not depend on evaluation order or on how a generation is
-    batched. ``on_iteration`` receives (iteration, population masks,
+    Generations 0..iterations run one loop body, so ``prob`` is the model of
+    the last population's elites. Each slot reads its own row of a seeded
+    block per retry round, so the draws do not depend on how a generation is
+    batched. The fitnesses come from each generation's miss stack (its
+    uncached masks in first-seen order, duplicates included) through one
+    ``isl_many``, whose rows' last bits can depend on each other, so that
+    stack is fixed. ``on_iteration`` receives (iteration, population masks,
     fitnesses) after every evaluation, for instrumentation.
     """
     n, n_groups = layout.n_total, len(cfg.budgets)
@@ -386,21 +387,13 @@ def run_eda(layout: BandLayout, cfg: EdaConfig,
                 cache[keys[i]] = float(v)
         return np.array([cache[k] for k in keys])
 
-    fits = evaluate(population)
-    if on_iteration is not None:
-        on_iteration(0, population, fits)
-    best_idx = int(np.argmin(fits))
-    best_mask = population[best_idx].copy()
-    best_fit = float(fits[best_idx])
-    trace = [best_fit]
-
-    for it in range(1, cfg.iterations + 1):
-        elite_idx = np.argsort(fits, kind="stable")[:cfg.elite]
-        prob = update_probabilities(population[elite_idx])
-        drawn, rej = sample_individual(prob, budgets, gate, cfg.seed, it, cfg.population - 1,
-                                       cfg.retry_cap)
-        rejected_total += rej
-        population = np.concatenate([best_mask[None], drawn])  # elitist carry-over
+    best_mask, best_fit, trace = None, np.inf, []
+    for it in range(cfg.iterations + 1):
+        if it:
+            drawn, rej = sample_individual(prob, budgets, gate, cfg.seed, it,
+                                           cfg.population - 1, cfg.retry_cap)
+            rejected_total += rej
+            population = np.concatenate([best_mask[None], drawn])  # elitist carry-over
         fits = evaluate(population)
         if on_iteration is not None:
             on_iteration(it, population, fits)
@@ -409,9 +402,7 @@ def run_eda(layout: BandLayout, cfg: EdaConfig,
             best_fit = float(fits[best_idx])
             best_mask = population[best_idx].copy()
         trace.append(best_fit)
-
-    elite_idx = np.argsort(fits, kind="stable")[:cfg.elite]
-    prob = update_probabilities(population[elite_idx])
+        prob = update_probabilities(population[np.argsort(fits, kind="stable")[:cfg.elite]])
 
     best = PatternSet(best_mask)
     srls = tuple(srl_of_pattern(layout, best.column(g), cfg.offline_noise_std,

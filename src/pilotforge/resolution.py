@@ -54,8 +54,8 @@ class SrlSearch:
     def __post_init__(self):
         if not 0 < self.tau_lo_s < self.tau_hi_s < np.inf:
             raise ValueError("need 0 < tau_lo < tau_hi < inf")
-        if not (self.step_s > 0 and self.tol_s > 0):
-            raise ValueError("grid step and tolerance must be positive")
+        if not (0 < self.step_s < np.inf and 0 < self.tol_s < np.inf):
+            raise ValueError("grid step and tolerance must be positive and finite")
 
     def grid(self) -> np.ndarray:
         return np.arange(self.tau_lo_s, self.tau_hi_s + 0.5 * self.step_s, self.step_s)

@@ -60,10 +60,6 @@ def toy_search():
     return SrlSearch(tau_lo_s=0.05e-9, tau_hi_s=400e-9, step_s=0.05e-9, tol_s=1e-13)
 
 
-def seeded_rng(*key):
-    return np.random.default_rng(np.random.SeedSequence(entropy=20240809, spawn_key=key))
-
-
 def user_responses(layout, delays, gains):
     """(G, Z, N) channel responses of (G, Z, P) path arrays, one user at a time,
     as ``run_extrapolation_sim`` computes its truth."""

@@ -198,6 +198,7 @@ class TestOptimizeArtifacts(object):
     @pytest.mark.parametrize("band,line,message", [
         ("single", "gate_step_s = 0", "gate step"),
         ("single", "gate_step_s = -1e-11", "gate step"),
+        ("single", "gate_step_s = inf", "gate step"),
         ("single", "beta_reference_draws = 0", "beta reference draw"),
         ("single", "beta_margin = 0", "beta margin"),
         ("single", "beta_margin = -1", "beta margin"),
@@ -258,7 +259,9 @@ class TestMetricsCommands:
         ("tau_hi_s = inf", "tau_lo < tau_hi"),
         ("step_s = 0", "grid step"),
         ("step_s = nan", "grid step"),
+        ("step_s = inf", "grid step"),
         ("tol_s = nan", "grid step"),
+        ("tol_s = inf", "grid step"),
     ])
     def test_bad_srl_search_value_exit_code(self, toy_artifact, tmp_path, capsys, command,
                                             line, message):

@@ -250,8 +250,9 @@ class TestRunEda:
         res = run_eda(lay, cfg, on_iteration=watch)
         # elitism: best-so-far never increases
         assert np.all(np.diff(res.trace) <= 0)
-        # every admitted individual in every population is feasible
-        assert len(seen) == cfg.iterations + 1
+        # one callback per generation, 0..iterations in order, and every admitted
+        # individual in every population is feasible
+        assert [it for it, _, _ in seen] == list(range(cfg.iterations + 1))
         gains = np.asarray(cfg.offline_gains, complex)
         for it, pop, fits in seen:
             assert pop.shape == (cfg.population, 32, 2)
@@ -331,20 +332,17 @@ class TestRunEda:
         assert {key for key, ok in answers.items() if not ok} <= set(exact)
         for b, cols, oks in batched:   # a pass at beta is a pass
             assert all(answers[(beta.index(b), col)] for col, ok in zip(cols, oks) if ok)
-        # replay the gate's group order: group g is asked only after g - 1 passed
+        # every group of every gated slot is asked, and the verdict is the AND
+        # over the groups
         asked, lookups = set(), 0
         for masks, out in gated:
             assert out.shape == (len(masks),)
             for mask, verdict in zip(masks, out):
-                verdicts = []
-                for g in range(mask.shape[1]):
-                    key = (g, mask[:, g].tobytes())
-                    asked.add(key)
-                    lookups += 1
-                    verdicts.append(answers[key])
-                    if not answers[key]:
-                        break
-                assert verdict == all(verdicts)
+                keys = [(g, mask[:, g].tobytes()) for g in range(mask.shape[1])]
+                assert all(key in answers for key in keys), "a gated group was not decided"
+                asked.update(keys)
+                lookups += len(keys)
+                assert verdict == all(answers[key] for key in keys)
         assert asked == set(answers)
         assert lookups > len(answers)       # the cache did serve repeats
         assert not all(answers.values())    # and it holds rejections too
@@ -460,6 +458,7 @@ class TestEdaConfigValidation:
 
     @pytest.mark.parametrize("key,value", [
         ("gate_step_s", 0.0), ("gate_step_s", -1e-11), ("gate_step_s", float("nan")),
+        ("gate_step_s", float("inf")),
         ("beta_margin", 0.0), ("beta_margin", -1.0), ("beta_margin", float("inf")),
         ("beta_reference_draws", 0)])
     def test_gate_settings(self, key, value):

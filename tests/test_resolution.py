@@ -697,6 +697,7 @@ class TestSrlSearch:
         with pytest.raises(ValueError):
             SrlSearch(tau_lo_s=5e-9, tau_hi_s=1e-9)
         for bad in ({"tau_lo_s": np.nan}, {"tau_hi_s": np.inf}, {"step_s": np.nan},
-                    {"tol_s": np.nan}, {"step_s": 0.0}):
+                    {"tol_s": np.nan}, {"step_s": 0.0}, {"step_s": np.inf},
+                    {"tol_s": np.inf}):
             with pytest.raises(ValueError):
                 SrlSearch(**bad)
