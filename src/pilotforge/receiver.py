@@ -13,6 +13,13 @@ Levenberg-Marquardt and walked across |chi| fringes, where a walk ranks its
 fringe-moved copies by the residual one Gauss-Newton step predicts and
 polishes only the best few. The full-band channel is rebuilt from the fitted
 paths.
+
+Everything the fit needs from the pattern column (support, gate map, fine
+grid, fringe moves) is built once per column, and the fit takes a whole
+sequence of that column's observations as one stack: every row of every
+stage carries the index of its observation and stops on its own tests, so a
+stacked fit gives each observation the result it gets alone. The Monte Carlo
+fits each (scheme, group) column's (trial, code) observations this way.
 """
 
 from __future__ import annotations
@@ -222,14 +229,33 @@ def _ridged(gram: np.ndarray) -> np.ndarray:
     return gram
 
 
-class _GatedModel:
-    """The multipath model pushed through an observation's delay gate.
+def _observations(obs) -> tuple[list[DecoupledObservation], bool]:
+    """(observations, whether obs was a single one) of one pattern column."""
+    single = isinstance(obs, DecoupledObservation)
+    stack = [obs] if single else list(obs)
+    if not stack:
+        raise ValueError("need at least one observation")
+    first = stack[0]
+    if any(o.gate_s != first.gate_s or o.delay_bin_s != first.delay_bin_s
+           or len(o.delay_gated) != len(first.delay_gated) for o in stack):
+        raise ValueError("observations of one column must share the gate and transform grid")
+    return stack, single
 
-    Delays map to gated delay-bin columns; the gains of any delay set follow
-    in closed form by least squares, which concentrates them out of the fit.
+
+class _GatedModel:
+    """The multipath model pushed through the delay gate of one pattern column.
+
+    Two parts: the column's, shared by every observation (support, f_grid,
+    gate_map and the fine-grid kernel), and ``targets``, one row of gated
+    delay bins per observation, (M, G). Every method takes delay sets in rows
+    together with the observation index ``obs`` of each row, so one call
+    serves rows of many observations. Delays map to gated delay-bin columns;
+    the gains of any delay set follow in closed form by least squares, which
+    concentrates them out of the fit.
     """
 
-    def __init__(self, obs: DecoupledObservation, support: np.ndarray):
+    def __init__(self, observations: Sequence[DecoupledObservation], support: np.ndarray):
+        obs = observations[0]
         length = len(obs.delay_gated)
         slots = obs.grid_positions[support]
         grid_spacing = 1.0 / (obs.delay_bin_s * length)
@@ -237,7 +263,7 @@ class _GatedModel:
         # gate rows of the unitary subcarrier -> delay-bin transform
         self.gate_map = np.exp(2j * np.pi * np.outer(obs.gate_bins, slots)
                                / length) / np.sqrt(length)
-        self.target = obs.delay_gated[obs.gate_bins]
+        self.targets = np.array([o.delay_gated[obs.gate_bins] for o in observations])
         self._slots, self._bins, self._length = slots, obs.gate_bins, length
 
     def _steer(self, delays: np.ndarray) -> np.ndarray:
@@ -267,36 +293,40 @@ class _GatedModel:
         row = self._bins[:, None] - t // oversample - shift[0]
         return kernel.ravel()[oversample * row + t % oversample]
 
-    def _solve(self, a_rows: np.ndarray
+    def _solve(self, a_rows: np.ndarray, obs: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(A, A^H, A^H A, gains g, residual t - A g) of the gated rows a_rows =
-        A^T, (P, K, G); near-singular A^H A get a small ridge."""
+        A^T, (P, K, G), each fitted to the target of its observation obs, (P,);
+        near-singular A^H A get a small ridge."""
         a, ah = a_rows.transpose(0, 2, 1), a_rows.conj()
+        target = self.targets[obs]
         gram = _ridged(ah @ a)
-        gains = np.linalg.solve(gram, (ah @ self.target)[..., None])[..., 0]
-        r = self.target[None, :] - (a @ gains[..., None])[..., 0]
+        gains = np.linalg.solve(gram, (ah @ target[..., None]))[..., 0]
+        r = target - (a @ gains[..., None])[..., 0]
         return a, ah, gram, gains, r
 
-    def fit(self, delays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Least-squares gains and residuals for delays of shape (P, K)."""
-        *_, gains, r = self._solve(self.columns(delays).transpose(0, 2, 1))
+    def fit(self, delays: np.ndarray, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Least-squares gains and residuals for delays of shape (P, K), row p
+        fitted to observation obs[p]."""
+        *_, gains, r = self._solve(self.columns(delays).transpose(0, 2, 1), obs)
         return gains, np.sum(np.abs(r) ** 2, axis=1)
 
-    def linearize(self, delays: np.ndarray
+    def linearize(self, delays: np.ndarray, obs: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Residuals, Gauss-Newton matrices and steepest-descent directions.
 
-        For delays of shape (P, K): the residual r = t - A g with the gains g
-        solved, Re(D^H D) and Re(D^H r), where D = P_A^perp dA/dtau g is
-        Kaufman's variable-projection Jacobian of the fitted model (Kaufman
-        1975); the residual gradient it gives is exact. Fringe-moved copies
-        of a set share most delays, so each distinct delay is gated once.
+        For delays of shape (P, K), row p fitted to observation obs[p]: the
+        residual r = t - A g with the gains g solved, Re(D^H D) and Re(D^H r),
+        where D = P_A^perp dA/dtau g is Kaufman's variable-projection Jacobian
+        of the fitted model (Kaufman 1975); the residual gradient it gives is
+        exact. Fringe-moved copies of a set share most delays, so each
+        distinct delay is gated once.
         """
         distinct, at = np.unique(delays, return_inverse=True)
         steer = self._steer(distinct)
         rows = np.concatenate([steer, (-2j * np.pi * self.f_grid) * steer]) @ self.gate_map.T
         at = at.reshape(delays.shape)
-        a, ah, gram, gains, r = self._solve(rows[at])
+        a, ah, gram, gains, r = self._solve(rows[at], obs)
         # d(A g)/d tau_k, column k
         moved = rows[at + len(distinct)].transpose(0, 2, 1) * gains[:, None, :]
         d = moved - a @ np.linalg.solve(gram, ah @ moved)
@@ -305,18 +335,23 @@ class _GatedModel:
                 (dh @ r[..., None])[..., 0].real)
 
 
-def path_residual(obs: DecoupledObservation, w: np.ndarray, delays_s) -> float:
+def path_residual(obs: DecoupledObservation | Sequence[DecoupledObservation],
+                  w: np.ndarray, delays_s) -> float | np.ndarray:
     """Gated least-squares residual of the given path delays, gains solved.
 
     This is the quantity the path fit minimizes, so evaluated at the true
     delays it tells whether a fit ended short of the maximum-likelihood
-    optimum.
+    optimum. obs is one observation with delays_s of shape (K,), giving a
+    float, or a sequence of M observations of the column w with one row of
+    delays_s, (M, K), each, giving an (M,) array.
     """
+    observations, single = _observations(obs)
     support = np.flatnonzero(np.asarray(w))
     if len(support) == 0:
         raise ValueError("pattern column has no pilots")
-    delays = np.asarray(delays_s, dtype=float)[None, :]
-    return float(_GatedModel(obs, support).fit(delays)[1][0])
+    delays = np.asarray(delays_s, dtype=float).reshape(len(observations), -1)
+    res = _GatedModel(observations, support).fit(delays, np.arange(len(observations)))[1]
+    return float(res[0]) if single else res
 
 
 _VP_OVERSAMPLE = 8      # fine delay grid points per transform-grid delay bin
@@ -330,6 +365,7 @@ _VP_SAME = 1e-14        # s; starts closer than this settle as one (ten polish t
 _VP_FRINGE_LEVEL = 0.5  # |chi| / |chi(0)| a side peak needs to count as a fringe
 _VP_FRINGES = 4         # fringe offsets tried on either side of a path
 _VP_FRINGE_ROUNDS = 4   # cap on the fringe-move rounds
+_VP_CHUNK_ROWS = 320    # fringe-moved copies ranked or quick-polished per call (4 sets x 80 moves)
 
 
 def _lm_steps(jtj: np.ndarray, grad: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -344,18 +380,18 @@ def _lm_steps(jtj: np.ndarray, grad: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.linalg.solve(jtj + damp[:, :, None] * eye, grad[..., None])[..., 0]
 
 
-def _polish(model: _GatedModel, starts: np.ndarray, hi: float,
+def _polish(model: _GatedModel, obs: np.ndarray, starts: np.ndarray, hi: float,
             steps: int = _VP_LM_STEPS) -> tuple[np.ndarray, np.ndarray]:
     """Bounded Levenberg-Marquardt on the delays of a stack of delay sets.
 
-    Each set (row of starts) keeps its own Marquardt damping (``_lm_steps``),
-    moves only on steps that lower its residual, and stops once every
-    component of its own proposed step is below _VP_XTOL; so a row's result
-    does not depend on the other rows of the stack. Returns the polished,
-    ascending delay sets and their residuals.
+    Each set (row of starts, fitted to observation obs[row]) keeps its own
+    Marquardt damping (``_lm_steps``), moves only on steps that lower its
+    residual, and stops once every component of its own proposed step is
+    below _VP_XTOL; so a row's result does not depend on the other rows of
+    the stack. Returns the polished, ascending delay sets and their residuals.
     """
     x = np.clip(starts, 0.0, hi)
-    res, jtj, grad = model.linearize(x)
+    res, jtj, grad = model.linearize(x, obs)
     lam = np.full(len(x), _VP_DAMPING)
     live = np.arange(len(x))
     for _ in range(steps):
@@ -365,7 +401,7 @@ def _polish(model: _GatedModel, starts: np.ndarray, hi: float,
         if not len(live):
             break
         trial = np.clip(x[live] + step, 0.0, hi)
-        t_res, t_jtj, t_grad = model.linearize(trial)
+        t_res, t_jtj, t_grad = model.linearize(trial, obs[live])
         ok = t_res < res[live]
         up = live[ok]
         x[up], res[up], jtj[up], grad[up] = trial[ok], t_res[ok], t_jtj[ok], t_grad[ok]
@@ -399,42 +435,58 @@ def _fringe_moves(offsets: np.ndarray, k: int) -> np.ndarray:
     return np.array(moves)
 
 
-def _settle(model: _GatedModel, starts: np.ndarray, moves: np.ndarray, hi: float
-            ) -> tuple[np.ndarray, np.ndarray]:
+def _predicted(model: _GatedModel, obs: np.ndarray, delays: np.ndarray) -> np.ndarray:
+    """Residuals that one Gauss-Newton step from each row of delays predicts."""
+    res, jtj, grad = model.linearize(delays, obs)
+    step = _lm_steps(jtj, grad, np.full(len(res), _VP_DAMPING))
+    return res - np.sum(grad * step, axis=1)
+
+
+def _settle(model: _GatedModel, obs: np.ndarray, starts: np.ndarray, moves: np.ndarray,
+            hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Polish a (B, k) stack of delay sets, then walk each across |chi| fringes.
 
-    After a Levenberg-Marquardt polish, each round moves every set by each
-    row of ``moves`` (fringe shifts of one path or a pair of paths) and ranks
-    the moved copies by the residual their first Gauss-Newton step predicts:
-    one linearization of all copies, no iterations. The _VP_RANKED best get
-    a few iterations and the best of those a full polish. A set keeps walking
-    while that lowers its residual: a path, or two coupled paths, can settle
-    a fringe off together. Rows walk independently, and rows that agree to
-    within _VP_SAME (a beam can hold one set several times, polished to
-    within a few _VP_XTOL of itself) are settled once; returns the settled
-    delay sets and their residuals.
+    Row b is fitted to observation obs[b]. After a Levenberg-Marquardt
+    polish, each round moves every set by each row of ``moves`` (fringe
+    shifts of one path or a pair of paths) and ranks the moved copies by the
+    residual their first Gauss-Newton step predicts: one linearization, no
+    iterations. The _VP_RANKED best get a few iterations and the best of
+    those a full polish. Both the ranking and the quick polish take the
+    copies in chunks of at most _VP_CHUNK_ROWS rows, which bounds the
+    transient memory of a large stack. A set keeps walking while that lowers
+    its residual: a path, or two coupled paths, can settle a fringe off
+    together. Rows walk independently, and rows of one
+    observation that agree to within _VP_SAME (a beam can hold one set
+    several times, polished to within a few _VP_XTOL of itself) are settled
+    once; returns the settled delay sets and their residuals.
 
     The concentrated cost at the moved copies alone ranks poorly: a fringe
     move lands a fraction of a fringe off the minimum it leads to, where the
     multiband cost is still high, so the copy that splits two merged paths
     can rank far down the list.
     """
-    _, first, same = np.unique(np.round(starts / _VP_SAME), axis=0,
-                               return_index=True, return_inverse=True)
-    same = same.ravel()
-    best, best_res = _polish(model, starts[first], hi)
+    keys = np.column_stack([obs, np.round(starts / _VP_SAME)])
+    _, first, same = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    same, owner = same.ravel(), obs[first]
+    best, best_res = _polish(model, owner, starts[first], hi)
     live = np.arange(len(best))
+    c = _VP_CHUNK_ROWS
     for _ in range(_VP_FRINGE_ROUNDS if len(moves) else 0):
         n, k = len(live), best.shape[1]
-        copies = np.clip(best[live][:, None, :] + moves[None], 0.0, hi)
-        res, jtj, grad = model.linearize(copies.reshape(-1, k))
-        step = _lm_steps(jtj, grad, np.full(len(res), _VP_DAMPING))
-        predicted = (res - np.sum(grad * step, axis=1)).reshape(n, -1)
-        top = np.argsort(predicted, axis=1, kind="stable")[:, :_VP_RANKED]
-        picked = np.take_along_axis(copies, top[..., None], axis=1)
-        moved, res = _polish(model, picked.reshape(-1, k), hi, _VP_QUICK_STEPS)
+        copies = np.clip(best[live][:, None, :] + moves[None], 0.0, hi).reshape(-1, k)
+        owners = np.repeat(owner[live], len(moves))
+        predicted = np.concatenate([_predicted(model, owners[i:i + c], copies[i:i + c])
+                                    for i in range(0, len(copies), c)])
+        top = np.argsort(predicted.reshape(n, -1), axis=1, kind="stable")[:, :_VP_RANKED]
+        picked = np.take_along_axis(copies.reshape(n, -1, k), top[..., None], axis=1
+                                    ).reshape(-1, k)
+        owners = np.repeat(owner[live], top.shape[1])
+        quick = [_polish(model, owners[i:i + c], picked[i:i + c], hi, _VP_QUICK_STEPS)
+                 for i in range(0, len(picked), c)]
+        moved, res = (np.concatenate(part) for part in zip(*quick))
         pick = np.argmin(res.reshape(n, -1), axis=1)
-        moved, res = _polish(model, moved.reshape(n, -1, k)[np.arange(n), pick], hi)
+        moved, res = _polish(model, owner[live],
+                             moved.reshape(n, -1, k)[np.arange(n), pick], hi)
         better = res < best_res[live]
         live = live[better]
         best[live], best_res[live] = moved[better], res[better]
@@ -443,19 +495,49 @@ def _settle(model: _GatedModel, starts: np.ndarray, moves: np.ndarray, hi: float
     return best[same], best_res[same]
 
 
-def _refine(model: _GatedModel, k: int, peaks: np.ndarray, hi: float,
-            bin_s: float) -> np.ndarray:
-    """Deterministic variable-projection search; returns the winning delays.
+def _extensions(model: _GatedModel, target: np.ndarray, beam: np.ndarray, grid: np.ndarray,
+                cols: np.ndarray, spacing: int) -> list[np.ndarray]:
+    """The _VP_BEAM best one-path extensions of an observation's beam.
 
-    A greedy beam search builds k-path delay sets one path at a time. Each
-    stage projects the target and the columns of a grid _VP_OVERSAMPLE times
-    finer than the delay bins off a kept set's span, takes the peaks of the
-    one-path concentrated cost of what remains as extensions, and settles
-    (``_settle``) the _VP_BEAM extensions with the lowest projected residual
-    as one stack; they form the next beam. The profile peaks, resized to k
-    delays, join the last stage's stack and win ties with the final beam;
-    they also stand in alone when the cost has fewer distinct peaks than
-    paths.
+    Each kept set's span is projected off the target and off the fine-grid
+    columns cols; the peaks, spacing or more grid points apart, of the
+    one-path concentrated cost of what remains extend the set. Extensions
+    come best projected residual first; none come (the beam ends) when the
+    cost has fewer distinct peaks than paths.
+    """
+    extended: dict[tuple[float, ...], tuple[float, np.ndarray]] = {}
+    for chosen in beam:
+        r, c = target, cols
+        if len(chosen):
+            q = np.linalg.qr(model.columns(chosen[None, :])[0])[0]
+            r = target - q @ (q.conj().T @ target)
+            c = cols - q @ (q.conj().T @ cols)
+        norm = np.sum(np.abs(c) ** 2, axis=0)
+        gain = np.abs(c.conj().T @ r) ** 2 / np.where(norm > 0, norm, np.inf)
+        idx, heights = _peaks(np.concatenate(([0.0], gain, [0.0])), 0.0, spacing)
+        rest = float(np.sum(np.abs(r) ** 2))
+        for i in np.argsort(-heights, kind="stable")[:_VP_BEAM]:
+            ext = np.sort(np.append(chosen, grid[idx[i] - 1]))
+            extended[tuple(ext)] = (rest - heights[i], ext)
+    return [ext for _, ext in sorted(extended.values(), key=lambda item: item[0])[:_VP_BEAM]]
+
+
+def _refine(model: _GatedModel, k: int, peaks: Sequence[np.ndarray], hi: float,
+            bin_s: float) -> np.ndarray:
+    """Deterministic variable-projection search; returns the winning delays,
+    (M, k), of the model's M observations, whose profile peaks are peaks.
+
+    A greedy beam search builds k-path delay sets one path at a time, each
+    observation keeping its own beam. Each stage extends every kept set by
+    one path on a grid _VP_OVERSAMPLE times finer than the delay bins and
+    keeps the _VP_BEAM extensions with the lowest projected residual
+    (``_extensions``). Every observation's extensions are settled
+    (``_settle``) in one stack, and each observation's settled rows form its
+    next beam. The grid, its columns and the fringe moves depend on the
+    column alone and are built once. An observation's profile peaks, resized
+    to k delays, join the last stage's stack and win ties with its final
+    beam; they also stand in alone when its cost has fewer distinct peaks
+    than paths.
     """
     step = bin_s / _VP_OVERSAMPLE
     grid = np.arange(0.0, hi + 0.5 * step, step)
@@ -465,39 +547,36 @@ def _refine(model: _GatedModel, k: int, peaks: np.ndarray, hi: float,
     # width on peaks farther apart than that
     spacing = int(np.ceil(offsets.max() / step)) + 1 if len(offsets) else 1
     cols = model.grid_columns(_VP_OVERSAMPLE, len(grid))
-    target = model.target
-    start = np.resize(np.sort(peaks), k)
-    beam = np.empty((1, 0))
+    starts = np.array([np.resize(np.sort(p), k) for p in peaks])
+    beams = [np.empty((1, 0))] * len(starts)
     for j in range(1, k + 1):
-        extended: dict[tuple[float, ...], tuple[float, np.ndarray]] = {}
-        for chosen in beam:
-            r, c = target, cols
-            if len(chosen):
-                q = np.linalg.qr(model.columns(chosen[None, :])[0])[0]
-                r = target - q @ (q.conj().T @ target)
-                c = cols - q @ (q.conj().T @ cols)
-            norm = np.sum(np.abs(c) ** 2, axis=0)
-            gain = np.abs(c.conj().T @ r) ** 2 / np.where(norm > 0, norm, np.inf)
-            idx, heights = _peaks(np.concatenate(([0.0], gain, [0.0])), 0.0, spacing)
-            rest = float(np.sum(np.abs(r) ** 2))
-            for i in np.argsort(-heights, kind="stable")[:_VP_BEAM]:
-                ext = np.sort(np.append(chosen, grid[idx[i] - 1]))
-                extended[tuple(ext)] = (rest - heights[i], ext)
-        ranked = sorted(extended.values(), key=lambda item: item[0])[:_VP_BEAM]
-        if not ranked:  # fewer distinct peaks than paths
-            break
-        stack = [ext for _, ext in ranked] + ([start] if j == k else [])
-        settled, res = _settle(model, np.array(stack), moves[j], hi)
+        ranked = [_extensions(model, target, beam, grid, cols, spacing)
+                  for target, beam in zip(model.targets, beams)]
+        counts = np.array([len(r) for r in ranked])
+        stack = [ext for r in ranked for ext in r]
+        obs = np.repeat(np.arange(len(starts)), counts)
         if j == k:
-            n = len(ranked)
-            return settled[n] if res[n] <= res[:n].min() else settled[np.argmin(res[:n])]
-        beam = settled[np.argsort(res, kind="stable")]
-    return _settle(model, start[None, :], moves[k], hi)[0][0]
+            stack += list(starts)
+            obs = np.concatenate([obs, np.arange(len(starts))])
+        elif not stack:  # no observation has a beam left
+            beams = [np.empty((0, j))] * len(starts)
+            continue
+        settled, res = _settle(model, obs, np.array(stack), moves[j], hi)
+        bounds = np.concatenate([[0], np.cumsum(counts)])
+        if j < k:
+            beams = [settled[a:b][np.argsort(res[a:b], kind="stable")]
+                     for a, b in zip(bounds[:-1], bounds[1:])]
+    out = settled[bounds[-1]:].copy()
+    for m, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if b > a and not res[bounds[-1] + m] <= res[a:b].min():
+            out[m] = settled[a + np.argmin(res[a:b])]
+    return out
 
 
-def estimate_paths_psols(obs: DecoupledObservation, w: np.ndarray, layout: BandLayout,
-                         pso: PsoConfig = PsoConfig(), n_paths: int | None = None,
-                         seed: int = 0) -> PathEstimate:
+def estimate_paths_psols(obs: DecoupledObservation | Sequence[DecoupledObservation],
+                         w: np.ndarray, layout: BandLayout, pso: PsoConfig = PsoConfig(),
+                         n_paths: int | None = None, seed: int = 0
+                         ) -> PathEstimate | list[PathEstimate]:
     """Maximum-likelihood fit of the user's multipath parameters.
 
     The model is pushed through the same delay gate the observation went
@@ -516,30 +595,43 @@ def estimate_paths_psols(obs: DecoupledObservation, w: np.ndarray, layout: BandL
     Gauss-Newton step predicts and quick-polishes only the _VP_RANKED best
     (see ``_settle``).
 
+    obs is one observation, giving one estimate, or a sequence of
+    observations of the pattern column w (same gate), giving a list of
+    estimates in the same order. A sequence is fitted as one stack, and each
+    observation gets the estimate it gets alone; it needs n_paths, since
+    without it each observation would pick its own model order. An
+    ``EstimationError`` (too few pilots or gate bins for n_paths) depends on
+    the column alone.
+
     The fit is deterministic: ``seed`` has no effect and is kept only so
     existing callers keep working.
     """
+    observations, single = _observations(obs)
+    if not single and n_paths is None:
+        raise ValueError("a sequence of observations needs n_paths")
     w = np.asarray(w)
     support = np.flatnonzero(w)
     if len(support) == 0:
         raise ValueError("pattern column has no pilots")
-    peaks = profile_peak_delays(obs, pso.max_paths)
+    peaks = [profile_peak_delays(o, pso.max_paths) for o in observations]
+    bins = len(observations[0].gate_bins)
     if n_paths is not None:
         k = int(n_paths)
-        if len(support) < 2 * k or len(obs.gate_bins) < 2 * k:
-            raise EstimationError(f"{len(support)} pilots over {len(obs.gate_bins)} "
+        if len(support) < 2 * k or bins < 2 * k:
+            raise EstimationError(f"{len(support)} pilots over {bins} "
                                   f"gate bins cannot identify {k} paths")
     else:
-        k = max(1, min(len(peaks), pso.max_paths,
-                       len(support) // 2, len(obs.gate_bins) // 2))
+        k = max(1, min(len(peaks[0]), pso.max_paths, len(support) // 2, bins // 2))
 
-    model = _GatedModel(obs, support)
-    delays = _refine(model, k, peaks, obs.gate_s[1], obs.delay_bin_s)
-    gains, res = model.fit(delays[None, :])
+    model = _GatedModel(observations, support)
+    rows = np.arange(len(observations))
+    delays = _refine(model, k, peaks, observations[0].gate_s[1], observations[0].delay_bin_s)
+    gains, res = model.fit(delays, rows)
     # gains were solved against grid-anchored frequencies; restore the
     # channel model's so reconstruction with the true steering is exact
     phase = np.exp(2j * np.pi * layout.channel_frequencies_hz[0] * delays)
-    return PathEstimate(delays, gains[0] * phase, float(res[0]), k)
+    out = [PathEstimate(delays[m], gains[m] * phase[m], float(res[m]), k) for m in rows]
+    return out[0] if single else out
 
 
 def extrapolate_fullband(estimate: PathEstimate, layout: BandLayout) -> np.ndarray:
@@ -579,6 +671,9 @@ class SimulationOutcome:
     search_failures: int = 0  # fits ending above the true delays' residual
 
 
+_SIM_STACK = 64  # observations of one pattern column fitted as one stack
+
+
 def run_extrapolation_sim(layout: BandLayout, schemes: Mapping[str, PatternSet],
                           snr_db: float, trials: int, n_codes: int = 2,
                           n_paths: int = 2, tau_max_s: float = 400e-9,
@@ -587,17 +682,28 @@ def run_extrapolation_sim(layout: BandLayout, schemes: Mapping[str, PatternSet],
                           ) -> dict[str, SimulationOutcome]:
     """Full-chain Monte Carlo: synthesize, decouple, fit, extrapolate, score.
 
-    Each trial draws one (groups, codes, paths) channel set and computes its
-    (groups, codes, N) responses once; a scheme of G groups synthesizes and
-    scores the first G rows of that stack under its own noise, so schemes see
-    the same channels and cross-scheme comparisons are paired. Per-user
-    estimation failures (``EstimationError`` or a singular linear solve)
-    invalidate the trial for that scheme and are counted, never silently
-    dropped; any other error propagates. A completed fit whose residual ends
-    above the residual at the true delays (beyond rounding) is counted as a
-    search failure: the maximum-likelihood optimum can never be worse than
-    the truth, so such a fit stopped short of it. A scheme with no completed
-    trial raises ``SimulationError``. snr_db = +inf runs noiseless.
+    Three phases. (1) Each trial draws one (groups, codes, paths) channel set
+    and computes its (groups, codes, N) responses once; a scheme of G groups
+    synthesizes the first G rows of that stack under its own noise, so
+    schemes see the same channels and cross-scheme comparisons are paired.
+    (2) Each (scheme, group) pattern column decouples its (trial, code)
+    observations and fits them as stacks of at most _SIM_STACK observations
+    (see ``estimate_paths_psols``); within a fit, a fringe round ranks and
+    quick-polishes at most _VP_CHUNK_ROWS moved copies per call, which
+    bounds the transient memory. (3) Each trial is scored, in trial order.
+
+    Per-user estimation failures invalidate the trial for that scheme and
+    are counted, never silently dropped; any other error propagates. An
+    ``EstimationError`` depends on the column alone, so it fails every trial
+    of the scheme. A singular linear solve (``LinAlgError``) in a stacked fit
+    refits that stack one observation at a time, so it fails only the trials
+    whose observations raise it. A trial's fits and search failures count
+    its users up to its first failed one, in (group, code) order. A
+    completed fit whose residual ends above the residual at the true delays
+    (beyond rounding) is counted as a search failure: the maximum-likelihood
+    optimum can never be worse than the truth, so such a fit stopped short
+    of it. A scheme with no completed trial raises ``SimulationError``.
+    snr_db = +inf runs noiseless.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -605,50 +711,82 @@ def run_extrapolation_sim(layout: BandLayout, schemes: Mapping[str, PatternSet],
         raise ValueError(f"snr_db must be a number or +inf (noiseless), not {snr_db}")
     noise_std = 10 ** (-snr_db / 20.0)  # 0 at +inf
     gate = (0.0, tau_max_s)
-    results: dict[str, list[float]] = {name: [] for name in schemes}
-    failures = {name: 0 for name in schemes}
-    fits = {name: 0 for name in schemes}
-    search_failures = {name: 0 for name in schemes}
     n_groups = max(p.n_groups for p in schemes.values())
     sequences = orthogonal_sequence_family(layout.n_total, n_codes)
 
+    delays, truths, received = [], [], []
     for t in range(trials):
         chan_seed = np.random.SeedSequence(entropy=seed, spawn_key=(1, t))
-        delays, gains = draw_channels(n_groups, n_codes, n_paths, tau_max_s,
-                                      seed=chan_seed.generate_state(1)[0],
-                                      min_separation_s=min_separation_s)
-        truth = np.array([[channel_frequency_response(layout, d, a)
-                           for d, a in zip(d_g, a_g)] for d_g, a_g in zip(delays, gains)])
-        for si, (name, patterns) in enumerate(sorted(schemes.items())):
-            sub = truth[:patterns.n_groups]
-            noise_seed = np.random.SeedSequence(entropy=seed, spawn_key=(2, t, si))
-            y = synthesize_received(layout, patterns, sequences, sub, noise_std,
-                                    seed=noise_seed.generate_state(1)[0])
+        d, a = draw_channels(n_groups, n_codes, n_paths, tau_max_s,
+                             seed=chan_seed.generate_state(1)[0],
+                             min_separation_s=min_separation_s)
+        truth = np.array([[channel_frequency_response(layout, d_u, a_u)
+                           for d_u, a_u in zip(d_g, a_g)] for d_g, a_g in zip(d, a)])
+        delays.append(d)
+        truths.append(truth)
+        received.append({name: synthesize_received(
+            layout, schemes[name], sequences, truth[:schemes[name].n_groups], noise_std,
+            seed=np.random.SeedSequence(entropy=seed, spawn_key=(2, t, si)).generate_state(1)[0])
+            for si, name in enumerate(sorted(schemes))})
+
+    trial_codes = list(itertools.product(range(trials), range(n_codes)))
+    outcomes = {}
+    for name, patterns in schemes.items():
+        shape = (trials, patterns.n_groups, n_codes)
+        done, missed = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
+        estimates = np.zeros(shape + (layout.n_total,), dtype=complex)
+        for g in range(patterns.n_groups):
+            w = patterns.column(g)
             try:
-                estimates = np.empty_like(sub)
-                for g, z in np.ndindex(sub.shape[:2]):
-                    obs = decouple(layout, y, patterns.column(g), sequences[z],
-                                   gate, user=(g, z))
-                    # the generator's path count stands in for the paper's
-                    # order-selection stage, which out-resolves bin-level peaks
-                    est = estimate_paths_psols(obs, patterns.column(g), layout, pso,
-                                               n_paths=n_paths)
-                    truth_res = path_residual(obs, patterns.column(g), delays[g, z])
-                    floor = 1e-12 * float(np.sum(np.abs(obs.delay_gated) ** 2))
-                    fits[name] += 1
-                    search_failures[name] += int(est.residual > truth_res + floor)
-                    estimates[g, z] = extrapolate_fullband(est, layout)
-                results[name].append(nmse(estimates, sub))
-            except (EstimationError, np.linalg.LinAlgError):
-                failures[name] += 1
-    out = {}
-    for name in schemes:
-        vals = np.asarray(results[name])
-        if len(vals) == 0:
+                for lo in range(0, len(trial_codes), _SIM_STACK):
+                    stack = trial_codes[lo:lo + _SIM_STACK]
+                    obs = [decouple(layout, received[t][name], w, sequences[z], gate, user=(g, z))
+                           for t, z in stack]
+                    true_delays = np.array([delays[t][g, z] for t, z in stack])
+                    for (t, z), fit in zip(stack, _fit_stack(layout, obs, w, true_delays,
+                                                             pso, n_paths)):
+                        if fit is not None:
+                            done[t, g, z], missed[t, g, z] = True, fit[1]
+                            estimates[t, g, z] = extrapolate_fullband(fit[0], layout)
+            except EstimationError:
+                break  # no trial of this scheme gets past group g
+
+        vals, failures, fits, search_failures = [], 0, 0, 0
+        for t in range(trials):
+            ok = done[t].ravel()
+            n_ok = len(ok) if ok.all() else int(np.argmin(ok))
+            fits += n_ok
+            search_failures += int(missed[t].ravel()[:n_ok].sum())
+            if n_ok < len(ok):
+                failures += 1
+            else:
+                vals.append(nmse(estimates[t], truths[t][:patterns.n_groups]))
+        if not vals:
             raise SimulationError(f"every trial failed for scheme {name!r}")
-        out[name] = SimulationOutcome(float(vals.mean()), trials, failures[name], vals,
-                                      fits[name], search_failures[name])
-    return out
+        outcomes[name] = SimulationOutcome(float(np.mean(vals)), trials, failures,
+                                           np.asarray(vals), fits, search_failures)
+    return outcomes
+
+
+def _fit_stack(layout: BandLayout, observations: list[DecoupledObservation], w: np.ndarray,
+               true_delays: np.ndarray, pso: PsoConfig, n_paths: int
+               ) -> list[tuple[PathEstimate, bool] | None]:
+    """(estimate, search failure) of each observation of one column, or None
+    where a linear solve was singular; a singular stack is refit one
+    observation at a time, so only the observations that raise get None."""
+    try:
+        # the generator's path count stands in for the paper's
+        # order-selection stage, which out-resolves bin-level peaks
+        ests = estimate_paths_psols(observations, w, layout, pso, n_paths=n_paths)
+        truth_res = path_residual(observations, w, true_delays)
+    except np.linalg.LinAlgError:
+        if len(observations) == 1:
+            return [None]
+        return [fit for o, d in zip(observations, true_delays)
+                for fit in _fit_stack(layout, [o], w, d[None], pso, n_paths)]
+    floors = [1e-12 * float(np.sum(np.abs(o.delay_gated) ** 2)) for o in observations]
+    return [(est, bool(est.residual > r + floor))
+            for est, r, floor in zip(ests, truth_res, floors)]
 
 
 def baseline_schemes(layout: BandLayout, n_groups: int, budgets: Sequence[int],

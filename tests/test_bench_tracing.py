@@ -84,6 +84,13 @@ def test_traced_toy_run_gives_finite_per_layer_metrics(tmp_path):
         sim = tracer.call("receiver.sim", receiver.run_extrapolation_sim, layout, schemes,
                           15.0, trials=1, seed=2)
     assert tracer.count["rejected_draws"] > 0
+    # every traced name of the simulation is still called, from inside it
+    tab = tracer.table()
+    for name in ("receiver.decouple", "receiver.fit", "receiver.path_residual",
+                 "receiver.extrapolate", "waveform.draw_channels",
+                 "waveform.synthesize_received"):
+        ids = np.flatnonzero(tab["name"] == name)
+        assert len(ids) and tracing._under(tab, ids, "receiver.sim").all(), name
     fits = sum(out.fits for out in sim.values())
     search_failures = sum(out.search_failures for out in sim.values())
     values = tracing.per_layer(tracer, 2, 0.0, [1.0], fits, 1.0, search_failures, 0, 0.0)

@@ -44,6 +44,26 @@ def random_multiband_obs(layout_multi, trial, user):
     return decouple(layout_multi, y, w, seqs[user[1]], GATE, user=user), w, delays
 
 
+def column_observations(layout_single, layout_multi, band):
+    """Observations of one pattern column, the column and the layout: a few
+    15 dB observations, then an all-zero observation."""
+    if band == "multi":
+        column = [random_multiband_obs(layout_multi, trial, (0, 0)) for trial in (15, 21)]
+        observations, w, layout = [obs for obs, _, _ in column], column[0][1], layout_multi
+    else:
+        layout = layout_single
+        w = baseline_schemes(layout, 2, [128, 128], seed=3)["random"].column(0)
+        observations = []
+        for seed in range(4):
+            delays, gains = pf.draw_channels(1, 1, 2, 400e-9, seed=seed)
+            observations.append(single_user_obs(layout, delays[0, 0], gains[0, 0], w=w,
+                                                noise_std=10 ** (-15 / 20), seed=100 + seed))
+    seq = pf.orthogonal_sequence_family(layout.n_total, 1)[0]
+    observations.append(decouple(layout, np.zeros(layout.n_total, dtype=complex), w, seq,
+                                 GATE))
+    return observations, w, layout
+
+
 class TestDecouple:
     def test_on_bin_path_gives_scaled_impulse(self, layout_single):
         n = 256
@@ -280,7 +300,7 @@ class TestPsoLs:
 class TestSearchStages:
     def test_grid_columns_match_the_direct_transform(self, layout_multi):
         obs, w, _ = random_multiband_obs(layout_multi, 15, (0, 0))
-        model = receiver._GatedModel(obs, np.flatnonzero(w))
+        model = receiver._GatedModel([obs], np.flatnonzero(w))
         step = obs.delay_bin_s / receiver._VP_OVERSAMPLE
         grid = np.arange(0.0, GATE[1] + 0.5 * step, step)
         direct = model.columns(grid[:, None])[:, :, 0].T
@@ -290,32 +310,45 @@ class TestSearchStages:
 
     def test_linearized_gradient_matches_finite_differences(self, layout_multi):
         obs, w, truth = random_multiband_obs(layout_multi, 15, (0, 0))
-        model = receiver._GatedModel(obs, np.flatnonzero(w))
+        model = receiver._GatedModel([obs], np.flatnonzero(w))
         delays = truth[0, 0][None, :] + [[0.3e-9, -0.2e-9]]
-        res, _, grad = model.linearize(delays)
-        assert res[0] == pytest.approx(model.fit(delays)[1][0], rel=1e-12)
+        row = np.zeros(1, dtype=int)
+        res, _, grad = model.linearize(delays, row)
+        assert res[0] == pytest.approx(model.fit(delays, row)[1][0], rel=1e-12)
         eps = 1e-15
         for k in range(2):
             shift = np.zeros((1, 2))
             shift[0, k] = eps
-            fd = (model.fit(delays + shift)[1][0] - model.fit(delays - shift)[1][0]) / (2 * eps)
+            fd = (model.fit(delays + shift, row)[1][0]
+                  - model.fit(delays - shift, row)[1][0]) / (2 * eps)
             # the residual falls along +grad: d|r|^2/dtau = -2 Re(D^H r)
             assert -2 * grad[0, k] == pytest.approx(fd, rel=1e-5)
 
     def test_settled_stack_rows_match_rows_settled_alone(self, layout_multi):
-        obs, w, delays = random_multiband_obs(layout_multi, 15, (0, 0))
-        model = receiver._GatedModel(obs, np.flatnonzero(w))
+        # both codes of one column in one stack; each row settled alone, on a
+        # model of its own observation only, must end where it does stacked
+        column = [random_multiband_obs(layout_multi, 15, (0, z)) for z in range(2)]
+        observations = [obs for obs, _, _ in column]
+        obs, w, delays = column[0]
+        support = np.flatnonzero(w)
+        model = receiver._GatedModel(observations, support)
         step = obs.delay_bin_s / receiver._VP_OVERSAMPLE
         offsets = receiver._fringe_offsets(model.f_grid, step / receiver._VP_OVERSAMPLE,
                                            8 * obs.delay_bin_s)
         moves = receiver._fringe_moves(offsets, 2)
         assert len(moves) == 80
-        truth = delays[0, 0]
-        starts = np.array([truth, truth + [0.0, 3 * offsets[0]], [20e-9, 300e-9],
-                           np.resize(profile_peak_delays(obs), 2), [150e-9, 151e-9]])
-        delays, res = receiver._settle(model, starts, moves, GATE[1])
+        starts, owner = [], []
+        for m, o in enumerate(observations):
+            truth = delays[0, m]
+            starts += [truth, truth + [0.0, 3 * offsets[0]], [20e-9, 300e-9],
+                       np.resize(profile_peak_delays(o), 2), [150e-9, 151e-9]]
+            owner += [m] * 5
+        starts, owner = np.array(starts), np.array(owner)
+        delays, res = receiver._settle(model, owner, starts, moves, GATE[1])
         for b, start in enumerate(starts):
-            alone, alone_res = receiver._settle(model, start[None, :], moves, GATE[1])
+            own = receiver._GatedModel([observations[owner[b]]], support)
+            alone, alone_res = receiver._settle(own, np.zeros(1, dtype=int), start[None, :],
+                                                moves, GATE[1])
             np.testing.assert_allclose(delays[b], alone[0], rtol=1e-12)
             np.testing.assert_allclose(res[b], alone_res[0], rtol=1e-12)
 
@@ -324,13 +357,15 @@ class TestSearchStages:
         calls = []
         polish = receiver._polish
 
-        def logged(model, starts, hi, steps=receiver._VP_LM_STEPS):
+        def logged(model, obs, starts, hi, steps=receiver._VP_LM_STEPS):
             calls.append((len(starts), steps))
-            return polish(model, starts, hi, steps)
+            return polish(model, obs, starts, hi, steps)
 
         monkeypatch.setattr(receiver, "_polish", logged)
-        obs, w, _ = random_multiband_obs(layout_multi, 21, (0, 0))
-        estimate_paths_psols(obs, w, layout_multi, n_paths=2)
+        # two observations of one column, fitted as one stack
+        stack = [random_multiband_obs(layout_multi, trial, (0, 0)) for trial in (21, 15)]
+        estimate_paths_psols([obs for obs, _, _ in stack], stack[0][1], layout_multi,
+                             n_paths=2)
         quick = [i for i, (_, steps) in enumerate(calls)
                  if steps == receiver._VP_QUICK_STEPS]
         per_set = []
@@ -343,6 +378,43 @@ class TestSearchStages:
         ranked = receiver._VP_RANKED
         assert set(per_set) == {min(ranked, 8), ranked}
         assert ranked < 80
+
+    @pytest.mark.parametrize("band", ["single", "multi"])
+    def test_sequence_fit_equals_each_observation_fitted_alone(self, layout_single,
+                                                              layout_multi, band):
+        # an all-zero observation stops its beam at the first stage and falls
+        # back to its profile start, while the other rows run the whole beam
+        observations, w, layout = column_observations(layout_single, layout_multi, band)
+        stacked = estimate_paths_psols(observations, w, layout, n_paths=2)
+        assert len(stacked) == len(observations)
+        assert stacked[-1].residual == 0.0
+        for obs, est in zip(observations, stacked):
+            alone = estimate_paths_psols(obs, w, layout, n_paths=2)
+            np.testing.assert_allclose(est.delays_s, alone.delays_s, rtol=1e-12)
+            np.testing.assert_allclose(est.gains, alone.gains, rtol=1e-12)
+            np.testing.assert_allclose(est.residual, alone.residual, rtol=1e-12)
+
+    @pytest.mark.parametrize("band", ["single", "multi"])
+    def test_sequence_residuals_equal_the_per_observation_calls(self, layout_single,
+                                                               layout_multi, band):
+        observations, w, _ = column_observations(layout_single, layout_multi, band)
+        delays = np.array([[40e-9 + 10e-9 * m, 250e-9] for m in range(len(observations))])
+        stacked = path_residual(observations, w, delays)
+        assert stacked.shape == (len(observations),)
+        np.testing.assert_allclose(
+            stacked, [path_residual(o, w, d) for o, d in zip(observations, delays)],
+            rtol=1e-12)
+
+    def test_sequence_needs_a_path_count_and_one_gate(self, layout_single, layout_multi):
+        observations, w, layout = column_observations(layout_single, layout_multi, "single")
+        with pytest.raises(ValueError, match="n_paths"):
+            estimate_paths_psols(observations, w, layout)
+        seq = pf.orthogonal_sequence_family(layout.n_total, 1)[0]
+        wider = decouple(layout, np.zeros(layout.n_total, dtype=complex), w, seq, (0.0, 500e-9))
+        with pytest.raises(ValueError, match="share the gate"):
+            estimate_paths_psols(observations + [wider], w, layout, n_paths=2)
+        with pytest.raises(ValueError, match="share the gate"):
+            path_residual(observations + [wider], w, np.zeros((len(observations) + 1, 2)))
 
     def test_multiband_baselines_end_no_fit_above_the_truth(self, layout_multi):
         schemes = baseline_schemes(layout_multi, 2, [127, 127], seed=1)
@@ -441,6 +513,49 @@ class TestSimulationHarness:
         for res in out.values():
             assert res.fits == 4 * len(res.per_trial)  # 2 groups x 2 codes
             assert 0 <= res.search_failures <= res.fits
+
+    def test_linalg_error_fails_only_its_trial(self, layout_single, monkeypatch):
+        # a singular solve on one observation must cost its own trial only,
+        # although the observation is fitted in a stack with the other trials'
+        schemes = baseline_schemes(layout_single, 2, [128, 128], seed=14)
+        base = run_extrapolation_sim(layout_single, schemes, 15.0, trials=3, seed=15)
+        bad_column, bad_user, bad_trial = schemes["random"].column(0).tobytes(), (0, 1), 1
+        seen: dict = {}
+        bad: list = []
+        stacked_raises = []
+        decouple_fn, fit_fn = receiver.decouple, receiver.estimate_paths_psols
+
+        def tagged(layout, y, w, x, gate_s, user=(0, 0)):
+            obs = decouple_fn(layout, y, w, x, gate_s, user)
+            # a column's calls for one user come in trial order
+            key = (np.asarray(w).tobytes(), tuple(user))
+            trial = seen[key] = seen.get(key, -1) + 1
+            if key == (bad_column, bad_user) and trial == bad_trial:
+                bad.append(obs)
+            return obs
+
+        def singular(obs, *args, **kwargs):
+            stack = [obs] if isinstance(obs, receiver.DecoupledObservation) else list(obs)
+            if any(o is b for o in stack for b in bad):
+                stacked_raises.append(len(stack) > 1)
+                raise np.linalg.LinAlgError("singular")
+            return fit_fn(obs, *args, **kwargs)
+
+        monkeypatch.setattr(receiver, "decouple", tagged)
+        monkeypatch.setattr(receiver, "estimate_paths_psols", singular)
+        out = run_extrapolation_sim(layout_single, schemes, 15.0, trials=3, seed=15)
+        assert len(bad) == 1 and stacked_raises[0] and not stacked_raises[-1]
+        hit = out["random"]
+        assert hit.failures == 1
+        # the failed trial's first user completed; its second did not
+        assert hit.fits == 2 * 4 + 1
+        np.testing.assert_array_equal(
+            hit.per_trial, np.delete(base["random"].per_trial, bad_trial))
+        assert hit.nmse == np.mean(hit.per_trial)
+        a, b = out["uniform"], base["uniform"]
+        assert (a.nmse, a.failures, a.fits, a.search_failures) == (
+            b.nmse, b.failures, b.fits, b.search_failures)
+        np.testing.assert_array_equal(a.per_trial, b.per_trial)
 
     def test_gate_past_unambiguous_range_is_not_a_counted_failure(self):
         # 64 subcarriers at 120 kHz repeat every 1/f_s = 8.33 us: a 10 us gate
