@@ -11,7 +11,10 @@ searched by a deterministic variable-projection stage: a beam search whose
 stages are each settled as one stack of delay sets, polished by
 Levenberg-Marquardt and walked across |chi| fringes, where a walk ranks its
 fringe-moved copies by the residual one Gauss-Newton step predicts and
-polishes only the best few. The full-band channel is rebuilt from the fitted
+polishes only the best few, each from the linearization its ranking already
+computed. A stage ranks the one-path extensions of its kept sets on a fine
+delay grid from two products with the grid's columns per observation, never
+projecting the grid itself. The full-band channel is rebuilt from the fitted
 paths.
 
 Everything the fit needs from the pattern column (support, gate map, fine
@@ -381,17 +384,23 @@ def _lm_steps(jtj: np.ndarray, grad: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 def _polish(model: _GatedModel, obs: np.ndarray, starts: np.ndarray, hi: float,
-            steps: int = _VP_LM_STEPS) -> tuple[np.ndarray, np.ndarray]:
+            steps: int = _VP_LM_STEPS,
+            start: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+            ) -> tuple[np.ndarray, np.ndarray]:
     """Bounded Levenberg-Marquardt on the delays of a stack of delay sets.
 
     Each set (row of starts, fitted to observation obs[row]) keeps its own
     Marquardt damping (``_lm_steps``), moves only on steps that lower its
     residual, and stops once every component of its own proposed step is
     below _VP_XTOL; so a row's result does not depend on the other rows of
-    the stack. Returns the polished, ascending delay sets and their residuals.
+    the stack. ``start`` is the ``linearize`` output (residuals, Gauss-Newton
+    matrices, gradients) of starts when the caller already has it, as the
+    fringe ranking has for the copies it picks; starts must then lie inside
+    [0, hi], and the polish begins from it instead of linearizing again.
+    Returns the polished, ascending delay sets and their residuals.
     """
     x = np.clip(starts, 0.0, hi)
-    res, jtj, grad = model.linearize(x, obs)
+    res, jtj, grad = model.linearize(x, obs) if start is None else start
     lam = np.full(len(x), _VP_DAMPING)
     live = np.arange(len(x))
     for _ in range(steps):
@@ -435,11 +444,15 @@ def _fringe_moves(offsets: np.ndarray, k: int) -> np.ndarray:
     return np.array(moves)
 
 
-def _predicted(model: _GatedModel, obs: np.ndarray, delays: np.ndarray) -> np.ndarray:
-    """Residuals that one Gauss-Newton step from each row of delays predicts."""
+def _predicted(model: _GatedModel, obs: np.ndarray, delays: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Residuals that one Gauss-Newton step from each row of delays predicts,
+    followed by the linearization they were predicted from (``linearize``'s
+    residuals, Gauss-Newton matrices and gradients), which a polish of the
+    same rows starts from."""
     res, jtj, grad = model.linearize(delays, obs)
     step = _lm_steps(jtj, grad, np.full(len(res), _VP_DAMPING))
-    return res - np.sum(grad * step, axis=1)
+    return res - np.sum(grad * step, axis=1), res, jtj, grad
 
 
 def _settle(model: _GatedModel, obs: np.ndarray, starts: np.ndarray, moves: np.ndarray,
@@ -450,15 +463,17 @@ def _settle(model: _GatedModel, obs: np.ndarray, starts: np.ndarray, moves: np.n
     polish, each round moves every set by each row of ``moves`` (fringe
     shifts of one path or a pair of paths) and ranks the moved copies by the
     residual their first Gauss-Newton step predicts: one linearization, no
-    iterations. The _VP_RANKED best get a few iterations and the best of
-    those a full polish. Both the ranking and the quick polish take the
-    copies in chunks of at most _VP_CHUNK_ROWS rows, which bounds the
-    transient memory of a large stack. A set keeps walking while that lowers
-    its residual: a path, or two coupled paths, can settle a fringe off
-    together. Rows walk independently, and rows of one
-    observation that agree to within _VP_SAME (a beam can hold one set
-    several times, polished to within a few _VP_XTOL of itself) are settled
-    once; returns the settled delay sets and their residuals.
+    iterations. The _VP_RANKED best get a few iterations, starting from the
+    linearization the ranking computed for them (``_predicted``) instead of
+    linearizing them again, and the best of those a full polish. Both the
+    ranking and the quick polish take the copies in chunks of at most
+    _VP_CHUNK_ROWS rows, which bounds the transient memory of a large
+    stack. A set keeps walking while that lowers its residual: a path, or
+    two coupled paths, can settle a fringe off together. Rows walk
+    independently, and rows of one observation that agree to within
+    _VP_SAME (a beam can hold one set several times, polished to within a
+    few _VP_XTOL of itself) are settled once; returns the settled delay sets
+    and their residuals.
 
     The concentrated cost at the moved copies alone ranks poorly: a fringe
     move lands a fraction of a fringe off the minimum it leads to, where the
@@ -475,13 +490,14 @@ def _settle(model: _GatedModel, obs: np.ndarray, starts: np.ndarray, moves: np.n
         n, k = len(live), best.shape[1]
         copies = np.clip(best[live][:, None, :] + moves[None], 0.0, hi).reshape(-1, k)
         owners = np.repeat(owner[live], len(moves))
-        predicted = np.concatenate([_predicted(model, owners[i:i + c], copies[i:i + c])
-                                    for i in range(0, len(copies), c)])
+        predicted, *lin = map(np.concatenate, zip(*(
+            _predicted(model, owners[i:i + c], copies[i:i + c])
+            for i in range(0, len(copies), c))))
         top = np.argsort(predicted.reshape(n, -1), axis=1, kind="stable")[:, :_VP_RANKED]
-        picked = np.take_along_axis(copies.reshape(n, -1, k), top[..., None], axis=1
-                                    ).reshape(-1, k)
-        owners = np.repeat(owner[live], top.shape[1])
-        quick = [_polish(model, owners[i:i + c], picked[i:i + c], hi, _VP_QUICK_STEPS)
+        flat = (top + len(moves) * np.arange(n)[:, None]).ravel()
+        picked, owners, lin = copies[flat], owners[flat], [part[flat] for part in lin]
+        quick = [_polish(model, owners[i:i + c], picked[i:i + c], hi, _VP_QUICK_STEPS,
+                         tuple(part[i:i + c] for part in lin))
                  for i in range(0, len(picked), c)]
         moved, res = (np.concatenate(part) for part in zip(*quick))
         pick = np.argmin(res.reshape(n, -1), axis=1)
@@ -496,26 +512,35 @@ def _settle(model: _GatedModel, obs: np.ndarray, starts: np.ndarray, moves: np.n
 
 
 def _extensions(model: _GatedModel, target: np.ndarray, beam: np.ndarray, grid: np.ndarray,
-                cols: np.ndarray, spacing: int) -> list[np.ndarray]:
+                cols: np.ndarray, norms: np.ndarray, spacing: int) -> list[np.ndarray]:
     """The _VP_BEAM best one-path extensions of an observation's beam.
 
-    Each kept set's span is projected off the target and off the fine-grid
-    columns cols; the peaks, spacing or more grid points apart, of the
-    one-path concentrated cost of what remains extend the set. Extensions
+    Each kept set's span (orthonormal basis q) is projected off the target,
+    leaving r; a column c of the fine grid's columns cols, whose squared
+    norms are norms, then lowers the residual by |c'^H r|^2 / ||c'||^2,
+    where c' = c - q q^H c. Since r is already orthogonal to q, c'^H r =
+    c^H r and ||c'||^2 = ||c||^2 - ||q^H c||^2, so the kept sets take their
+    numerators from one product R^H cols and their denominators from one
+    product Q^H cols (R and Q stacking every set's r and q), and the
+    projected grid is never built. The peaks, spacing or more grid points
+    apart, of that one-path concentrated cost extend the set. Extensions
     come best projected residual first; none come (the beam ends) when the
     cost has fewer distinct peaks than paths.
     """
+    sets, j = beam.shape
+    if not sets:
+        return []
+    r, norm = np.repeat(target[None], sets, axis=0), norms
+    if j:
+        q = [np.linalg.qr(model.columns(chosen[None, :])[0])[0] for chosen in beam]
+        r = np.array([target - b @ (b.conj().T @ target) for b in q])
+        proj = np.abs(np.concatenate(q, axis=1).conj().T @ cols) ** 2
+        norm = norms - np.sum(proj.reshape(sets, j, -1), axis=1)
+    gains = np.abs(r.conj() @ cols) ** 2 / np.where(norm > 0, norm, np.inf)
     extended: dict[tuple[float, ...], tuple[float, np.ndarray]] = {}
-    for chosen in beam:
-        r, c = target, cols
-        if len(chosen):
-            q = np.linalg.qr(model.columns(chosen[None, :])[0])[0]
-            r = target - q @ (q.conj().T @ target)
-            c = cols - q @ (q.conj().T @ cols)
-        norm = np.sum(np.abs(c) ** 2, axis=0)
-        gain = np.abs(c.conj().T @ r) ** 2 / np.where(norm > 0, norm, np.inf)
+    for chosen, left, gain in zip(beam, r, gains):
         idx, heights = _peaks(np.concatenate(([0.0], gain, [0.0])), 0.0, spacing)
-        rest = float(np.sum(np.abs(r) ** 2))
+        rest = float(np.sum(np.abs(left) ** 2))
         for i in np.argsort(-heights, kind="stable")[:_VP_BEAM]:
             ext = np.sort(np.append(chosen, grid[idx[i] - 1]))
             extended[tuple(ext)] = (rest - heights[i], ext)
@@ -547,10 +572,11 @@ def _refine(model: _GatedModel, k: int, peaks: Sequence[np.ndarray], hi: float,
     # width on peaks farther apart than that
     spacing = int(np.ceil(offsets.max() / step)) + 1 if len(offsets) else 1
     cols = model.grid_columns(_VP_OVERSAMPLE, len(grid))
+    norms = np.sum(np.abs(cols) ** 2, axis=0)
     starts = np.array([np.resize(np.sort(p), k) for p in peaks])
     beams = [np.empty((1, 0))] * len(starts)
     for j in range(1, k + 1):
-        ranked = [_extensions(model, target, beam, grid, cols, spacing)
+        ranked = [_extensions(model, target, beam, grid, cols, norms, spacing)
                   for target, beam in zip(model.targets, beams)]
         counts = np.array([len(r) for r in ranked])
         stack = [ext for r in ranked for ext in r]
@@ -600,8 +626,8 @@ def estimate_paths_psols(obs: DecoupledObservation | Sequence[DecoupledObservati
     estimates in the same order. A sequence is fitted as one stack, and each
     observation gets the estimate it gets alone; it needs n_paths, since
     without it each observation would pick its own model order. An
-    ``EstimationError`` (too few pilots or gate bins for n_paths) depends on
-    the column alone.
+    ``EstimationError`` (too few pilots or gate bins for n_paths paths or,
+    with n_paths None, for even one path) depends on the column alone.
 
     The fit is deterministic: ``seed`` has no effect and is kept only so
     existing callers keep working.
@@ -615,13 +641,11 @@ def estimate_paths_psols(obs: DecoupledObservation | Sequence[DecoupledObservati
         raise ValueError("pattern column has no pilots")
     peaks = [profile_peak_delays(o, pso.max_paths) for o in observations]
     bins = len(observations[0].gate_bins)
-    if n_paths is not None:
-        k = int(n_paths)
-        if len(support) < 2 * k or bins < 2 * k:
-            raise EstimationError(f"{len(support)} pilots over {bins} "
-                                  f"gate bins cannot identify {k} paths")
-    else:
-        k = max(1, min(len(peaks[0]), pso.max_paths, len(support) // 2, bins // 2))
+    most = min(len(support), bins) // 2  # each path takes two pilots and two gate bins
+    k = min(len(peaks[0]), pso.max_paths, most) if n_paths is None else int(n_paths)
+    if k > most or most < 1:
+        raise EstimationError(f"{len(support)} pilots over {bins} "
+                              f"gate bins cannot identify {max(k, 1)} path(s)")
 
     model = _GatedModel(observations, support)
     rows = np.arange(len(observations))

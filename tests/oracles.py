@@ -414,3 +414,29 @@ def run_eda_serial(layout, cfg):
     isl_pg = np.array([matrix.isl(best.column(g)) for g in range(n_groups)])
     return EdaResult(best, best_fit, np.asarray(trace), prob, tuple(beta), isl_pg, srls,
                      rejected)
+
+
+def extensions_projected(model, target, beam, grid, cols, spacing):
+    """One-path extensions of a beam, ranked on an explicitly projected grid:
+    each kept set's span (orthonormal basis q) is projected off the target and
+    off every fine-grid column, c' = c - q q^H c, and a column's gain is
+    |c'^H r|^2 / ||c'||^2. Returns (the _VP_BEAM best extensions, best
+    projected residual first; each set's (T,) gains)."""
+    from pilotforge.receiver import _VP_BEAM, _peaks
+    extended, gains = {}, []
+    for chosen in beam:
+        r, c = target, cols
+        if len(chosen):
+            q = np.linalg.qr(model.columns(chosen[None, :])[0])[0]
+            r = target - q @ (q.conj().T @ target)
+            c = cols - q @ (q.conj().T @ cols)
+        norm = np.sum(np.abs(c) ** 2, axis=0)
+        gain = np.abs(c.conj().T @ r) ** 2 / np.where(norm > 0, norm, np.inf)
+        gains.append(gain)
+        idx, heights = _peaks(np.concatenate(([0.0], gain, [0.0])), 0.0, spacing)
+        rest = float(np.sum(np.abs(r) ** 2))
+        for i in np.argsort(-heights, kind="stable")[:_VP_BEAM]:
+            ext = np.sort(np.append(chosen, grid[idx[i] - 1]))
+            extended[tuple(ext)] = (rest - heights[i], ext)
+    ranked = sorted(extended.values(), key=lambda item: item[0])[:_VP_BEAM]
+    return [ext for _, ext in ranked], gains

@@ -8,6 +8,7 @@ from pilotforge.receiver import (EstimationError, SimulationError, baseline_sche
                                  nmse, path_residual, profile_peak_delays,
                                  run_extrapolation_sim)
 
+import oracles
 from conftest import user_responses
 
 FS = 120e3
@@ -263,6 +264,19 @@ class TestPsoLs:
         with pytest.raises(EstimationError, match="identify"):
             estimate_paths_psols(obs, w, layout_single, n_paths=2)
 
+    @pytest.mark.parametrize("gate", [(1e-12, 2e-12), (0.0, 1e-12)], ids=["no-bin", "one-bin"])
+    def test_automatic_order_needs_two_gate_bins(self, layout_single, gate):
+        # a gate of no delay bin, or of one, cannot identify even one path's
+        # delay and complex gain, so the automatic order has nothing to fit
+        w = baseline_schemes(layout_single, 2, [128, 128], seed=1)["random"].column(0)
+        seq = pf.orthogonal_sequence_family(256, 1)[0]
+        rng = np.random.default_rng(1)
+        y = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+        obs = decouple(layout_single, y, w, seq, gate)
+        assert len(obs.gate_bins) == (1 if gate[0] == 0.0 else 0)
+        with pytest.raises(EstimationError, match="identify"):
+            estimate_paths_psols(obs, w, layout_single)
+
     def test_seed_has_no_effect(self, layout_single):
         delays, gains = pf.draw_channels(1, 1, 2, 400e-9, seed=9)
         obs = single_user_obs(layout_single, delays[0, 0], gains[0, 0],
@@ -357,9 +371,9 @@ class TestSearchStages:
         calls = []
         polish = receiver._polish
 
-        def logged(model, obs, starts, hi, steps=receiver._VP_LM_STEPS):
+        def logged(model, obs, starts, hi, steps=receiver._VP_LM_STEPS, start=None):
             calls.append((len(starts), steps))
-            return polish(model, obs, starts, hi, steps)
+            return polish(model, obs, starts, hi, steps, start)
 
         monkeypatch.setattr(receiver, "_polish", logged)
         # two observations of one column, fitted as one stack
@@ -378,6 +392,69 @@ class TestSearchStages:
         ranked = receiver._VP_RANKED
         assert set(per_set) == {min(ranked, 8), ranked}
         assert ranked < 80
+
+    @pytest.mark.parametrize("band", ["single", "multi"])
+    def test_extensions_match_the_projected_grid_ranking(self, layout_single, layout_multi,
+                                                         band, monkeypatch):
+        observations, w, _ = column_observations(layout_single, layout_multi, band)
+        obs = observations[0]
+        model = receiver._GatedModel([obs], np.flatnonzero(w))
+        # the fine grid, its columns and the peak spacing, as _refine builds them
+        step = obs.delay_bin_s / receiver._VP_OVERSAMPLE
+        grid = np.arange(0.0, GATE[1] + 0.5 * step, step)
+        offsets = receiver._fringe_offsets(model.f_grid, step / receiver._VP_OVERSAMPLE,
+                                           8 * obs.delay_bin_s)
+        spacing = int(np.ceil(offsets.max() / step)) + 1 if len(offsets) else 1
+        cols = model.grid_columns(receiver._VP_OVERSAMPLE, len(grid))
+        norms = np.sum(np.abs(cols) ** 2, axis=0)
+        # kept sets of 0, 1 and 2 paths, and a beam that has ended
+        beams = [np.empty((1, 0)), np.array([[40.3e-9], [123.4e-9], [301.7e-9]]),
+                 np.array([[40.3e-9, 123.4e-9], [80.6e-9, 250.1e-9]]), np.empty((0, 1))]
+        target = model.targets[0]
+        expected = [oracles.extensions_projected(model, target, beam, grid, cols, spacing)
+                    for beam in beams]
+        assert [len(ext) for ext, _ in expected] == [3, 3, 3, 0]
+        costs = []
+        peaks = receiver._peaks
+
+        def logged(x, *args):
+            costs.append(x[1:-1])
+            return peaks(x, *args)
+
+        monkeypatch.setattr(receiver, "_peaks", logged)
+        for beam, (ext, gains) in zip(beams, expected):
+            costs.clear()
+            got = receiver._extensions(model, target, beam, grid, cols, norms, spacing)
+            assert len(got) == len(ext)
+            for a, b in zip(got, ext):
+                np.testing.assert_array_equal(a, b)
+            assert len(costs) == len(gains) == len(beam)
+            for a, b in zip(costs, gains):
+                np.testing.assert_allclose(a, b, rtol=1e-9)
+
+    def test_polish_from_the_ranking_linearization_equals_a_fresh_start(self, layout_multi):
+        # both codes of one column: every fringe-moved copy of each code's true
+        # delays is ranked in one stack, and the best-ranked copies of each are
+        # polished from the ranking's linearization and from a fresh one
+        column = [random_multiband_obs(layout_multi, 15, (0, z)) for z in range(2)]
+        observations = [obs for obs, _, _ in column]
+        obs, w, delays = column[0]
+        model = receiver._GatedModel(observations, np.flatnonzero(w))
+        step = obs.delay_bin_s / receiver._VP_OVERSAMPLE
+        offsets = receiver._fringe_offsets(model.f_grid, step / receiver._VP_OVERSAMPLE,
+                                           8 * obs.delay_bin_s)
+        moves = receiver._fringe_moves(offsets, 2)
+        copies = np.clip(delays[0][:, None, :] + moves[None], 0.0, GATE[1]).reshape(-1, 2)
+        owner = np.repeat([0, 1], len(moves))
+        predicted, *lin = receiver._predicted(model, owner, copies)
+        top = np.argsort(predicted.reshape(2, -1), axis=1, kind="stable")[:, :receiver._VP_RANKED]
+        flat = (top + len(moves) * np.arange(2)[:, None]).ravel()
+        for steps in (receiver._VP_QUICK_STEPS, receiver._VP_LM_STEPS):
+            fresh = receiver._polish(model, owner[flat], copies[flat], GATE[1], steps)
+            started = receiver._polish(model, owner[flat], copies[flat], GATE[1], steps,
+                                       tuple(part[flat] for part in lin))
+            np.testing.assert_array_equal(started[0], fresh[0])
+            np.testing.assert_array_equal(started[1], fresh[1])
 
     @pytest.mark.parametrize("band", ["single", "multi"])
     def test_sequence_fit_equals_each_observation_fitted_alone(self, layout_single,
