@@ -17,6 +17,7 @@ import configparser
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,9 +25,9 @@ import numpy as np
 
 from .ambiguity import SidelobeRegion, ambiguity_function, isl_matrix
 from .optimizer import EdaConfig, InfeasibleSamplingError, run_eda
-from .receiver import (PsoConfig, SimulationError, baseline_schemes, check_gate,
+from .receiver import (PsoConfig, SimulationError, baseline_schemes, check_sim,
                        run_extrapolation_sim)
-from .resolution import SrlResult, SrlSearch, srl_of_pattern
+from .resolution import SrlResult, SrlSearch, check_offline_model, srl_of_pattern
 from .waveform import BandLayout, PatternSet, Subband
 
 __all__ = ["ExperimentConfig", "ConfigError", "main"]
@@ -36,6 +37,16 @@ PATTERN_FORMAT = "pilotforge-pattern-v1"
 
 class ConfigError(ValueError):
     """Bad configuration file, option value, or pattern-artifact schema."""
+
+
+@contextmanager
+def _as_config_error(context: str = ""):
+    """Report a ValueError raised inside, such as the owning library object's
+    check of a configured value, as a ConfigError whose message starts with context."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{context}{exc}") from exc
 
 
 def _defaults() -> dict:
@@ -167,14 +178,11 @@ class ExperimentConfig:
             raise ConfigError(f"config file {path} does not exist")
         text = path.read_text()
         if text.lstrip().startswith("{"):
-            try:
+            with _as_config_error(f"cannot parse {path}: "):
                 data = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"cannot parse {path}: {exc}") from exc
             # a pattern artifact reproduces its own run
             if data.get("format") == PATTERN_FORMAT:
-                cfg = cls.from_mapping(data["config"])
-                return cls(cfg.values, int(data["seed"]))
+                return cls.from_mapping(data.get("config")).with_overrides(seed=data.get("seed"))
             return cls.from_mapping(data)
         parser = configparser.ConfigParser()
         try:
@@ -186,14 +194,12 @@ class ExperimentConfig:
 
     def with_overrides(self, seed: int | None = None, mode: str | None = None
                        ) -> "ExperimentConfig":
-        vals = json.loads(json.dumps(self.values))
+        """This config with the seed and band mode replaced, validated again."""
+        vals = {section: dict(options) for section, options in self.values.items()}
         if mode is not None:
-            if mode not in ("single", "multi"):
-                raise ConfigError("band mode must be 'single' or 'multi'")
             vals["band"]["mode"] = mode
-        new_seed = self.seed if seed is None else int(seed)
-        vals["output"]["seed"] = new_seed
-        return ExperimentConfig(vals, new_seed)
+        vals["output"]["seed"] = self.seed if seed is None else seed
+        return ExperimentConfig.from_mapping(vals)
 
     # --- views -----------------------------------------------------------
     @property
@@ -202,7 +208,7 @@ class ExperimentConfig:
 
     def layout(self) -> BandLayout:
         b = self.values["band"]
-        try:
+        with _as_config_error():
             if self.mode == "single":
                 return BandLayout.single(int(b["subcarriers"]), float(b["spacing_hz"]),
                                          float(b["center_hz"]))
@@ -211,8 +217,6 @@ class ExperimentConfig:
                 raise ConfigError("multi_centers_hz, multi_spacings_hz and multi_counts "
                                   "must have equal lengths")
             return BandLayout.multiband([Subband(c, s, int(n)) for c, s, n in zip(*lists)])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
     def budgets(self) -> list[int]:
         u = self.values["users"]
@@ -235,40 +239,30 @@ class ExperimentConfig:
 
     def region(self) -> SidelobeRegion:
         r = self.values["region"]
-        try:
+        with _as_config_error():
             return SidelobeRegion(float(r["a_s"]), float(r["b_s"]))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
     def srl_search(self) -> SrlSearch:
         s = self.values["srl"]
-        try:
+        with _as_config_error():
             return SrlSearch(float(s["tau_lo_s"]), float(s["tau_hi_s"]),
                              float(s["step_s"]), float(s["tol_s"]))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
     def offline_model(self) -> tuple[tuple[float, float], float, float]:
-        """The SRL model's (gains, noise std, timing-offset prior std), checked.
-
-        The prior is read by multiband layouts only, so it is checked only there.
-        """
-        o = self.values["offline"]
+        """The SRL model's (gains, noise std, timing-offset prior std), checked
+        by ``check_offline_model`` for this layout."""
+        o, layout = self.values["offline"], self.layout()
         gains = float(o["gain1"]), float(o["gain2"])
         noise, prior = float(o["noise_std"]), float(o["prior_std_s"])
-        if not np.isfinite(gains).all():
-            raise ConfigError("offline gains must be finite")
-        if not 0 < noise < np.inf:
-            raise ConfigError("offline noise std must be positive and finite")
-        if self.mode == "multi" and not 0 < prior < np.inf:
-            raise ConfigError("a multiband run needs a positive, finite timing-offset prior std")
+        with _as_config_error("offline model: "):
+            check_offline_model(layout, noise, gains, prior)
         return gains, noise, prior
 
     def eda_config(self) -> EdaConfig:
         e, s = self.values["eda"], self.values["srl"]
         beta = tuple(float(b) for b in s["beta_s"]) or None
         gains, noise, prior = self.offline_model()
-        try:
+        with _as_config_error():
             return EdaConfig(
                 budgets=tuple(self.budgets()),
                 region=self.region(),
@@ -286,14 +280,10 @@ class ExperimentConfig:
                 final_search=self.srl_search(),
                 seed=self.seed,
             )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
     def pso_config(self) -> PsoConfig:
-        try:
+        with _as_config_error():
             return PsoConfig(int(self.values["pso"]["max_paths"]))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
     def af_sweep(self) -> np.ndarray:
         a = self.values["af"]
@@ -337,10 +327,8 @@ def _load_pattern(path: str | Path, layout: BandLayout) -> PatternSet:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"pattern file {path} does not exist")
-    try:
+    with _as_config_error(f"pattern file {path} is not valid JSON: "):
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"pattern file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or data.get("format") != PATTERN_FORMAT:
         raise ConfigError(f"pattern file {path} lacks the {PATTERN_FORMAT} format tag")
     if data.get("band") != layout.mode:
@@ -351,15 +339,15 @@ def _load_pattern(path: str | Path, layout: BandLayout) -> PatternSet:
         raise ConfigError(f"pattern file {path} holds no groups")
     columns = []
     for g, entry in enumerate(groups):
-        idx = entry.get("indices")
+        idx = entry.get("indices") if isinstance(entry, dict) else None
+        # JSON true and false load as Python bools, which are ints too
         if (not isinstance(idx, list) or not idx
-                or any(not isinstance(i, int) or not 0 <= i < layout.n_total for i in idx)):
-            raise ConfigError(f"group {g} of {path} has missing or out-of-range indices")
+                or any(type(i) is not int or not 0 <= i < layout.n_total for i in idx)):
+            raise ConfigError(f"group {g} of {path} has missing, non-integer or "
+                              "out-of-range indices")
         columns.append(idx)
-    try:
+    with _as_config_error(f"pattern file {path}: "):
         return PatternSet.from_indices(layout.n_total, columns)
-    except ValueError as exc:
-        raise ConfigError(f"pattern file {path}: {exc}") from exc
 
 
 def _group_entry(col: np.ndarray, isl: float, srl: SrlResult) -> dict:
@@ -451,43 +439,31 @@ def cmd_simulate(cfg: ExperimentConfig, pattern_paths: list[str], out_dir: Path)
     if not pattern_paths:
         raise ConfigError("simulate needs at least one --pattern artifact")
     sim = cfg.values["sim"]
-    if int(sim["trials"]) < 1:
-        raise ConfigError("sim.trials must be at least 1")
-    if not sim["snr_db"] or not all(snr > -np.inf for snr in sim["snr_db"]):
-        raise ConfigError("sim.snr_db must list at least one SNR, each a number or inf")
-    n_paths, tau_max = int(sim["n_paths"]), float(sim["tau_max_s"])
-    if n_paths < 1:
-        raise ConfigError("sim.n_paths must be at least 1")
+    if not sim["snr_db"]:
+        raise ConfigError("sim.snr_db must list at least one SNR")
+    trials, n_paths = int(sim["trials"]), int(sim["n_paths"])
+    tau_max, sep = float(sim["tau_max_s"]), float(sim["min_separation_s"])
     layout, n_codes, pso = cfg.layout(), cfg.n_codes(), cfg.pso_config()
-    try:
-        check_gate(layout, (0.0, tau_max))
-    except ValueError as exc:
-        raise ConfigError(f"sim.tau_max_s: {exc}") from exc
-    sep = float(sim["min_separation_s"])
-    if not 0 <= sep < np.inf or sep * (n_paths - 1) >= tau_max:
-        raise ConfigError("sim.min_separation_s must be non-negative, finite and leave "
-                          "room for sim.n_paths paths inside sim.tau_max_s")
+    with _as_config_error("sim: "):  # every SNR before the first trial
+        for snr in sim["snr_db"]:
+            check_sim(layout, snr, trials, n_paths, tau_max, sep)
     schemes: dict[str, PatternSet] = {}
     for i, p in enumerate(pattern_paths):
         name = "proposed" if i == 0 else f"proposed{i + 1}"
         schemes[name] = _load_pattern(p, layout)
     budgets = cfg.budgets()
-    try:
+    with _as_config_error("users budgets: "):  # the uniform baseline's segment rule
         schemes.update(baseline_schemes(layout, len(budgets), budgets, seed=cfg.seed))
-    except ValueError as exc:  # the uniform baseline's segment rule
-        raise ConfigError(f"users budgets: {exc}") from exc
     names = [n for n in schemes if n.startswith("proposed")] + ["uniform", "random"]
     header = (["snr_db"] + [f"nmse_{n}" for n in names] + ["trials"]
               + [f"failures_{n}" for n in names])
     rows = []
     for snr in sim["snr_db"]:
         out = run_extrapolation_sim(
-            layout, schemes, float(snr), trials=int(sim["trials"]),
-            n_codes=n_codes, n_paths=n_paths, tau_max_s=tau_max,
-            min_separation_s=sep,
-            pso=pso, seed=cfg.seed)
+            layout, schemes, float(snr), trials=trials, n_codes=n_codes, n_paths=n_paths,
+            tau_max_s=tau_max, min_separation_s=sep, pso=pso, seed=cfg.seed)
         rows.append([float(snr)] + [out[n].nmse for n in names]
-                    + [int(sim["trials"])] + [out[n].failures for n in names])
+                    + [trials] + [out[n].failures for n in names])
     path = out_dir / f"nmse_{cfg.mode}.csv"
     _dump_csv(path, cfg, header, rows)
     print(json.dumps({"nmse_csv": str(path)}, sort_keys=True))

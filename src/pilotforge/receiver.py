@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .waveform import (BandLayout, PatternSet, PilotSequence,
-                       channel_frequency_response, draw_channels,
+                       channel_frequency_response, check_path_draw, draw_channels,
                        orthogonal_sequence_family, random_patterns,
                        synthesize_received, uniform_patterns)
 
@@ -52,6 +52,7 @@ __all__ = [
     "nmse",
     "SimulationOutcome",
     "SimulationError",
+    "check_sim",
     "run_extrapolation_sim",
     "baseline_schemes",
 ]
@@ -232,8 +233,8 @@ def _ridged(gram: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _observations(obs) -> tuple[list[DecoupledObservation], bool]:
-    """(observations, whether obs was a single one) of one pattern column."""
+def _observations(obs, w: np.ndarray) -> tuple[list[DecoupledObservation], bool, np.ndarray]:
+    """(observations, whether obs was a single one, support) of the pattern column w."""
     single = isinstance(obs, DecoupledObservation)
     stack = [obs] if single else list(obs)
     if not stack:
@@ -242,7 +243,10 @@ def _observations(obs) -> tuple[list[DecoupledObservation], bool]:
     if any(o.gate_s != first.gate_s or o.delay_bin_s != first.delay_bin_s
            or len(o.delay_gated) != len(first.delay_gated) for o in stack):
         raise ValueError("observations of one column must share the gate and transform grid")
-    return stack, single
+    support = np.flatnonzero(np.asarray(w))
+    if len(support) == 0:
+        raise ValueError("pattern column has no pilots")
+    return stack, single, support
 
 
 class _GatedModel:
@@ -348,10 +352,7 @@ def path_residual(obs: DecoupledObservation | Sequence[DecoupledObservation],
     float, or a sequence of M observations of the column w with one row of
     delays_s, (M, K), each, giving an (M,) array.
     """
-    observations, single = _observations(obs)
-    support = np.flatnonzero(np.asarray(w))
-    if len(support) == 0:
-        raise ValueError("pattern column has no pilots")
+    observations, single, support = _observations(obs, w)
     delays = np.asarray(delays_s, dtype=float).reshape(len(observations), -1)
     res = _GatedModel(observations, support).fit(delays, np.arange(len(observations)))[1]
     return float(res[0]) if single else res
@@ -625,20 +626,19 @@ def estimate_paths_psols(obs: DecoupledObservation | Sequence[DecoupledObservati
     observations of the pattern column w (same gate), giving a list of
     estimates in the same order. A sequence is fitted as one stack, and each
     observation gets the estimate it gets alone; it needs n_paths, since
-    without it each observation would pick its own model order. An
-    ``EstimationError`` (too few pilots or gate bins for n_paths paths or,
-    with n_paths None, for even one path) depends on the column alone.
+    without it each observation would pick its own model order. An explicit
+    n_paths must be at least 1. An ``EstimationError`` (too few pilots or
+    gate bins for n_paths paths or, with n_paths None, for even one path)
+    depends on the column alone.
 
     The fit is deterministic: ``seed`` has no effect and is kept only so
     existing callers keep working.
     """
-    observations, single = _observations(obs)
-    if not single and n_paths is None:
+    observations, single, support = _observations(obs, w)
+    if n_paths is None and not single:
         raise ValueError("a sequence of observations needs n_paths")
-    w = np.asarray(w)
-    support = np.flatnonzero(w)
-    if len(support) == 0:
-        raise ValueError("pattern column has no pilots")
+    if n_paths is not None and n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
     peaks = [profile_peak_delays(o, pso.max_paths) for o in observations]
     bins = len(observations[0].gate_bins)
     most = min(len(support), bins) // 2  # each path takes two pilots and two gate bins
@@ -698,6 +698,19 @@ class SimulationOutcome:
 _SIM_STACK = 64  # observations of one pattern column fitted as one stack
 
 
+def check_sim(layout: BandLayout, snr_db: float, trials: int, n_paths: int,
+              tau_max_s: float, min_separation_s: float) -> None:
+    """Raise ValueError unless ``run_extrapolation_sim`` can run these settings:
+    a trial, an SNR that is a number or +inf, the gate (0, tau_max_s) by
+    ``check_gate`` and the channel draw by ``check_path_draw``."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if not snr_db > -np.inf:
+        raise ValueError(f"snr_db must be a number or +inf (noiseless), not {snr_db}")
+    check_gate(layout, (0.0, tau_max_s))
+    check_path_draw(n_paths, tau_max_s, min_separation_s)
+
+
 def run_extrapolation_sim(layout: BandLayout, schemes: Mapping[str, PatternSet],
                           snr_db: float, trials: int, n_codes: int = 2,
                           n_paths: int = 2, tau_max_s: float = 400e-9,
@@ -727,12 +740,9 @@ def run_extrapolation_sim(layout: BandLayout, schemes: Mapping[str, PatternSet],
     (beyond rounding) is counted as a search failure: the maximum-likelihood
     optimum can never be worse than the truth, so such a fit stopped short
     of it. A scheme with no completed trial raises ``SimulationError``.
-    snr_db = +inf runs noiseless.
+    snr_db = +inf runs noiseless; ``check_sim`` checks the settings first.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if not snr_db > -np.inf:
-        raise ValueError(f"snr_db must be a number or +inf (noiseless), not {snr_db}")
+    check_sim(layout, snr_db, trials, n_paths, tau_max_s, min_separation_s)
     noise_std = 10 ** (-snr_db / 20.0)  # 0 at +inf
     gate = (0.0, tau_max_s)
     n_groups = max(p.n_groups for p in schemes.values())

@@ -26,6 +26,7 @@ from .waveform import BandLayout
 __all__ = [
     "SrlResult",
     "SrlSearch",
+    "check_offline_model",
     "fim",
     "crb_batch",
     "resolvable_at",
@@ -171,15 +172,26 @@ def _fim_batch(f_support: np.ndarray, weights: np.ndarray, noise_std: float,
     return J
 
 
-def _fim_builder(layout: BandLayout, columns: np.ndarray, noise_std: float, gains,
-                 prior_std_s: float | None) -> Callable[[np.ndarray], np.ndarray]:
-    """dtaus (B,) -> FIM stack (..., B, D, D) for one column (N,) or a stack of
-    columns (Q, N) with equal pilot counts; the inputs are checked here."""
+def check_offline_model(layout: BandLayout, noise_std: float, gains,
+                        prior_std_s: float | None) -> None:
+    """Raise ValueError unless the offline two-path model has a positive, finite
+    noise std, two finite gains and, on a multiband layout (the only one that
+    reads it), a positive, finite timing-offset prior std."""
     if not 0 < noise_std < np.inf:
         raise ValueError("noise std must be positive and finite (the FIM diverges at zero noise)")
     gains = np.asarray(gains, dtype=complex)
     if gains.shape != (2,) or not np.isfinite(gains).all():
         raise ValueError("the two-path model takes exactly two finite gains")
+    if layout.mode == "multi" and (prior_std_s is None or not 0 < prior_std_s < np.inf):
+        raise ValueError("multiband FIM needs a positive, finite timing-offset prior std")
+
+
+def _fim_builder(layout: BandLayout, columns: np.ndarray, noise_std: float, gains,
+                 prior_std_s: float | None) -> Callable[[np.ndarray], np.ndarray]:
+    """dtaus (B,) -> FIM stack (..., B, D, D) for one column (N,) or a stack of
+    columns (Q, N) with equal pilot counts; the inputs are checked here."""
+    check_offline_model(layout, noise_std, gains, prior_std_s)
+    gains = np.asarray(gains, dtype=complex)
     cols = np.asarray(columns)
     if cols.ndim not in (1, 2) or cols.shape[-1] != layout.n_total:
         raise ValueError("need one pattern column or a (Q, N) stack of them for this layout")
@@ -190,8 +202,6 @@ def _fim_builder(layout: BandLayout, columns: np.ndarray, noise_std: float, gain
     if layout.mode == "single":  # the model has no nuisances, so no prior to read
         f_sup, prior_std_s = sup * layout.subbands[0].spacing_hz, None
         weights = np.stack([np.ones_like(f_sup), f_sup, f_sup**2], axis=-1)
-    elif prior_std_s is None or not 0 < prior_std_s < np.inf:
-        raise ValueError("multiband FIM needs a positive, finite timing-offset prior std")
     else:
         f_sup, weights = layout.pinned_frequencies_hz[sup], layout.moment_weights[sup]
     return lambda dtaus: _fim_batch(f_sup, weights, noise_std, gains, dtaus, prior_std_s)

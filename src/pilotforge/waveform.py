@@ -26,6 +26,7 @@ __all__ = [
     "synthesize_received",
     "uniform_patterns",
     "random_patterns",
+    "check_path_draw",
     "draw_channels",
 ]
 
@@ -371,6 +372,17 @@ def random_patterns(layout: BandLayout, n_groups: int, budgets: Sequence[int],
     return PatternSet.from_indices(n, cols)
 
 
+def check_path_draw(n_paths: int, tau_max_s: float, min_separation_s: float) -> None:
+    """Raise ValueError unless ``draw_channels`` can draw n_paths >= 1 delays on
+    [0, tau_max_s] a non-negative, finite min_separation_s apart."""
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
+    if not 0 <= min_separation_s < np.inf:
+        raise ValueError("minimum separation must be non-negative and finite")
+    if min_separation_s * (n_paths - 1) >= tau_max_s:
+        raise ValueError("minimum separation is incompatible with the delay window")
+
+
 def draw_channels(n_groups: int, n_codes: int, n_paths: int, tau_max_s: float, *,
                   seed: int = 0, min_separation_s: float = 0.0
                   ) -> tuple[np.ndarray, np.ndarray]:
@@ -379,13 +391,10 @@ def draw_channels(n_groups: int, n_codes: int, n_paths: int, tau_max_s: float, *
     Returns (delays, gains), each of shape (n_groups, n_codes, n_paths); the
     delays of each user ascend. A positive min_separation_s redraws each
     user's delays until adjacent paths are at least that far apart (for
-    experiments that presuppose resolvable paths); it must be non-negative
-    and finite.
+    experiments that presuppose resolvable paths). The inputs are checked
+    by ``check_path_draw``.
     """
-    if not 0 <= min_separation_s < np.inf:
-        raise ValueError("minimum separation must be non-negative and finite")
-    if min_separation_s * (n_paths - 1) >= tau_max_s:
-        raise ValueError("minimum separation is incompatible with the delay window")
+    check_path_draw(n_paths, tau_max_s, min_separation_s)
     rng = np.random.default_rng(seed)
     delays = np.empty((n_groups, n_codes, n_paths))
     gains = np.empty((n_groups, n_codes, n_paths), dtype=complex)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pilotforge import receiver
 from pilotforge.cli import ExperimentConfig, ConfigError, main
 
 TOY_INI = """
@@ -332,7 +333,7 @@ class TestMetricsCommands:
         assert float(first[1]) == pytest.approx(0.0, abs=1e-9)
         assert float(first[2]) == pytest.approx(0.0, abs=1e-9)
 
-    def test_malformed_pattern_schema_rejected(self, toy_artifact, tmp_path):
+    def test_malformed_pattern_schema_rejected(self, toy_artifact, tmp_path, capsys):
         d, cfg, pat = toy_artifact
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"format": "pilotforge-pattern-v1",
@@ -342,6 +343,25 @@ class TestMetricsCommands:
         data["groups"][0]["indices"] = [999]
         bad.write_text(json.dumps(data))
         assert main(["isl", "--config", str(cfg), "--pattern", str(bad)]) == 2
+        data = json.loads(pat.read_text())
+        # subcarrier 1 is free, so a JSON true read as the int 1 would load silently
+        first, second = ([i for i in g["indices"] if i != 1] for g in data["groups"])
+        cases = [
+            ("--pattern", {**data, "groups": [1, 2]}),
+            ("--pattern", {**data, "groups": [{"indices": [True] + first},
+                                              {"indices": second}]}),
+            # a pattern artifact given as the config reproduces its run from both keys
+            ("--config", {k: v for k, v in data.items() if k != "config"}),
+            ("--config", {**data, "seed": "abc"}),
+        ]
+        capsys.readouterr()
+        for option, payload in cases:
+            bad.write_text(json.dumps(payload))
+            files = {"--config": str(cfg), "--pattern": str(pat), option: str(bad)}
+            argv = ["isl"] + [arg for item in files.items() for arg in item]
+            assert main(argv) == 2, payload
+            captured = capsys.readouterr()
+            assert "config error" in captured.err and not captured.out
 
     @pytest.mark.parametrize("command", ["isl", "srl", "af", "simulate"])
     def test_pattern_of_the_other_band_rejected(self, toy_artifact, tmp_path, capsys,
@@ -424,13 +444,23 @@ class TestSimulate:
         "n_paths = 1\nmin_separation_s = nan",
         "n_paths = 1\nmin_separation_s = inf",
         "min_separation_s = -1e-9",
+        # a bad second SNR stops the run before the first SNR's trials
+        "snr_db = 15, -inf",
+        "snr_db = 15, nan",
     ])
-    def test_bad_sim_value_exit_code(self, toy_artifact, tmp_path, sim):
+    def test_bad_sim_value_exit_code(self, toy_artifact, tmp_path, capsys, monkeypatch, sim):
         _, _, pat = toy_artifact
+        fits = []
+        fit = receiver.estimate_paths_psols
+        monkeypatch.setattr(receiver, "estimate_paths_psols",
+                            lambda *args, **kw: fits.append(1) or fit(*args, **kw))
         c2 = tmp_path / "cfg.ini"
         c2.write_text(TOY_INI + f"\n[sim]\ntrials = 1\n{sim}\n")
         assert main(["simulate", "--config", str(c2), "--pattern", str(pat),
                      "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and not captured.out
+        assert not fits
         assert not (tmp_path / "nmse_single.csv").exists()
 
     @pytest.mark.parametrize("max_paths", [0, -2])

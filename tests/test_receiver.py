@@ -4,9 +4,9 @@ import pytest
 import pilotforge as pf
 from pilotforge import receiver
 from pilotforge.receiver import (EstimationError, SimulationError, baseline_schemes,
-                                 decouple, estimate_paths_psols, extrapolate_fullband,
-                                 nmse, path_residual, profile_peak_delays,
-                                 run_extrapolation_sim)
+                                 check_sim, decouple, estimate_paths_psols,
+                                 extrapolate_fullband, nmse, path_residual,
+                                 profile_peak_delays, run_extrapolation_sim)
 
 import oracles
 from conftest import user_responses
@@ -17,6 +17,14 @@ GATE = (0.0, 400e-9)
 
 def full_pattern(n):
     return np.ones(n, dtype=np.uint8)
+
+
+def sim_entry_points(layout, schemes):
+    """run_extrapolation_sim and the settings check it makes first, each as
+    (snr_db, trials, **settings) -> call."""
+    def check(snr_db, trials, n_paths=2, tau_max_s=400e-9, min_separation_s=0.0, seed=0):
+        check_sim(layout, snr_db, trials, n_paths, tau_max_s, min_separation_s)
+    return [lambda *args, **kw: run_extrapolation_sim(layout, schemes, *args, **kw), check]
 
 
 def single_user_obs(layout, delays, gains, w=None, noise_std=0.0, seed=0,
@@ -276,6 +284,14 @@ class TestPsoLs:
         assert len(obs.gate_bins) == (1 if gate[0] == 0.0 else 0)
         with pytest.raises(EstimationError, match="identify"):
             estimate_paths_psols(obs, w, layout_single)
+
+    @pytest.mark.parametrize("n_paths", [0, -1])
+    def test_explicit_path_count_must_be_positive(self, layout_single, n_paths):
+        # a setup error, not an EstimationError the simulator would count
+        obs = single_user_obs(layout_single, [50e-9, 150e-9], [1.0 + 0j, 0.5j])
+        with pytest.raises(ValueError, match="n_paths") as err:
+            estimate_paths_psols(obs, full_pattern(256), layout_single, n_paths=n_paths)
+        assert type(err.value) is ValueError
 
     def test_seed_has_no_effect(self, layout_single):
         delays, gains = pf.draw_channels(1, 1, 2, 400e-9, seed=9)
@@ -639,9 +655,9 @@ class TestSimulationHarness:
         # is a setup error on every trial, not an estimation failure
         lay = pf.BandLayout.single(64, FS, 0.0)
         schemes = baseline_schemes(lay, 2, [16, 16], seed=1)
-        with pytest.raises(ValueError, match="unambiguous"):
-            run_extrapolation_sim(lay, schemes, 15.0, trials=2, tau_max_s=10e-6,
-                                  seed=2)
+        for call in sim_entry_points(lay, schemes):
+            with pytest.raises(ValueError, match="unambiguous"):
+                call(15.0, trials=2, tau_max_s=10e-6, seed=2)
 
     def test_unidentifiable_scheme_is_a_counted_failure(self):
         # 3 pilots per group cannot identify 2 paths (4 real unknowns each way):
@@ -657,10 +673,12 @@ class TestSimulationHarness:
         # +inf means noiseless; -inf (infinite noise) and NaN have no meaning
         lay = pf.BandLayout.single(64, FS, 0.0)
         schemes = baseline_schemes(lay, 2, [16, 16], seed=1)
-        with pytest.raises(ValueError, match="snr_db"):
-            run_extrapolation_sim(lay, schemes, snr_db, trials=1, seed=2)
+        for call in sim_entry_points(lay, schemes):
+            with pytest.raises(ValueError, match="snr_db"):
+                call(snr_db, trials=1, seed=2)
 
     def test_trial_count_validated(self, layout_single):
         schemes = baseline_schemes(layout_single, 2, [128, 128], seed=16)
-        with pytest.raises(ValueError):
-            run_extrapolation_sim(layout_single, schemes, 15.0, trials=0)
+        for call in sim_entry_points(layout_single, schemes):
+            with pytest.raises(ValueError):
+                call(15.0, trials=0)

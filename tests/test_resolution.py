@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import pilotforge as pf
-from pilotforge.resolution import (_SCAN_CHUNK, SrlSearch, _fim_batch, crb_batch, fim,
-                                   pattern_crb_provider, resolvable_at, srl_at_most,
-                                   srl_of_pattern, srl_search)
+from pilotforge.resolution import (_SCAN_CHUNK, SrlSearch, _fim_batch, check_offline_model,
+                                   crb_batch, fim, pattern_crb_provider, resolvable_at,
+                                   srl_at_most, srl_of_pattern, srl_search)
 
 from oracles import (crb_delta_tau_quadform, fd_fim_multiband, fd_fim_single,
                      fim_multiband_loop, fim_scaled_error, fim_two_path_direct,
@@ -238,8 +238,13 @@ class TestFimMultiband:
             fim(layout_multi, random_column(256, 128, 0), SIGMA, GAINS, 5e-9, 1e-9)
 
 
+OFFLINE_MODEL_CALLS = ["fim", "pattern_crb_provider", "resolvable_at", "srl_of_pattern",
+                       "check_offline_model"]
+
+
 def offline_model_calls(lay, w, noise=SIGMA, gains=GAINS):
-    """Each public entry point of the offline SRL model, as prior -> result."""
+    """Each public entry point of the offline SRL model, and the check they
+    share, as prior -> result."""
     dts = np.array([2e-9, 5e-9])
     cols = np.stack([w, np.roll(w, 1)])
     return {
@@ -248,6 +253,7 @@ def offline_model_calls(lay, w, noise=SIGMA, gains=GAINS):
             lay, w, noise, gains, prior)(dts),
         "resolvable_at": lambda prior: resolvable_at(lay, cols, noise, gains, 3e-9, prior),
         "srl_of_pattern": lambda prior: srl_of_pattern(lay, w, noise, gains, prior),
+        "check_offline_model": lambda prior: check_offline_model(lay, noise, gains, prior),
     }
 
 
@@ -255,8 +261,7 @@ class TestPriorDecision:
     """The layout decides whether the timing-offset prior is read, so callers
     pass the configured prior whatever the band."""
 
-    @pytest.mark.parametrize("name", ["fim", "pattern_crb_provider", "resolvable_at",
-                                      "srl_of_pattern"])
+    @pytest.mark.parametrize("name", OFFLINE_MODEL_CALLS)
     def test_single_band_ignores_the_prior(self, layout_single, name):
         call = offline_model_calls(layout_single, random_column(256, 128, seed=8))[name]
         ref = call(None)
@@ -264,11 +269,10 @@ class TestPriorDecision:
             got = call(prior)
             if name == "srl_of_pattern":
                 assert got == ref and got.found
-            else:
+            elif name != "check_offline_model":  # the check only has to pass
                 assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("name", ["fim", "pattern_crb_provider", "resolvable_at",
-                                      "srl_of_pattern"])
+    @pytest.mark.parametrize("name", OFFLINE_MODEL_CALLS)
     def test_multiband_needs_a_positive_prior(self, name):
         call = offline_model_calls(TWO_BANDS, random_column(34, 18, seed=0))[name]
         for prior in (0.0, None, np.inf, np.nan):
@@ -276,8 +280,7 @@ class TestPriorDecision:
                 call(prior)
         call(1e-9)
 
-    @pytest.mark.parametrize("name", ["fim", "pattern_crb_provider", "resolvable_at",
-                                      "srl_of_pattern"])
+    @pytest.mark.parametrize("name", OFFLINE_MODEL_CALLS)
     @pytest.mark.parametrize("noise,gains,message", [
         (np.inf, GAINS, "noise std"), (np.nan, GAINS, "noise std"),
         (SIGMA, (np.nan, 1.0), "finite gains"), (SIGMA, (1.0, np.inf), "finite gains")])

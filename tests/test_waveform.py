@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import pilotforge as pf
-from pilotforge.waveform import largest_prime_leq
+from pilotforge.waveform import check_path_draw, largest_prime_leq
 
 from conftest import user_responses
 from oracles import steering_scalar_loop, zc_reference
@@ -229,6 +229,16 @@ class TestChannels:
         for n_paths in (1, 2):
             with pytest.raises(ValueError, match="minimum separation"):
                 pf.draw_channels(1, 1, n_paths, 400e-9, min_separation_s=separation)
+            with pytest.raises(ValueError, match="minimum separation"):
+                check_path_draw(n_paths, 400e-9, separation)
+
+    @pytest.mark.parametrize("n_paths", [0, -1])
+    def test_path_count_must_be_positive(self, n_paths):
+        # without the check, numpy failed on the empty or negative delay draw
+        with pytest.raises(ValueError, match="n_paths"):
+            pf.draw_channels(1, 1, n_paths, 400e-9)
+        with pytest.raises(ValueError, match="n_paths"):
+            check_path_draw(n_paths, 400e-9, 0.0)
 
     def test_seed_is_keyword_only(self):
         # the draw once took a noise level fifth; a call in that form must fail
