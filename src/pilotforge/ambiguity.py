@@ -43,7 +43,6 @@ class IslMatrix:
     """Precomputed G = int_{R_s} a(dtau) a(dtau)^H ddtau for one layout/region."""
 
     matrix: np.ndarray
-    layout: BandLayout
     region: SidelobeRegion
 
     def isl(self, w: np.ndarray) -> float:
@@ -101,5 +100,5 @@ def isl_matrix(layout: BandLayout, region: SidelobeRegion) -> IslMatrix:
     Toeplitz.
     """
     f = layout.pinned_frequencies_hz
-    return IslMatrix(_sine_quotient(f[:, None] - f[None, :], region), layout, region)
+    return IslMatrix(_sine_quotient(f[:, None] - f[None, :], region), region)
 

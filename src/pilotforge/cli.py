@@ -18,7 +18,7 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from .optimizer import EdaConfig, InfeasibleSamplingError, run_eda
 from .receiver import (PsoConfig, SimulationError, baseline_schemes, check_sim,
                        run_extrapolation_sim)
 from .resolution import SrlResult, SrlSearch, check_offline_model, srl_of_pattern
-from .waveform import BandLayout, PatternSet, Subband
+from .waveform import BandLayout, PatternSet, Subband, orthogonal_sequence_family
 
 __all__ = ["ExperimentConfig", "ConfigError", "main"]
 
@@ -50,6 +50,10 @@ def _as_config_error(context: str = ""):
 
 
 def _defaults() -> dict:
+    """Every option at its default; the [offline], [srl], [eda] and [pso]
+    values are the defaults of the library objects they configure."""
+    eda = {f.name: f.default for f in fields(EdaConfig)}
+    gain1, gain2 = eda["offline_gains"]
     return {
         "band": {
             "mode": "single",
@@ -72,28 +76,18 @@ def _defaults() -> dict:
         # is integrated
         "region": {"a_s": 65.1e-9, "b_s": 4.1666667e-6},
         "offline": {
-            "gain1": 1.0,
-            "gain2": 1.0,
-            "noise_std": 0.1778,
-            "prior_std_s": 1e-9,
+            "gain1": gain1,
+            "gain2": gain2,
+            "noise_std": eda["offline_noise_std"],
+            "prior_std_s": eda["prior_std_s"],
         },
         "srl": {
-            "tau_lo_s": 0.05e-9,
-            "tau_hi_s": 50e-9,
-            "step_s": 0.01e-9,
-            "tol_s": 1e-13,
-            "gate_step_s": 0.05e-9,
-            "beta_margin": 1.05,
-            "beta_reference_draws": 10,
+            **asdict(SrlSearch()),
+            **{key: eda[key] for key in ("gate_step_s", "beta_margin", "beta_reference_draws")},
             "beta_s": [],
         },
-        "eda": {
-            "population": 400,
-            "elite": 200,
-            "iterations": 60,
-            "retry_cap": 500,
-        },
-        "pso": {"max_paths": 8},
+        "eda": {key: eda[key] for key in ("population", "elite", "iterations", "retry_cap")},
+        "pso": asdict(PsoConfig()),
         "sim": {
             "snr_db": [15.0],
             "trials": 500,
@@ -138,16 +132,10 @@ class ExperimentConfig:
     """Fully resolved experiment configuration (nested plain values)."""
 
     values: dict
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     @classmethod
     def default(cls) -> "ExperimentConfig":
-        d = _defaults()
-        return cls(d, int(d["output"]["seed"]))
+        return cls.from_mapping({})
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
@@ -169,14 +157,17 @@ class ExperimentConfig:
                     raise ConfigError(f"bad value for {section}.{key}: {val!r}") from exc
         if base["band"]["mode"] not in ("single", "multi"):
             raise ConfigError("band mode must be 'single' or 'multi'")
-        return cls(base, int(base["output"]["seed"]))
+        if base["output"]["seed"] < 0:
+            raise ConfigError(f"seed must be non-negative, got {base['output']['seed']}")
+        return cls(base)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file {path} does not exist")
-        text = path.read_text()
+        with _as_config_error(f"cannot read {path}: "):
+            text = path.read_text()
         if text.lstrip().startswith("{"):
             with _as_config_error(f"cannot parse {path}: "):
                 data = json.loads(text)
@@ -198,10 +189,15 @@ class ExperimentConfig:
         vals = {section: dict(options) for section, options in self.values.items()}
         if mode is not None:
             vals["band"]["mode"] = mode
-        vals["output"]["seed"] = self.seed if seed is None else seed
+        if seed is not None:
+            vals["output"]["seed"] = seed
         return ExperimentConfig.from_mapping(vals)
 
     # --- views -----------------------------------------------------------
+    @property
+    def seed(self) -> int:
+        return self.values["output"]["seed"]
+
     @property
     def mode(self) -> str:
         return self.values["band"]["mode"]
@@ -233,8 +229,8 @@ class ExperimentConfig:
 
     def n_codes(self) -> int:
         codes = int(self.values["users"]["codes"])
-        if not 1 <= codes <= self.layout().n_total:
-            raise ConfigError("users.codes must lie between 1 and the subcarrier count")
+        with _as_config_error("users.codes: "):
+            orthogonal_sequence_family(self.layout().n_total, codes)
         return codes
 
     def region(self) -> SidelobeRegion:

@@ -24,8 +24,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ambiguity import IslMatrix, SidelobeRegion, isl_matrix
-from .resolution import (SrlResult, SrlSearch, pattern_crb_provider, resolvable_at,
-                         srl_at_most, srl_of_pattern)
+from .resolution import (SrlResult, SrlSearch, check_offline_model, pattern_crb_provider,
+                         resolvable_at, srl_at_most, srl_of_pattern)
 from .waveform import BandLayout, PatternSet, random_patterns
 
 __all__ = [
@@ -53,9 +53,10 @@ class EdaConfig:
 
     srl_ceilings_s left as None derives per-group ceilings from a seeded
     random-pattern reference: beta_g = beta_margin * mean SRL over
-    beta_reference_draws random feasible patterns. Those two settings, like
-    prior_std_s (read by multiband layouts only), are checked only where they
-    are used.
+    beta_reference_draws random feasible patterns; those two settings are
+    checked only where they are used. The offline model (gains, noise std and
+    prior_std_s, which only multiband layouts read) is checked by ``run_eda``,
+    through ``check_offline_model`` for the layout.
     """
 
     budgets: tuple[int, ...]
@@ -86,8 +87,6 @@ class EdaConfig:
                 raise ValueError("one SRL ceiling per group required")
             if not all(0 < b < np.inf for b in self.srl_ceilings_s):
                 raise ValueError("SRL ceilings must be positive and finite")
-        if not 0 < self.offline_noise_std < np.inf:
-            raise ValueError("offline noise std must be positive and finite")
         if self.retry_cap < 1:
             raise ValueError("retry cap must be positive")
         if not 0 < self.gate_step_s < np.inf:
@@ -242,7 +241,7 @@ def _fill(draw: Callable[[np.ndarray, int], np.ndarray],
 def sample_individual(prob: np.ndarray, budgets: Sequence[int],
                       srl_gate: Callable[[np.ndarray], np.ndarray] | None,
                       seed: int, key: int, n_slots: int,
-                      retry_cap: int = 500) -> tuple[np.ndarray, int]:
+                      retry_cap: int = EdaConfig.retry_cap) -> tuple[np.ndarray, int]:
     """n_slots feasible individuals from the Bernoulli model.
 
     In retry round r, pending slot q sets the cells where row q of the
@@ -285,10 +284,9 @@ def _srl_gate(layout: BandLayout, cfg: EdaConfig,
     decision is a pure function of (group, column), so the gate caches it
     under (group, packed column) for its own lifetime, which is one
     ``run_eda``. The misses of one call are decided together, group by
-    group: one ``resolvable_at`` accepts every column with g(beta) >= 0, the
-    test ``srl_at_most`` makes first, and only if some column fails there, one
-    CRB provider over the failing columns and one ``srl_at_most`` scan of
-    that stack decide the rest.
+    group: one ``resolvable_at`` accepts every column with g(beta) >= 0, and
+    only if some column fails there, one CRB provider over the failing
+    columns and one ``srl_at_most`` scan of that stack decide the rest.
     """
     decided: dict[tuple[int, bytes], bool] = {}
     model = (cfg.offline_noise_std, cfg.offline_gains)
@@ -348,8 +346,10 @@ def run_eda(layout: BandLayout, cfg: EdaConfig,
     uncached masks in first-seen order, duplicates included) through one
     ``isl_many``, whose rows' last bits can depend on each other, so that
     stack is fixed. ``on_iteration`` receives (iteration, population masks,
-    fitnesses) after every evaluation, for instrumentation.
+    fitnesses) after every evaluation, for instrumentation. The offline model
+    is checked first, before any draw.
     """
+    check_offline_model(layout, cfg.offline_noise_std, cfg.offline_gains, cfg.prior_std_s)
     n, n_groups = layout.n_total, len(cfg.budgets)
     if sum(cfg.budgets) > n:
         raise ValueError("total pilot budget exceeds the number of subcarriers")

@@ -200,7 +200,8 @@ def _peaks(x: np.ndarray, height: float, distance: int = 1) -> tuple[np.ndarray,
     return idx[keep], heights[keep]
 
 
-def profile_peak_delays(obs: DecoupledObservation, max_paths: int = 8) -> np.ndarray:
+def profile_peak_delays(obs: DecoupledObservation,
+                        max_paths: int = PsoConfig.max_paths) -> np.ndarray:
     """Model-order initializer: delays of the gated delay-profile peaks.
 
     Peaks are local maxima of the power profile |y^D|^2 no more than
@@ -691,8 +692,8 @@ class SimulationOutcome:
     trials: int
     failures: int
     per_trial: np.ndarray = field(repr=False)
-    fits: int = 0             # completed per-user path fits
-    search_failures: int = 0  # fits ending above the true delays' residual
+    fits: int = 0             # completed per-user path fits, failed trials included
+    search_failures: int = 0  # of those fits, the ones ending above the true delays' residual
 
 
 _SIM_STACK = 64  # observations of one pattern column fitted as one stack
@@ -734,13 +735,13 @@ def run_extrapolation_sim(layout: BandLayout, schemes: Mapping[str, PatternSet],
     ``EstimationError`` depends on the column alone, so it fails every trial
     of the scheme. A singular linear solve (``LinAlgError``) in a stacked fit
     refits that stack one observation at a time, so it fails only the trials
-    whose observations raise it. A trial's fits and search failures count
-    its users up to its first failed one, in (group, code) order. A
-    completed fit whose residual ends above the residual at the true delays
-    (beyond rounding) is counted as a search failure: the maximum-likelihood
-    optimum can never be worse than the truth, so such a fit stopped short
-    of it. A scheme with no completed trial raises ``SimulationError``.
-    snr_db = +inf runs noiseless; ``check_sim`` checks the settings first.
+    whose observations raise it. ``fits`` counts every completed fit, in
+    failed trials too. A completed fit whose residual ends above the residual
+    at the true delays (beyond rounding) is counted as a search failure: the
+    maximum-likelihood optimum can never be worse than the truth, so such a
+    fit stopped short of it. A scheme with no completed trial raises
+    ``SimulationError``. snr_db = +inf runs noiseless; ``check_sim`` checks
+    the settings first.
     """
     check_sim(layout, snr_db, trials, n_paths, tau_max_s, min_separation_s)
     noise_std = 10 ** (-snr_db / 20.0)  # 0 at +inf
@@ -785,20 +786,13 @@ def run_extrapolation_sim(layout: BandLayout, schemes: Mapping[str, PatternSet],
             except EstimationError:
                 break  # no trial of this scheme gets past group g
 
-        vals, failures, fits, search_failures = [], 0, 0, 0
-        for t in range(trials):
-            ok = done[t].ravel()
-            n_ok = len(ok) if ok.all() else int(np.argmin(ok))
-            fits += n_ok
-            search_failures += int(missed[t].ravel()[:n_ok].sum())
-            if n_ok < len(ok):
-                failures += 1
-            else:
-                vals.append(nmse(estimates[t], truths[t][:patterns.n_groups]))
+        complete = done.reshape(trials, -1).all(axis=1)
+        vals = [nmse(estimates[t], truths[t][:patterns.n_groups])
+                for t in np.flatnonzero(complete)]
         if not vals:
             raise SimulationError(f"every trial failed for scheme {name!r}")
-        outcomes[name] = SimulationOutcome(float(np.mean(vals)), trials, failures,
-                                           np.asarray(vals), fits, search_failures)
+        outcomes[name] = SimulationOutcome(float(np.mean(vals)), trials, trials - len(vals),
+                                           np.asarray(vals), int(done.sum()), int(missed.sum()))
     return outcomes
 
 

@@ -272,12 +272,12 @@ def pattern_crb_provider(layout: BandLayout, w: np.ndarray, noise_std: float, ga
 
 def resolvable_at(layout: BandLayout, columns: np.ndarray, noise_std: float, gains,
                   beta_s: float, prior_std_s: float | None = None) -> np.ndarray:
-    """g(beta_s) >= 0 for each column of a (Q, N) stack.
+    """g(beta_s) >= 0 for each column of a (Q, N) stack: the EDA gate's beta test.
 
-    This is the test ``srl_at_most`` makes first, through the same ``_g``, so
-    True certifies SRL <= beta_s for that column on any of its grids. False
-    decides nothing: the column may still have a root below beta_s, which
-    only the ``srl_at_most`` scan finds.
+    beta_s is the last point of every ``srl_at_most`` grid, and the test goes
+    through the same ``_g``, so True certifies SRL <= beta_s for that column.
+    False decides nothing: the column may still have a root below beta_s,
+    which only the ``srl_at_most`` scan finds.
     """
     beta = np.array([float(beta_s)])
     crb = pattern_crb_provider(layout, columns, noise_std, gains, prior_std_s)(beta)
@@ -343,18 +343,19 @@ def srl_at_most(crb_provider: Callable[[np.ndarray], np.ndarray], beta_s: float,
     """True where the SRL does not exceed beta_s: g >= 0 somewhere on a coarse grid.
 
     A provider of (B,) CRBs (one column) gets a bool, one of (Q, B) CRBs (a
-    stack) one verdict per column. The grid starts at min(step_s, beta_s), advances by step_s while below
-    beta_s and ends at beta_s itself. The first grid point with g >= 0 marks
-    a crossing at or below beta_s, as in ``srl_search``. g(beta_s) alone is
-    evaluated first, then the grid in ascending ``_SCAN_CHUNK``-point chunks
-    until every column has crossed.
+    stack) one verdict per column. The grid starts at min(step_s, beta_s),
+    advances by step_s while below beta_s and ends at beta_s itself. The
+    first grid point with g >= 0 marks a crossing at or below beta_s, as in
+    ``srl_search``. The grid is scanned in ascending ``_SCAN_CHUNK``-point
+    chunks until every column has crossed. The EDA gate hands over only
+    columns that ``resolvable_at`` has already found failing at beta_s.
     """
     grid = np.arange(min(step_s, beta_s), beta_s, step_s)
     grid = np.append(grid[grid < beta_s], beta_s)
-    hit = _g(grid[-1:], crb_provider(grid[-1:]))[..., 0] >= 0
+    hit = False
     for start in range(0, len(grid), _SCAN_CHUNK):
+        chunk = grid[start:start + _SCAN_CHUNK]
+        hit = hit | np.any(_g(chunk, crb_provider(chunk)) >= 0, axis=-1)
         if np.all(hit):
             break
-        chunk = grid[start:start + _SCAN_CHUNK]
-        hit |= np.any(_g(chunk, crb_provider(chunk)) >= 0, axis=-1)
     return hit if np.ndim(hit) else bool(hit)

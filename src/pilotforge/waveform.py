@@ -183,12 +183,9 @@ class BandLayout:
 
 @dataclass(frozen=True)
 class PilotSequence:
-    """A unit-modulus pilot sequence and its cyclic-shift parameters."""
+    """A unit-modulus pilot sequence."""
 
     values: np.ndarray
-    root: int
-    shift_index: int
-    shift_rad_per_index: float
 
     def __len__(self) -> int:
         return len(self.values)
@@ -227,7 +224,7 @@ def make_zc_sequence(length: int, root: int, shift_index: int = 0) -> PilotSeque
     n = np.arange(length)
     base = np.exp(-1j * np.pi * root * ((n % n_zc) * (n % n_zc + 1)) / n_zc)
     gamma = 2.0 * np.pi * shift_index / length
-    return PilotSequence(np.exp(1j * gamma * n) * base, root, shift_index, gamma)
+    return PilotSequence(np.exp(1j * gamma * n) * base)
 
 
 def orthogonal_sequence_family(length: int, n_sequences: int, root: int = 1) -> list[PilotSequence]:

@@ -112,6 +112,14 @@ class TestConfig:
         assert main(["optimize", "--config", str(p), "--out", str(tmp_path)]) == 2
         assert not list(tmp_path.glob("pattern_*.json"))
 
+    def test_config_file_not_utf8_exit_code(self, toy_artifact, tmp_path, capsys):
+        _, _, pat = toy_artifact
+        p = tmp_path / "bad.ini"
+        p.write_bytes(b"\xff\xfe" + "[band]\nsubcarriers = 64\n".encode("utf-16-le"))
+        assert main(["isl", "--config", str(p), "--pattern", str(pat)]) == 2
+        out = capsys.readouterr()
+        assert "config error" in out.err and out.out == ""
+
     def test_unknown_band_mode_exit_code(self, toy_artifact, tmp_path):
         _, _, pat = toy_artifact
         p = tmp_path / "bad.ini"

@@ -347,6 +347,27 @@ class TestRunEda:
         assert lookups > len(answers)       # the cache did serve repeats
         assert not all(answers.values())    # and it holds rejections too
 
+    def test_exact_path_does_not_test_beta_again(self, monkeypatch):
+        # resolvable_at has tested g(beta) on every column the gate hands to
+        # the exact path, so no provider built there is asked for [beta] alone
+        lay = toy_layout()
+        cfg = toy_config(seed=9, iterations=8)
+        grids = []
+
+        def build(layout, w, *args, **kwargs):
+            provider = resolution.pattern_crb_provider(layout, w, *args, **kwargs)
+
+            def recorded(dtaus):
+                grids.append(np.atleast_1d(dtaus).tolist())
+                return provider(dtaus)
+            return recorded
+
+        monkeypatch.setattr(optimizer, "pattern_crb_provider", build)
+        res = run_eda(lay, cfg)
+        assert res.rejected_draws > 0 and grids
+        beta_alone = [[b] for b in res.beta_s]
+        assert not [grid for grid in grids if grid in beta_alone]
+
     @pytest.mark.parametrize("mode", ["single", "multi"])
     def test_batched_decisions_match_fresh_scans(self, mode, layout_single, layout_multi):
         lay, prior = (layout_single, None) if mode == "single" else (layout_multi, 1e-9)
@@ -447,14 +468,15 @@ class TestEdaConfigValidation:
         with pytest.raises(ValueError):
             toy_config(srl_ceilings_s=(1e-9,))
 
+    # the offline model is checked by run_eda, through check_offline_model
     def test_positive_noise(self):
         with pytest.raises(ValueError):
-            toy_config(offline_noise_std=0.0)
+            run_eda(toy_layout(), toy_config(offline_noise_std=0.0))
 
     @pytest.mark.parametrize("noise", [float("inf"), float("nan")])
     def test_finite_noise(self, noise):
         with pytest.raises(ValueError, match="noise std"):
-            toy_config(offline_noise_std=noise)
+            run_eda(toy_layout(), toy_config(offline_noise_std=noise))
 
     @pytest.mark.parametrize("key,value", [
         ("gate_step_s", 0.0), ("gate_step_s", -1e-11), ("gate_step_s", float("nan")),

@@ -640,8 +640,9 @@ class TestSimulationHarness:
         assert len(bad) == 1 and stacked_raises[0] and not stacked_raises[-1]
         hit = out["random"]
         assert hit.failures == 1
-        # the failed trial's first user completed; its second did not
-        assert hit.fits == 2 * 4 + 1
+        # fits counts every completed fit: the two whole trials' 4 users each,
+        # and the 3 users of the failed trial other than the failed (0, 1)
+        assert hit.fits == 2 * 4 + 3
         np.testing.assert_array_equal(
             hit.per_trial, np.delete(base["random"].per_trial, bad_trial))
         assert hit.nmse == np.mean(hit.per_trial)

@@ -451,10 +451,10 @@ class TestStackProvider:
 
         step = 0.05e-9    # 64-point chunks end at 3.2, 6.4 and 9.6 ns
         for beta, expected, scanned in [
-                (10e-9, [True] * 3, [1]),                      # all pass at beta
-                (20e-9, [True] * 3, [1]),
-                (8e-9, [True, True, False], [1, 64, 64, 32]),  # one never crosses
-                (5e-9, [True, True, False], [1, 64, 36])]:
+                (10e-9, [True] * 3, [64, 64, 64]),          # all pass, the last at 9 ns
+                (20e-9, [True] * 3, [64, 64, 64]),
+                (8e-9, [True, True, False], [64, 64, 32]),  # one never crosses
+                (5e-9, [True, True, False], [64, 36])]:
             sizes.clear()
             assert srl_at_most(provider, beta, step).tolist() == expected
             assert sizes == scanned, beta
@@ -468,12 +468,12 @@ class TestStackProvider:
 
         sizes.clear()
         assert srl_at_most(windows, 9e-9, step).tolist() == [True, True]
-        assert sizes == [1, 64, 64]
+        assert sizes == [64, 64]
 
 
 class TestResolvableAt:
     @pytest.mark.parametrize("mode", ["single", "multi"])
-    def test_is_the_first_test_of_srl_at_most(self, mode, layout_single, layout_multi):
+    def test_is_the_beta_point_of_srl_at_most(self, mode, layout_single, layout_multi):
         lay, prior = (layout_single, None) if mode == "single" else (layout_multi, 1e-9)
         cols = random_columns(lay.n_total, 40, 10, seed=5)
         if mode == "multi":   # a column without a pilot in the second subband
@@ -671,7 +671,7 @@ class TestSrlSearch:
             if beta > 0:
                 assert srl_at_most(provider, beta, step) == (root <= beta), beta
 
-    def test_srl_at_most_scans_only_when_last_point_fails(self):
+    def test_srl_at_most_scan_stops_at_the_crossing_chunk(self):
         # sqrt(CRB) = dtau / 2 (g >= 0) on [2, 4) ns and on [6, 8] ns and
         # 2 dtau (g < 0) elsewhere: SRL = 2 ns, and g < 0 again at 5 ns
         def root_crb(dts):
@@ -685,9 +685,9 @@ class TestSrlSearch:
             return root_crb(np.asarray(dts)) ** 2
 
         step = 0.1e-9
-        cases = [(7e-9, True, [1]),               # g(beta) >= 0: one point
-                 (5e-9, True, [1, 50]),           # root below, g(beta) < 0
-                 (1.5e-9, False, [1, 15])]        # below the SRL
+        cases = [(7e-9, True, [64]),              # crossed at 2 ns, in the first chunk
+                 (5e-9, True, [50]),              # root below, g(beta) < 0
+                 (1.5e-9, False, [15])]           # below the SRL
         for beta, expected, sizes in cases:
             calls.clear()
             assert srl_at_most(provider, beta, step) is expected

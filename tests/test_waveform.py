@@ -49,7 +49,9 @@ class TestZadoffChu:
 
     def test_family_shift_spacing(self):
         fam = pf.orthogonal_sequence_family(256, 4)
-        assert [s.shift_index for s in fam] == [0, 64, 128, 192]
+        # sequence z is the base sequence times the ramp e^{j 2 pi k_z n / 256}
+        ramps = [np.angle(s.values[1] / fam[0].values[1]) for s in fam]
+        assert [round(r * 256 / (2 * np.pi)) % 256 for r in ramps] == [0, 64, 128, 192]
         for a in range(4):
             for b in range(a + 1, 4):
                 assert abs(np.vdot(fam[a].values, fam[b].values)) < 1e-10
@@ -254,14 +256,14 @@ def one_user(layout, delays, gains):
 class TestSynthesis:
     def test_identity_channel(self, layout_single):
         pats = pf.PatternSet(np.ones((256, 1), dtype=np.uint8))
-        seqs = [pf.PilotSequence(np.ones(256, dtype=complex), 0, 0, 0.0)]
+        seqs = [pf.PilotSequence(np.ones(256, dtype=complex))]
         y = pf.synthesize_received(layout_single, pats, seqs,
                                    one_user(layout_single, [0.0], [1.0]), 0.0)
         np.testing.assert_allclose(y, 1.0, atol=1e-14)
 
     def test_two_path_scalar_loop(self, layout_single):
         pats = pf.PatternSet(np.ones((256, 1), dtype=np.uint8))
-        seqs = [pf.PilotSequence(np.ones(256, dtype=complex), 0, 0, 0.0)]
+        seqs = [pf.PilotSequence(np.ones(256, dtype=complex))]
         delays = np.array([80e-9, 230e-9])
         gains = np.array([1.1 - 0.2j, -0.4 + 0.9j])
         y = pf.synthesize_received(layout_single, pats, seqs,

@@ -2,12 +2,13 @@
 
 For each band, runs ``run_extrapolation_sim`` at the settings of acceptance
 criteria C8 (single band) and C9 (multiband): the seed-1 paper-scale EDA
-optimum plus the uniform and random baselines, 15 dB, 50 trials, simulator
-seed 77. Every ``PathEstimate`` the simulator gets back from
-``estimate_paths_psols`` feeds one SHA-256, in call order: the bytes of its
-delays, its gains and its residual. It prints one markdown row per band,
-``| <band> | <fits> | <sha256> |``. Two trees fit bit for bit alike exactly
-when their rows match.
+optimum plus the uniform and random baselines, 50 trials, simulator seed 77.
+The layout, budgets, EDA settings and every other simulation setting are
+the default config's for that band and seed 1. Every ``PathEstimate`` the
+simulator gets back from ``estimate_paths_psols`` feeds one SHA-256, in call
+order: the bytes of its delays, its gains and its residual. It prints one
+markdown row per band, ``| <band> | <fits> | <sha256> |``. Two trees fit bit
+for bit alike exactly when their rows match.
 
     python3 tools/fit_digest.py
 """
@@ -22,32 +23,20 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-import pilotforge as pf  # noqa: E402
 from pilotforge import receiver  # noqa: E402
-from pilotforge.ambiguity import SidelobeRegion  # noqa: E402
-from pilotforge.optimizer import EdaConfig, run_eda  # noqa: E402
+from pilotforge.cli import ExperimentConfig  # noqa: E402
+from pilotforge.optimizer import run_eda  # noqa: E402
 
-FS = 120e3
-REGION = SidelobeRegion(65.1e-9, 4.1666667e-6)
-SNR_DB = 15.0
 TRIALS = 50
 SIM_SEED = 77
 
 
-def layouts() -> dict[str, tuple[pf.BandLayout, list[int]]]:
-    return {
-        "single": (pf.BandLayout.single(256, FS, 3.5e9), [128, 128]),
-        "multi": (pf.BandLayout.multiband([pf.Subband(3.5e9, FS, 127),
-                                           pf.Subband(3.9e9, FS, 127)]), [127, 127]),
-    }
-
-
-def digest(layout: pf.BandLayout, budgets: list[int]) -> tuple[int, str]:
+def digest(band: str) -> tuple[int, str]:
     """(fits, SHA-256 over their delays, gains and residuals) of one band."""
-    cfg = EdaConfig(budgets=tuple(budgets), region=REGION, population=400, elite=200,
-                    iterations=60, seed=1)
-    schemes = dict(receiver.baseline_schemes(layout, 2, budgets, seed=1))
-    schemes["optimized"] = run_eda(layout, cfg).best
+    cfg = ExperimentConfig.default().with_overrides(seed=1, mode=band)
+    layout, budgets, sim = cfg.layout(), cfg.budgets(), cfg.values["sim"]
+    schemes = dict(receiver.baseline_schemes(layout, len(budgets), budgets, seed=cfg.seed))
+    schemes["optimized"] = run_eda(layout, cfg.eda_config()).best
     sha, fits = hashlib.sha256(), 0
     fit = receiver.estimate_paths_psols
 
@@ -62,7 +51,11 @@ def digest(layout: pf.BandLayout, budgets: list[int]) -> tuple[int, str]:
 
     receiver.estimate_paths_psols = hashed
     try:
-        receiver.run_extrapolation_sim(layout, schemes, SNR_DB, trials=TRIALS, seed=SIM_SEED)
+        receiver.run_extrapolation_sim(
+            layout, schemes, float(sim["snr_db"][0]), trials=TRIALS, n_codes=cfg.n_codes(),
+            n_paths=int(sim["n_paths"]), tau_max_s=float(sim["tau_max_s"]),
+            min_separation_s=float(sim["min_separation_s"]), pso=cfg.pso_config(),
+            seed=SIM_SEED)
     finally:
         receiver.estimate_paths_psols = fit
     return fits, sha.hexdigest()
@@ -70,8 +63,8 @@ def digest(layout: pf.BandLayout, budgets: list[int]) -> tuple[int, str]:
 
 def main() -> int:
     print("| band | fits | SHA-256 |\n| --- | --- | --- |")
-    for band, (layout, budgets) in layouts().items():
-        fits, hexdigest = digest(layout, budgets)
+    for band in ("single", "multi"):
+        fits, hexdigest = digest(band)
         print(f"| {band} | {fits} | {hexdigest} |", flush=True)
     return 0
 
