@@ -19,6 +19,7 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
+from inspect import signature
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,8 @@ from .optimizer import EdaConfig, InfeasibleSamplingError, run_eda
 from .receiver import (PsoConfig, SimulationError, baseline_schemes, check_sim,
                        run_extrapolation_sim)
 from .resolution import SrlResult, SrlSearch, check_offline_model, srl_of_pattern
-from .waveform import BandLayout, PatternSet, Subband, orthogonal_sequence_family
+from .waveform import (BandLayout, PatternSet, Subband, check_budgets,
+                       orthogonal_sequence_family)
 
 __all__ = ["ExperimentConfig", "ConfigError", "main"]
 
@@ -51,8 +53,10 @@ def _as_config_error(context: str = ""):
 
 def _defaults() -> dict:
     """Every option at its default; the [offline], [srl], [eda] and [pso]
-    values are the defaults of the library objects they configure."""
+    values, the code count and the [sim] path draw are the defaults of the
+    library objects and the simulator they configure."""
     eda = {f.name: f.default for f in fields(EdaConfig)}
+    sim = {name: p.default for name, p in signature(run_extrapolation_sim).parameters.items()}
     gain1, gain2 = eda["offline_gains"]
     return {
         "band": {
@@ -66,7 +70,7 @@ def _defaults() -> dict:
         },
         "users": {
             "groups": 2,
-            "codes": 2,
+            "codes": sim["n_codes"],
             "budgets": [128, 128],
             "multi_budgets": [127, 127],
         },
@@ -91,9 +95,7 @@ def _defaults() -> dict:
         "sim": {
             "snr_db": [15.0],
             "trials": 500,
-            "n_paths": 2,
-            "tau_max_s": 400e-9,
-            "min_separation_s": 0.0,
+            **{key: sim[key] for key in ("n_paths", "tau_max_s", "min_separation_s")},
         },
         "af": {"tau_max_s": 400e-9, "points": 2001},
         "output": {"seed": 0},
@@ -222,9 +224,8 @@ class ExperimentConfig:
             raise ConfigError(f"users.groups must be at least 1, and {key} must "
                               "list one budget per group")
         budgets = [int(p) for p in raw]
-        if min(budgets) < 1 or sum(budgets) > self.layout().n_total:
-            raise ConfigError(f"every {key} entry must be at least 1, and their sum "
-                              "at most the subcarrier count")
+        with _as_config_error(f"users.{key}: "):
+            check_budgets(budgets, self.layout().n_total)
         return budgets
 
     def n_codes(self) -> int:

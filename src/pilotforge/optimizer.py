@@ -26,7 +26,7 @@ import numpy as np
 from .ambiguity import IslMatrix, SidelobeRegion, isl_matrix
 from .resolution import (SrlResult, SrlSearch, check_offline_model, pattern_crb_provider,
                          resolvable_at, srl_at_most, srl_of_pattern)
-from .waveform import BandLayout, PatternSet, random_patterns
+from .waveform import BandLayout, PatternSet, check_budgets, random_patterns
 
 __all__ = [
     "EdaConfig",
@@ -55,8 +55,9 @@ class EdaConfig:
     random-pattern reference: beta_g = beta_margin * mean SRL over
     beta_reference_draws random feasible patterns; those two settings are
     checked only where they are used. The offline model (gains, noise std and
-    prior_std_s, which only multiband layouts read) is checked by ``run_eda``,
-    through ``check_offline_model`` for the layout.
+    prior_std_s, which only multiband layouts read) and the budgets are
+    checked by ``run_eda``, through ``check_offline_model`` and
+    ``check_budgets`` for the layout.
     """
 
     budgets: tuple[int, ...]
@@ -80,8 +81,6 @@ class EdaConfig:
             raise ValueError("need 1 <= elite < population")
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
-        if any(p < 1 for p in self.budgets):
-            raise ValueError("every group needs a positive pilot budget")
         if self.srl_ceilings_s is not None:
             if len(self.srl_ceilings_s) != len(self.budgets):
                 raise ValueError("one SRL ceiling per group required")
@@ -198,11 +197,21 @@ def _round_block(seed: int, key: int, r: int, slots: np.ndarray,
     """Rows ``slots`` (ascending) of retry round r's uniform block under key.
 
     The block is ``default_rng(SeedSequence(seed, spawn_key=(key, r))).random``
-    of shape (n_slots,) + shape. A generator fills an array in order, so
-    drawing only the first slots[-1] + 1 rows gives those rows' values.
+    of shape (n_slots,) + shape. ``Generator.random`` fills an array in order
+    and takes one 64-bit output of its PCG64 per float64, so each run of
+    consecutive slots is drawn after advancing the generator past the rows
+    before it, and gets those rows' values.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key, r)))
-    return rng.random((slots[-1] + 1,) + shape)[slots]
+    bits = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key, r)))
+    rng = np.random.Generator(bits)
+    out = np.empty((len(slots),) + shape)
+    starts = np.flatnonzero(np.diff(slots, prepend=-2) != 1)  # where each run begins
+    drawn = 0  # rows of the block the generator has passed
+    for i, j in zip(starts, np.append(starts[1:], len(slots))):
+        bits.advance(int(slots[i] - drawn) * out[0].size)
+        rng.random(out=out[i:j])
+        drawn = slots[j - 1] + 1
+    return out
 
 
 def _fill(draw: Callable[[np.ndarray, int], np.ndarray],
@@ -261,8 +270,7 @@ def sample_individual(prob: np.ndarray, budgets: Sequence[int],
     if np.any(prob < 0) or np.any(prob > 1):
         raise ValueError("Bernoulli probabilities must lie in [0, 1]")
     budgets = np.asarray(budgets, dtype=int)
-    if budgets.sum() > prob.shape[0]:
-        raise ValueError("total pilot budget exceeds the number of subcarriers")
+    check_budgets(budgets, prob.shape[0])
     if n_slots < 1:
         raise ValueError("need at least one slot")
 
@@ -275,6 +283,13 @@ def sample_individual(prob: np.ndarray, budgets: Sequence[int],
         f"the ceilings or raise the retry cap")
 
 
+def _packed_rows(rows: np.ndarray) -> list[bytes]:
+    """The bit-packed bytes of each row of a 2-D 0/1 stack, from one packbits."""
+    packed = np.packbits(rows, axis=1)
+    raw, width = packed.tobytes(), packed.shape[1]
+    return [raw[i:i + width] for i in range(0, len(raw), width)]
+
+
 def _srl_gate(layout: BandLayout, cfg: EdaConfig,
               beta_s: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The SRL rejection test of one EDA run over a (Q, N, G) stack of masks.
@@ -282,13 +297,13 @@ def _srl_gate(layout: BandLayout, cfg: EdaConfig,
     A slot passes when every group's SRL is at most its beta; every group of
     every slot is decided, and the verdict is the AND over the groups. Each
     decision is a pure function of (group, column), so the gate caches it
-    under (group, packed column) for its own lifetime, which is one
-    ``run_eda``. The misses of one call are decided together, group by
+    under the packed column, one cache per group, for its own lifetime, which
+    is one ``run_eda``. The misses of one call are decided together, group by
     group: one ``resolvable_at`` accepts every column with g(beta) >= 0, and
     only if some column fails there, one CRB provider over the failing
     columns and one ``srl_at_most`` scan of that stack decide the rest.
     """
-    decided: dict[tuple[int, bytes], bool] = {}
+    decided: list[dict[bytes, bool]] = [{} for _ in beta_s]  # one cache per group
     model = (cfg.offline_noise_std, cfg.offline_gains)
 
     def decide(g: int, cols: np.ndarray) -> np.ndarray:
@@ -300,38 +315,45 @@ def _srl_gate(layout: BandLayout, cfg: EdaConfig,
 
     def gate(masks: np.ndarray) -> np.ndarray:
         passed = np.ones(len(masks), dtype=bool)
-        for g in range(masks.shape[2]):
+        for g, cache in enumerate(decided):
             cols = masks[:, :, g]
-            keys = [(g, packed.tobytes()) for packed in np.packbits(cols, axis=1)]
-            misses: dict[tuple[int, bytes], int] = {}
+            keys = _packed_rows(cols)
+            misses: dict[bytes, int] = {}
             for i, key in enumerate(keys):
-                if key not in decided:
+                if key not in cache:
                     misses.setdefault(key, i)
             if misses:
                 verdicts = decide(g, cols[list(misses.values())])
-                decided.update(zip(misses, verdicts.tolist()))
-            passed &= [decided[key] for key in keys]
+                cache.update(zip(misses, verdicts.tolist()))
+            passed &= [cache[key] for key in keys]
         return passed
 
     return gate
 
 
 def random_srl_reference(layout: BandLayout, cfg: EdaConfig) -> np.ndarray:
-    """Mean per-group SRL of seeded random feasible patterns (the beta reference)."""
-    acc = np.zeros(len(cfg.budgets))
+    """Mean per-group SRL of seeded random feasible patterns (the beta reference).
+
+    Each group's columns of all the draws are searched as one stack. A draw
+    with a group that has no SRL fails the reference; the error names the
+    first such draw.
+    """
+    draws = []
     for d in range(cfg.beta_reference_draws):
         seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0xBE7A, d))
-        pats = random_patterns(layout, len(cfg.budgets), cfg.budgets,
-                               seed=seed.generate_state(1)[0])
-        for g in range(len(cfg.budgets)):
-            res = srl_of_pattern(layout, pats.column(g), cfg.offline_noise_std,
-                                 cfg.offline_gains, cfg.prior_std_s, cfg.final_search)
-            if not res.found:
-                raise InfeasibleSamplingError(
-                    d, "random reference pattern has no SRL in the search range; "
-                       "widen the search grid")
-            acc[g] += res.srl_s
-    return acc / cfg.beta_reference_draws
+        draws.append(random_patterns(layout, len(cfg.budgets), cfg.budgets,
+                                     seed=seed.generate_state(1)[0]))
+    per_group = [srl_of_pattern(layout, np.stack([pats.column(g) for pats in draws]),
+                                cfg.offline_noise_std, cfg.offline_gains, cfg.prior_std_s,
+                                cfg.final_search)
+                 for g in range(len(cfg.budgets))]
+    missing = [d for d in range(len(draws)) if not all(res[d].found for res in per_group)]
+    if missing:
+        raise InfeasibleSamplingError(
+            missing[0], "random reference pattern has no SRL in the search range; "
+                        "widen the search grid")
+    sums = [sum(res.srl_s for res in results) for results in per_group]  # in draw order
+    return np.array(sums) / cfg.beta_reference_draws
 
 
 def run_eda(layout: BandLayout, cfg: EdaConfig,
@@ -347,12 +369,11 @@ def run_eda(layout: BandLayout, cfg: EdaConfig,
     ``isl_many``, whose rows' last bits can depend on each other, so that
     stack is fixed. ``on_iteration`` receives (iteration, population masks,
     fitnesses) after every evaluation, for instrumentation. The offline model
-    is checked first, before any draw.
+    and the budgets are checked first, before any draw.
     """
     check_offline_model(layout, cfg.offline_noise_std, cfg.offline_gains, cfg.prior_std_s)
     n, n_groups = layout.n_total, len(cfg.budgets)
-    if sum(cfg.budgets) > n:
-        raise ValueError("total pilot budget exceeds the number of subcarriers")
+    check_budgets(cfg.budgets, n)
     budgets = np.asarray(cfg.budgets, dtype=int)
 
     if cfg.srl_ceilings_s is not None:
@@ -379,7 +400,7 @@ def run_eda(layout: BandLayout, cfg: EdaConfig,
     cache: dict[bytes, float] = {}
 
     def evaluate(pop: np.ndarray) -> np.ndarray:
-        keys = [np.packbits(ind).tobytes() for ind in pop]
+        keys = _packed_rows(pop.reshape(len(pop), -1))
         missing = [i for i, k in enumerate(keys) if k not in cache]
         if missing:
             vals = _fitness_many(pop[missing], matrix)

@@ -10,8 +10,10 @@ The SRL is the smallest delay separation solving dtau = sqrt(CRB(dtau)). With
 g(dtau) = dtau - sqrt(CRB(dtau)), it is located by a grid scan for the first
 crossing, the first grid point with g >= 0, in ascending chunks that stop at
 the first chunk holding it, then bisection of the bracket that ends there.
-The EDA gate's ``srl_at_most`` decides "SRL <= beta" for a whole stack of
-columns in one scan: a column's CRB in a stack is its CRB alone.
+``srl_search`` finds the SRLs of a whole stack of columns in one scan and
+one lockstep bisection, and the EDA gate's ``srl_at_most`` decides "SRL <=
+beta" for a stack with the same scan: a column's CRB in a stack is its CRB
+alone.
 """
 
 from __future__ import annotations
@@ -106,40 +108,29 @@ def _two_path_block(J: np.ndarray, plain: np.ndarray, cross: np.ndarray,
         np.concatenate([np.swapaxes(ti, -1, -2), -ss, cc], axis=-1)], axis=-2)
 
 
-def _moments(f_support: np.ndarray, weights: np.ndarray,
-             delta_taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Phase moments sum_f w e^{j 2 pi f dtau}, (..., B, K), and plain sums
-    sum_f w, (..., 1, K), over the B separations.
-
-    f_support (..., S) and weights (..., S, K) hold one column or a stack of
-    columns; each leading index is computed exactly as that column alone.
-    """
-    dt = np.asarray(delta_taus, dtype=float)
-    # e^{j 2 pi f (tau_r - tau_s)} for (r, s) = (2, 1); (1, 2) is its conjugate
-    ephase = np.exp(2j * np.pi * dt[:, None] * f_support[..., None, :])  # (..., B, S)
-    return ephase @ weights, weights.sum(axis=-2, keepdims=True)
-
-
-def _fim_batch(f_support: np.ndarray, weights: np.ndarray, noise_std: float,
-               gains: np.ndarray, delta_taus: np.ndarray,
+def _fim_batch(ephase: np.ndarray, weights: np.ndarray, plain: np.ndarray,
+               noise_std: float, gains: np.ndarray,
                prior_std_s: float | None) -> np.ndarray:
     """Two-path FIMs, (..., B, D, D), over delay separations.
 
-    f_support (..., S) holds the support's frequencies and weights (..., S, K)
-    their moment weights; the first three, f^k (k = 0, 1, 2), give the 6x6
-    [tau (2), a^R (2), a^I (2)] block, the whole FIM when prior_std_s is None
-    (single band). Otherwise weights are rows of ``BandLayout.moment_weights``
-    (K = 3 + 5M) at the pinned frequencies, and phi_2..phi_M, delta_1..delta_M
-    follow. With tau = (0, dtau), every nuisance entry is linear in the
-    per-band moments sum w e^{j 2 pi f dtau}, w in {1, f, nf, nf f, nf^2}: the
-    path-sum profile H = alpha_1 + alpha_2 e^{-j 2 pi f dtau} enters through
-    sum_k alpha_k e^{j 2 pi f (tau_r - tau_k)} and through |H|^2 = |alpha_1|^2
-    + |alpha_2|^2 + 2 Re(alpha_1 alpha_2^* e^{j 2 pi f dtau}). So one product
-    ephase @ weights gives every moment of the batch.
+    ephase (..., B, S) holds e^{j 2 pi f dtau} at the support's frequencies f
+    and the B separations, weights (..., S, K) the support's moment weights
+    and plain (..., 1, K) their sums over the support. The first three
+    weights, f^k (k = 0, 1, 2), give the 6x6 [tau (2), a^R (2), a^I (2)]
+    block, the whole FIM when prior_std_s is None (single band). Otherwise
+    weights are rows of ``BandLayout.moment_weights`` (K = 3 + 5M) at the
+    pinned frequencies, and phi_2..phi_M, delta_1..delta_M follow. With tau =
+    (0, dtau), every nuisance entry is linear in the per-band moments sum w
+    e^{j 2 pi f dtau}, w in {1, f, nf, nf f, nf^2}: the path-sum profile H =
+    alpha_1 + alpha_2 e^{-j 2 pi f dtau} enters through sum_k alpha_k e^{j 2
+    pi f (tau_r - tau_k)} and through |H|^2 = |alpha_1|^2 + |alpha_2|^2 + 2
+    Re(alpha_1 alpha_2^* e^{j 2 pi f dtau}). So one product ephase @ weights
+    gives every moment of the batch, and each leading index is computed
+    exactly as that column alone.
     """
     al = np.asarray(gains, dtype=complex)
     c = 1.0 / noise_std**2
-    moments, plain = _moments(f_support, weights, delta_taus)       # (..., B, K)
+    moments = ephase @ weights                                      # (..., B, K)
     m = (weights.shape[-1] - 3) // 5
     dim = 6 if prior_std_s is None else 6 + (m - 1) + m
 
@@ -188,29 +179,56 @@ def check_offline_model(layout: BandLayout, noise_std: float, gains,
 
 def _fim_builder(layout: BandLayout, columns: np.ndarray, noise_std: float, gains,
                  prior_std_s: float | None) -> Callable[[np.ndarray], np.ndarray]:
-    """dtaus (B,) -> FIM stack (..., B, D, D) for one column (N,) or a stack of
-    columns (Q, N) with equal pilot counts; the inputs are checked here."""
+    """dtaus -> FIM stack (..., B, D, D) for one column (N,) or a stack of
+    columns (Q, N) with equal pilot counts, at B separations that every column
+    shares, (B,), or at one row of them per column, (Q, B); the inputs are
+    checked here.
+
+    e^{j 2 pi f dtau} is evaluated once per separation and per subcarrier
+    that some column uses, by the same elementwise product as for one pilot,
+    and each column gathers its support's phases from that table.
+    """
     check_offline_model(layout, noise_std, gains, prior_std_s)
     gains = np.asarray(gains, dtype=complex)
     cols = np.asarray(columns)
-    if cols.ndim not in (1, 2) or cols.shape[-1] != layout.n_total:
+    n = layout.n_total
+    if cols.ndim not in (1, 2) or cols.shape[-1] != n:
         raise ValueError("need one pattern column or a (Q, N) stack of them for this layout")
-    counts = np.count_nonzero(cols.reshape(-1, layout.n_total), axis=1)
+    stack = cols.reshape(-1, n) != 0
+    counts = np.count_nonzero(stack, axis=1)
     if counts.size == 0 or counts[0] == 0 or np.any(counts != counts[0]):
         raise ValueError("pattern columns need the same positive pilot count")
-    sup = np.nonzero(cols)[-1].reshape(cols.shape[:-1] + (counts[0],))
+    sup = np.flatnonzero(stack).reshape(len(stack), -1) - n * np.arange(len(stack))[:, None]
     if layout.mode == "single":  # the model has no nuisances, so no prior to read
-        f_sup, prior_std_s = sup * layout.subbands[0].spacing_hz, None
-        weights = np.stack([np.ones_like(f_sup), f_sup, f_sup**2], axis=-1)
+        f = np.arange(n) * layout.subbands[0].spacing_hz
+        table, prior_std_s = np.stack([np.ones_like(f), f, f**2], axis=-1), None
     else:
-        f_sup, weights = layout.pinned_frequencies_hz[sup], layout.moment_weights[sup]
-    return lambda dtaus: _fim_batch(f_sup, weights, noise_std, gains, dtaus, prior_std_s)
+        f, table = layout.pinned_frequencies_hz, layout.moment_weights
+    used = np.any(stack, axis=0)
+    f_used = f[used]
+    at = np.take(np.cumsum(used) - 1, sup)[:, None, :]      # (Q, 1, S) into f_used
+    weights = np.take(table, sup, axis=0)
+    # summed pilot-major, (S, Q, K), over the first axis: each column's weights
+    # are added in support order, as a sum over S of (Q, S, K) adds them
+    plain = np.take(table, sup.T, axis=0).sum(axis=0)[:, None, :]
+
+    def fims(dtaus: np.ndarray) -> np.ndarray:
+        dt = np.asarray(dtaus, dtype=float)
+        # e^{j 2 pi f (tau_r - tau_s)} for (r, s) = (2, 1); (1, 2) is its conjugate
+        phases = np.exp(2j * np.pi * dt[..., None] * f_used)   # (B, U) or (Q, B, U)
+        rows = np.arange(dt.size).reshape(dt.shape) * len(f_used)
+        J = _fim_batch(np.take(phases, rows[..., None] + at), weights, plain,
+                       noise_std, gains, prior_std_s)
+        return J.reshape(cols.shape[:-1] + J.shape[1:])
+
+    return fims
 
 
 def fim(layout: BandLayout, columns: np.ndarray, noise_std: float, gains,
         delta_taus, prior_std_s: float | None = None) -> np.ndarray:
     """Two-path FIM of one pattern column (N,), (B, D, D), or of each column of
-    a (Q, N) stack, (Q, B, D, D), at the B delay separations delta_taus.
+    a (Q, N) stack, (Q, B, D, D), at the B delay separations delta_taus:
+    (B,) shared by every column, or (Q, B), row q for column q.
 
     The layout picks the model. Single band: D = 6, parameters [tau_1, tau_2,
     a1^R, a2^R, a1^I, a2^I] over the subcarriers n f_s, n = 0..N-1. Multiband:
@@ -265,7 +283,8 @@ def pattern_crb_provider(layout: BandLayout, w: np.ndarray, noise_std: float, ga
                          prior_std_s: float | None = None
                          ) -> Callable[[np.ndarray], np.ndarray]:
     """dtaus (B,) -> CRBs under the offline model, (B,) for one pattern column
-    and (Q, B) for a (Q, N) stack with equal pilot counts, each row as alone."""
+    and (Q, B) for a (Q, N) stack with equal pilot counts, each row as alone.
+    A stack also takes per-column separations, (Q, B), row q for column q."""
     fims = _fim_builder(layout, w, noise_std, gains, prior_std_s)
     return lambda dtaus: crb_batch(fims(np.atleast_1d(dtaus)))
 
@@ -291,19 +310,49 @@ def _g(grid: np.ndarray, crb: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(crb), grid - np.sqrt(np.maximum(crb, 0.0)), -np.inf)
 
 
-def _bisect_root(crb_provider, lo: float, hi: float, tol: float) -> float:
-    """Root of g in [lo, hi], given g(lo) < 0 <= g(hi)."""
-    while hi - lo > tol:
-        mid = np.array([0.5 * (lo + hi)])
-        if _g(mid, crb_provider(mid))[0] < 0:
-            lo = mid[0]
-        else:
-            hi = mid[0]
+def _first_crossings(crb_provider: Callable[[np.ndarray], np.ndarray],
+                     grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the first grid point with g >= 0 (-1 where there is none), and
+    g there, for each row of the provider's CRBs: 0-d arrays for a provider of
+    (B,) CRBs (one column), (Q,) ones for a provider of (Q, B) CRBs (a stack).
+
+    The grid is scanned in ascending ``_SCAN_CHUNK``-point chunks, each shared
+    by every row, until every row has crossed.
+    """
+    first = g_first = None
+    for start in range(0, len(grid), _SCAN_CHUNK):
+        chunk = grid[start:start + _SCAN_CHUNK]
+        g = _g(chunk, crb_provider(chunk))
+        crossed = g >= 0
+        k = np.argmax(crossed, axis=-1)
+        if first is None:
+            first, g_first = np.full(k.shape, -1), np.zeros(k.shape)
+        new = (first < 0) & np.any(crossed, axis=-1)
+        first = np.where(new, start + k, first)
+        g_first = np.where(new, np.take_along_axis(g, k[..., None], axis=-1)[..., 0], g_first)
+        if np.all(first >= 0):
+            break
+    return first, g_first
+
+
+def _bisect_roots(crb_at: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
+                  hi: np.ndarray, tol: float) -> np.ndarray:
+    """Root of g in [lo, hi] for each row, given g(lo) < 0 <= g(hi); rows with
+    hi - lo <= tol are done. crb_at (Q,) -> (Q,) gives each row's CRB at its
+    own separation. The rows halve their brackets in lockstep, each exactly
+    as it would alone, and stop one by one."""
+    active = hi - lo > tol
+    while np.any(active):
+        mid = 0.5 * (lo + hi)
+        below = _g(mid, crb_at(mid)) < 0
+        lo = np.where(active & below, mid, lo)
+        hi = np.where(active & ~below, mid, hi)
+        active = hi - lo > tol
     return 0.5 * (lo + hi)
 
 
 def srl_search(crb_provider: Callable[[np.ndarray], np.ndarray],
-               search: SrlSearch = SrlSearch()) -> SrlResult:
+               search: SrlSearch = SrlSearch()) -> SrlResult | tuple[SrlResult, ...]:
     """Find the statistical resolution limit: the first crossing, then bisection.
 
     g(dtau) = dtau - sqrt(CRB(dtau)) is evaluated on the grid in ascending
@@ -312,29 +361,39 @@ def srl_search(crb_provider: Callable[[np.ndarray], np.ndarray],
     root when g = 0 there, and otherwise ends the bracket that is bisected to
     the requested tolerance; no later crossing can give a smaller root. Grid
     points with an unresolvable FIM (CRB = inf) count as g < 0.
+
+    A provider of (B,) CRBs (one column) gives one ``SrlResult``. One of
+    (Q, B) CRBs (a stack) gives a tuple of Q: the chunks are shared until
+    every column has crossed, and the columns are bisected in lockstep, the
+    provider then taking one separation per column, (Q, 1). Each column's
+    result is the one it gets alone.
     """
     grid = search.grid()
-    for start in range(0, len(grid), _SCAN_CHUNK):
-        chunk = grid[start:start + _SCAN_CHUNK]
-        g = _g(chunk, crb_provider(chunk))
-        if start == 0 and g[0] >= 0:
-            return SrlResult(None, None, search, below_range=True)
-        crossed = np.flatnonzero(g >= 0)
-        if crossed.size:
-            break
+    first, g_first = _first_crossings(crb_provider, grid)
+    stacked = first.ndim == 1
+    if stacked:
+        def crb_at(dtaus):
+            return crb_provider(dtaus[:, None])[:, 0]
     else:
-        return SrlResult(None, None, search)
-    k = start + crossed[0]
-    srl = grid[k] if g[crossed[0]] == 0.0 else _bisect_root(
-        crb_provider, grid[k - 1], grid[k], search.tol_s)
-    crb_at = float(crb_provider(np.array([srl]))[0])
-    return SrlResult(float(srl), crb_at, search)
+        crb_at = crb_provider
+    first, g_first = np.atleast_1d(first, g_first)
+    found = first > 0
+    k = np.maximum(first, 0)
+    # a root on the grid (g = 0) is an empty bracket [grid[k], grid[k]]
+    srl = _bisect_roots(crb_at, grid[np.where(found & (g_first != 0.0), k - 1, k)],
+                        grid[k], search.tol_s)
+    crb = crb_at(np.where(found, srl, grid[0])) if np.any(found) else None
+    results = tuple(SrlResult(float(srl[q]), float(crb[q]), search) if found[q]
+                    else SrlResult(None, None, search, below_range=bool(first[q] == 0))
+                    for q in range(len(first)))
+    return results if stacked else results[0]
 
 
 def srl_of_pattern(layout: BandLayout, w: np.ndarray, noise_std: float, gains,
                    prior_std_s: float | None = None,
-                   search: SrlSearch = SrlSearch()) -> SrlResult:
-    """SRL of one pattern column under the offline gain/noise model."""
+                   search: SrlSearch = SrlSearch()) -> SrlResult | tuple[SrlResult, ...]:
+    """SRL of one pattern column (N,) under the offline gain/noise model, or a
+    tuple of one per column of a (Q, N) stack with equal pilot counts."""
     return srl_search(pattern_crb_provider(layout, w, noise_std, gains, prior_std_s), search)
 
 
@@ -345,17 +404,12 @@ def srl_at_most(crb_provider: Callable[[np.ndarray], np.ndarray], beta_s: float,
     A provider of (B,) CRBs (one column) gets a bool, one of (Q, B) CRBs (a
     stack) one verdict per column. The grid starts at min(step_s, beta_s),
     advances by step_s while below beta_s and ends at beta_s itself. The
-    first grid point with g >= 0 marks a crossing at or below beta_s, as in
-    ``srl_search``. The grid is scanned in ascending ``_SCAN_CHUNK``-point
-    chunks until every column has crossed. The EDA gate hands over only
-    columns that ``resolvable_at`` has already found failing at beta_s.
+    first grid point with g >= 0 marks a crossing at or below beta_s; it is
+    found by ``srl_search``'s chunked scan, which stops once every column has
+    crossed. The EDA gate hands over only columns that ``resolvable_at`` has
+    already found failing at beta_s.
     """
     grid = np.arange(min(step_s, beta_s), beta_s, step_s)
     grid = np.append(grid[grid < beta_s], beta_s)
-    hit = False
-    for start in range(0, len(grid), _SCAN_CHUNK):
-        chunk = grid[start:start + _SCAN_CHUNK]
-        hit = hit | np.any(_g(chunk, crb_provider(chunk)) >= 0, axis=-1)
-        if np.all(hit):
-            break
-    return hit if np.ndim(hit) else bool(hit)
+    hit = _first_crossings(crb_provider, grid)[0] >= 0
+    return hit if hit.ndim else bool(hit)

@@ -25,6 +25,7 @@ __all__ = [
     "channel_frequency_response",
     "synthesize_received",
     "uniform_patterns",
+    "check_budgets",
     "random_patterns",
     "check_path_draw",
     "draw_channels",
@@ -354,12 +355,20 @@ def uniform_patterns(layout: BandLayout, n_groups: int,
     return PatternSet.from_indices(n, cols)
 
 
+def check_budgets(budgets: Sequence[int], n_subcarriers: int) -> None:
+    """Raise ValueError unless every group has a positive pilot budget and the
+    budgets together fit on n_subcarriers non-overlapping subcarriers."""
+    if any(p < 1 for p in budgets):
+        raise ValueError("every group needs a positive pilot budget")
+    if sum(budgets) > n_subcarriers:
+        raise ValueError("total pilot budget exceeds the number of subcarriers")
+
+
 def random_patterns(layout: BandLayout, n_groups: int, budgets: Sequence[int],
                     seed: int = 0) -> PatternSet:
     """Baseline 2: a uniform draw over all non-overlapping fixed-budget masks."""
     n = layout.n_total
-    if sum(budgets) > n:
-        raise ValueError("total pilot budget exceeds the number of subcarriers")
+    check_budgets(budgets, n)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     cols, start = [], 0

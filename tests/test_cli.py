@@ -204,6 +204,16 @@ class TestOptimizeArtifacts(object):
         cfg.write_text(TOY_INI + "beta_s = 1e-13, 1e-13\n[output]\nseed = 0\n")
         assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 3
 
+    def test_reference_without_srl_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        # no random reference column has its SRL below 2 ns: no beta, exit code 3
+        cfg.write_text(TOY_INI + "tau_hi_s = 2e-9\n")
+        assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "random reference pattern has no SRL in the search range" in out.err
+        assert not list(tmp_path.glob("pattern_*.json"))
+
     @pytest.mark.parametrize("band,line,message", [
         ("single", "gate_step_s = 0", "gate step"),
         ("single", "gate_step_s = -1e-11", "gate step"),

@@ -7,8 +7,8 @@ import pilotforge as pf
 from pilotforge import optimizer, resolution
 from pilotforge.ambiguity import SidelobeRegion, isl_matrix
 from pilotforge.optimizer import (EdaConfig, InfeasibleSamplingError, _fitness_many,
-                                  _repair, _srl_gate, random_srl_reference, run_eda,
-                                  sample_individual, update_probabilities)
+                                  _repair, _round_block, _srl_gate, random_srl_reference,
+                                  run_eda, sample_individual, update_probabilities)
 from pilotforge.resolution import (SrlSearch, pattern_crb_provider, srl_at_most,
                                    srl_of_pattern)
 
@@ -192,6 +192,19 @@ class TestSampleIndividual:
             sample_individual(np.full((8, 1), 1.5), [2], None, 0, 1, 1)
         with pytest.raises(ValueError):
             sample_individual(np.full((8, 1), 0.5), [2], None, 0, 1, 0)
+
+
+class TestRoundBlock:
+    def test_pending_rows_are_the_full_blocks_rows(self):
+        shape = (32, 2)
+        full = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(3, 2))).random(
+            (40,) + shape)
+        rng = np.random.default_rng(0)
+        for slots in ([0], [39], [0, 39], [0, 1, 2, 7, 8, 20, 38, 39], [5, 6, 7],
+                      [1, 3, 5, 38], list(range(40)),
+                      np.flatnonzero(rng.random(40) < 0.3), np.flatnonzero(rng.random(40) < 0.7)):
+            slots = np.asarray(slots)
+            np.testing.assert_array_equal(_round_block(5, 3, 2, slots, shape), full[slots])
 
 
 class TestInitialPopulation:
@@ -453,10 +466,48 @@ class TestRunEda:
             run_eda(lay, cfg)
         assert err.value.attempts == cfg.retry_cap
 
+    def test_reference_without_srl_names_the_first_failing_draw(self):
+        # in a window that ends at 55 ns, some reference columns have no SRL;
+        # draw 2's group-1 column is the first in draw order, and group 0 first
+        # fails at a later draw, so a group-by-group order would name another
+        lay = toy_layout()
+        search = SrlSearch(tau_lo_s=0.1e-9, tau_hi_s=55e-9, step_s=0.1e-9, tol_s=1e-13)
+        cfg = toy_config(seed=9, final_search=search)
+        found = []
+        for d in range(cfg.beta_reference_draws):
+            seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0xBE7A, d))
+            pats = pf.random_patterns(lay, 2, cfg.budgets, seed=seed.generate_state(1)[0])
+            found.append([srl_of_pattern(lay, pats.column(g), cfg.offline_noise_std,
+                                         cfg.offline_gains, None, search).found
+                          for g in range(2)])
+        found = np.array(found)
+        first = int(np.flatnonzero(~found.all(axis=1))[0])
+        assert found[first, 0] and not found[first, 1]
+        assert np.flatnonzero(~found[:, 0])[0] > first
+        with pytest.raises(InfeasibleSamplingError,
+                           match="random reference pattern has no SRL in the search range; "
+                                 "widen the search grid") as err:
+            run_eda(lay, cfg)
+        assert err.value.attempts == first
+
     def test_budget_overflow_rejected(self):
         lay = toy_layout()
         with pytest.raises(ValueError):
             run_eda(lay, toy_config(budgets=(20, 20)))
+
+    @pytest.mark.parametrize("budgets", [(0, 8), (-2, 8), (20, 20)])
+    def test_budgets_have_one_check(self, budgets):
+        # run_eda, sample_individual and random_patterns all use check_budgets
+        message = "pilot budget"
+        with pytest.raises(ValueError, match=message):
+            run_eda(toy_layout(), toy_config(budgets=budgets))
+        with pytest.raises(ValueError, match=message):
+            sample_individual(np.full((32, 2), 0.5), budgets, None, 0, 1, 1)
+        with pytest.raises(ValueError, match=message):
+            pf.random_patterns(toy_layout(), 2, budgets)
+        with pytest.raises(ValueError, match=message):
+            pf.waveform.check_budgets(budgets, 32)
+        pf.waveform.check_budgets((16, 16), 32)
 
 
 class TestEdaConfigValidation:

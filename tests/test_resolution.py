@@ -143,7 +143,8 @@ class TestFimMultiband:
             f, band, nloc, spacings, m = self.support(lay, w)
             dts = rng.uniform(0.01e-9, 50e-9, batch)
             table = lay.moment_weights[np.flatnonzero(w)]
-            J = _fim_batch(f, table, SIGMA, gains, dts, 1e-9)
+            J = _fim_batch(np.exp(2j * np.pi * dts[:, None] * f), table,
+                           table.sum(axis=0, keepdims=True), SIGMA, gains, 1e-9)
             ref, ref_obs = fim_multiband_loop(f, band, nloc, spacings, m, SIGMA, gains,
                                               dts, 1e-9)
             assert J.shape == ref.shape == (batch, 6 + 2 * m - 1, 6 + 2 * m - 1)
@@ -397,6 +398,23 @@ class TestStackProvider:
         for b in range(len(dts)):
             assert got[1, b] == pytest.approx(crb_delta_tau_quadform(J[b]), rel=1e-12)
 
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    def test_rows_at_per_column_separations_are_each_column_alone(self, mode, layout_single,
+                                                                  layout_multi):
+        lay, prior = (layout_single, None) if mode == "single" else (layout_multi, 1e-9)
+        cols = random_columns(lay.n_total, 40, 6, seed=8)
+        rng = np.random.default_rng(8)
+        for per_column in (np.geomspace(0.3e-9, 30e-9, 6)[:, None],
+                           rng.uniform(0.5e-9, 5e-9, (6, 3))):
+            got = pattern_crb_provider(lay, cols, SIGMA, GAINS, prior)(per_column)
+            J = fim(lay, cols, SIGMA, GAINS, per_column, prior)
+            assert got.shape == per_column.shape
+            for q in range(6):   # bit for bit against the column alone at its separations
+                np.testing.assert_array_equal(
+                    got[q], pattern_crb_provider(lay, cols[q], SIGMA, GAINS, prior)(per_column[q]))
+                np.testing.assert_array_equal(
+                    J[q], fim(lay, cols[q], SIGMA, GAINS, per_column[q], prior))
+
     def test_crb_batch_decides_each_fim_on_its_own(self, layout_multi):
         cols = random_columns(layout_multi.n_total, 60, 3, seed=9)
         cols[1] = 0
@@ -565,6 +583,59 @@ class TestSrlSearch:
             else:
                 assert abs(res.srl_s - root) <= search.tol_s
             assert res.crb_at_srl_s2 == root**2
+
+    def test_stacked_search_is_each_row_alone(self):
+        # sqrt(CRB) = root_q everywhere for row q: a root exactly on the grid
+        # (g = 0 there), one below the window, none in it, and roots inside
+        # grid intervals of the first and of a later chunk
+        search = SrlSearch(1e-9, 20e-9, 0.05e-9, 1e-13)
+        grid = search.grid()
+        on_grid = grid[150]
+        assert np.sqrt(on_grid**2) == on_grid
+        roots = np.array([on_grid, 0.5e-9, 30e-9, 0.5 * (grid[10] + grid[11]),
+                          0.5 * (grid[200] + grid[201])])
+        calls = []
+
+        def provider(dts):
+            calls.append(np.shape(dts))
+            return roots[:, None] ** 2 + 0 * np.asarray(dts)   # (Q, B) or (Q, 1)
+
+        got = srl_search(provider, search)
+        assert isinstance(got, tuple) and len(got) == len(roots)
+        for q, root in enumerate(roots):
+            alone = srl_search(lambda dts, r=root: np.full(np.shape(dts), r**2), search)
+            assert (got[q].srl_s, got[q].crb_at_srl_s2, got[q].below_range) == \
+                (alone.srl_s, alone.crb_at_srl_s2, alone.below_range)
+            assert got[q].search == search
+        assert got[0].srl_s == on_grid and got[1].below_range and not got[2].found
+        assert not got[2].below_range and got[3].found and got[4].found
+        # the chunks are shared until every row has crossed (row 2 never does),
+        # then every call asks one separation per row
+        n_chunks = -(-len(grid) // _SCAN_CHUNK)
+        assert calls[:n_chunks] == [(len(grid[i:i + _SCAN_CHUNK]),)
+                                    for i in range(0, len(grid), _SCAN_CHUNK)]
+        assert calls[n_chunks:] and set(calls[n_chunks:]) == {(len(roots), 1)}
+
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    def test_stacked_srl_of_pattern_is_each_column_alone(self, mode, layout_single,
+                                                         layout_multi):
+        lay, prior = (layout_single, None) if mode == "single" else (layout_multi, 1e-9)
+        n = lay.n_total
+        cols = random_columns(n, 40, 8, seed=3)
+        cols[0] = 0
+        cols[0, :40] = 1                     # a narrow aperture: the largest SRL
+        wide = [srl_of_pattern(lay, c, SIGMA, GAINS, prior, SrlSearch(0.01e-9, 400e-9, 0.01e-9))
+                for c in cols]
+        srls = np.sort([res.srl_s for res in wide])
+        # a window that the smallest SRL lies below and the largest above
+        search = SrlSearch(0.5 * (srls[0] + srls[1]), 0.5 * (srls[-2] + srls[-1]), 0.01e-9)
+        got = srl_of_pattern(lay, cols, SIGMA, GAINS, prior, search)
+        alone = [srl_of_pattern(lay, c, SIGMA, GAINS, prior, search) for c in cols]
+        assert [(r.srl_s, r.crb_at_srl_s2, r.below_range) for r in got] == \
+            [(r.srl_s, r.crb_at_srl_s2, r.below_range) for r in alone]
+        assert sum(r.below_range for r in got) == 1
+        assert sum(not r.found and not r.below_range for r in got) == 1
+        assert sum(r.found for r in got) == len(cols) - 2
 
     def test_uniform_block_regression(self, layout_single):
         w = np.zeros(256, dtype=np.uint8)
