@@ -35,6 +35,9 @@ from .waveform import (BandLayout, PatternSet, Subband, check_budgets,
 __all__ = ["ExperimentConfig", "ConfigError", "main"]
 
 PATTERN_FORMAT = "pilotforge-pattern-v1"
+# the [srl] and [eda] options that are EdaConfig fields of the same name
+_EDA_OPTIONS = {"srl": ("gate_step_s", "beta_margin", "beta_reference_draws"),
+                "eda": ("population", "elite", "iterations", "retry_cap")}
 
 
 class ConfigError(ValueError):
@@ -85,12 +88,9 @@ def _defaults() -> dict:
             "noise_std": eda["offline_noise_std"],
             "prior_std_s": eda["prior_std_s"],
         },
-        "srl": {
-            **asdict(SrlSearch()),
-            **{key: eda[key] for key in ("gate_step_s", "beta_margin", "beta_reference_draws")},
-            "beta_s": [],
-        },
-        "eda": {key: eda[key] for key in ("population", "elite", "iterations", "retry_cap")},
+        "srl": {**asdict(SrlSearch()), **{key: eda[key] for key in _EDA_OPTIONS["srl"]},
+                "beta_s": []},
+        "eda": {key: eda[key] for key in _EDA_OPTIONS["eda"]},
         "pso": asdict(PsoConfig()),
         "sim": {
             "snr_db": [15.0],
@@ -175,7 +175,9 @@ class ExperimentConfig:
                 data = json.loads(text)
             # a pattern artifact reproduces its own run
             if data.get("format") == PATTERN_FORMAT:
-                return cls.from_mapping(data.get("config")).with_overrides(seed=data.get("seed"))
+                if type(data.get("seed")) is not int:
+                    raise ConfigError(f"pattern artifact {path} needs an integer seed")
+                return cls.from_mapping(data.get("config")).with_overrides(seed=data["seed"])
             return cls.from_mapping(data)
         parser = configparser.ConfigParser()
         try:
@@ -208,85 +210,68 @@ class ExperimentConfig:
         b = self.values["band"]
         with _as_config_error():
             if self.mode == "single":
-                return BandLayout.single(int(b["subcarriers"]), float(b["spacing_hz"]),
-                                         float(b["center_hz"]))
+                return BandLayout.single(b["subcarriers"], b["spacing_hz"], b["center_hz"])
             lists = b["multi_centers_hz"], b["multi_spacings_hz"], b["multi_counts"]
             if len(set(map(len, lists))) != 1:
                 raise ConfigError("multi_centers_hz, multi_spacings_hz and multi_counts "
                                   "must have equal lengths")
-            return BandLayout.multiband([Subband(c, s, int(n)) for c, s, n in zip(*lists)])
+            return BandLayout.multiband([Subband(*sub) for sub in zip(*lists)])
 
     def budgets(self) -> list[int]:
         u = self.values["users"]
         key = "budgets" if self.mode == "single" else "multi_budgets"
-        raw = u[key]
-        if not raw or len(raw) != int(u["groups"]):
+        budgets = list(u[key])
+        if not budgets or len(budgets) != u["groups"]:
             raise ConfigError(f"users.groups must be at least 1, and {key} must "
                               "list one budget per group")
-        budgets = [int(p) for p in raw]
         with _as_config_error(f"users.{key}: "):
             check_budgets(budgets, self.layout().n_total)
         return budgets
 
     def n_codes(self) -> int:
-        codes = int(self.values["users"]["codes"])
+        codes = self.values["users"]["codes"]
         with _as_config_error("users.codes: "):
             orthogonal_sequence_family(self.layout().n_total, codes)
         return codes
 
     def region(self) -> SidelobeRegion:
-        r = self.values["region"]
         with _as_config_error():
-            return SidelobeRegion(float(r["a_s"]), float(r["b_s"]))
+            return SidelobeRegion(**self.values["region"])
 
     def srl_search(self) -> SrlSearch:
         s = self.values["srl"]
         with _as_config_error():
-            return SrlSearch(float(s["tau_lo_s"]), float(s["tau_hi_s"]),
-                             float(s["step_s"]), float(s["tol_s"]))
+            return SrlSearch(**{f.name: s[f.name] for f in fields(SrlSearch)})
 
     def offline_model(self) -> tuple[tuple[float, float], float, float]:
         """The SRL model's (gains, noise std, timing-offset prior std), checked
         by ``check_offline_model`` for this layout."""
         o, layout = self.values["offline"], self.layout()
-        gains = float(o["gain1"]), float(o["gain2"])
-        noise, prior = float(o["noise_std"]), float(o["prior_std_s"])
+        gains, noise, prior = (o["gain1"], o["gain2"]), o["noise_std"], o["prior_std_s"]
         with _as_config_error("offline model: "):
             check_offline_model(layout, noise, gains, prior)
         return gains, noise, prior
 
     def eda_config(self) -> EdaConfig:
-        e, s = self.values["eda"], self.values["srl"]
-        beta = tuple(float(b) for b in s["beta_s"]) or None
         gains, noise, prior = self.offline_model()
+        named = {key: self.values[section][key]
+                 for section, keys in _EDA_OPTIONS.items() for key in keys}
         with _as_config_error():
             return EdaConfig(
-                budgets=tuple(self.budgets()),
-                region=self.region(),
-                population=int(e["population"]),
-                elite=int(e["elite"]),
-                iterations=int(e["iterations"]),
-                srl_ceilings_s=beta,
-                beta_margin=float(s["beta_margin"]),
-                beta_reference_draws=int(s["beta_reference_draws"]),
-                offline_gains=gains,
-                offline_noise_std=noise,
-                prior_std_s=prior,
-                retry_cap=int(e["retry_cap"]),
-                gate_step_s=float(s["gate_step_s"]),
-                final_search=self.srl_search(),
-                seed=self.seed,
-            )
+                budgets=tuple(self.budgets()), region=self.region(),
+                srl_ceilings_s=tuple(self.values["srl"]["beta_s"]) or None,
+                offline_gains=gains, offline_noise_std=noise, prior_std_s=prior,
+                final_search=self.srl_search(), seed=self.seed, **named)
 
     def pso_config(self) -> PsoConfig:
         with _as_config_error():
-            return PsoConfig(int(self.values["pso"]["max_paths"]))
+            return PsoConfig(**self.values["pso"])
 
     def af_sweep(self) -> np.ndarray:
         a = self.values["af"]
-        if int(a["points"]) < 1 or not np.isfinite(a["tau_max_s"]):
+        if a["points"] < 1 or not np.isfinite(a["tau_max_s"]):
             raise ConfigError("af.points must be at least 1 and af.tau_max_s finite")
-        return np.linspace(0.0, float(a["tau_max_s"]), int(a["points"]))
+        return np.linspace(0.0, a["tau_max_s"], a["points"])
 
     def canonical_json(self) -> str:
         return json.dumps(self.values, sort_keys=True, separators=(",", ":"))
@@ -438,8 +423,8 @@ def cmd_simulate(cfg: ExperimentConfig, pattern_paths: list[str], out_dir: Path)
     sim = cfg.values["sim"]
     if not sim["snr_db"]:
         raise ConfigError("sim.snr_db must list at least one SNR")
-    trials, n_paths = int(sim["trials"]), int(sim["n_paths"])
-    tau_max, sep = float(sim["tau_max_s"]), float(sim["min_separation_s"])
+    trials, n_paths = sim["trials"], sim["n_paths"]
+    tau_max, sep = sim["tau_max_s"], sim["min_separation_s"]
     layout, n_codes, pso = cfg.layout(), cfg.n_codes(), cfg.pso_config()
     with _as_config_error("sim: "):  # every SNR before the first trial
         for snr in sim["snr_db"]:
@@ -457,9 +442,9 @@ def cmd_simulate(cfg: ExperimentConfig, pattern_paths: list[str], out_dir: Path)
     rows = []
     for snr in sim["snr_db"]:
         out = run_extrapolation_sim(
-            layout, schemes, float(snr), trials=trials, n_codes=n_codes, n_paths=n_paths,
+            layout, schemes, snr, trials=trials, n_codes=n_codes, n_paths=n_paths,
             tau_max_s=tau_max, min_separation_s=sep, pso=pso, seed=cfg.seed)
-        rows.append([float(snr)] + [out[n].nmse for n in names]
+        rows.append([snr] + [out[n].nmse for n in names]
                     + [trials] + [out[n].failures for n in names])
     path = out_dir / f"nmse_{cfg.mode}.csv"
     _dump_csv(path, cfg, header, rows)

@@ -87,12 +87,11 @@ class PathEstimate:
     delays_s: np.ndarray
     gains: np.ndarray
     residual: float
-    n_paths: int
 
 
 @dataclass(frozen=True)
 class PsoConfig:
-    """Model-order settings of the maximum-likelihood path fit."""
+    """Cap on the delay-profile peaks the maximum-likelihood path fit starts from."""
 
     max_paths: int = 8
 
@@ -202,12 +201,13 @@ def _peaks(x: np.ndarray, height: float, distance: int = 1) -> tuple[np.ndarray,
 
 def profile_peak_delays(obs: DecoupledObservation,
                         max_paths: int = PsoConfig.max_paths) -> np.ndarray:
-    """Model-order initializer: delays of the gated delay-profile peaks.
+    """Delays of the gated delay-profile peaks, which the path fit starts from.
 
     Peaks are local maxima of the power profile |y^D|^2 no more than
     _PEAK_THRESHOLD_DB below the tallest one; the profile is zero-padded so
     gate-edge bins can qualify. Falls back to the single tallest bin when
-    nothing qualifies.
+    nothing qualifies, and keeps the max_paths tallest peaks when more
+    qualify. The fit resizes them to its given path count.
     """
     prof = np.abs(obs.delay_gated) ** 2
     if prof.max() == 0:
@@ -603,9 +603,9 @@ def _refine(model: _GatedModel, k: int, peaks: Sequence[np.ndarray], hi: float,
 
 def estimate_paths_psols(obs: DecoupledObservation | Sequence[DecoupledObservation],
                          w: np.ndarray, layout: BandLayout, pso: PsoConfig = PsoConfig(),
-                         n_paths: int | None = None, seed: int = 0
+                         *, n_paths: int, seed: int = 0
                          ) -> PathEstimate | list[PathEstimate]:
-    """Maximum-likelihood fit of the user's multipath parameters.
+    """Maximum-likelihood fit of the user's n_paths multipath parameters.
 
     The model is pushed through the same delay gate the observation went
     through, so a noiseless single-user observation is exactly representable
@@ -626,36 +626,31 @@ def estimate_paths_psols(obs: DecoupledObservation | Sequence[DecoupledObservati
     obs is one observation, giving one estimate, or a sequence of
     observations of the pattern column w (same gate), giving a list of
     estimates in the same order. A sequence is fitted as one stack, and each
-    observation gets the estimate it gets alone; it needs n_paths, since
-    without it each observation would pick its own model order. An explicit
-    n_paths must be at least 1. An ``EstimationError`` (too few pilots or
-    gate bins for n_paths paths or, with n_paths None, for even one path)
-    depends on the column alone.
+    observation gets the estimate it gets alone. The model order n_paths is
+    the caller's and must be at least 1; an ``EstimationError`` (fewer than
+    two pilots and two gate bins per path) depends on the column alone.
 
     The fit is deterministic: ``seed`` has no effect and is kept only so
     existing callers keep working.
     """
     observations, single, support = _observations(obs, w)
-    if n_paths is None and not single:
-        raise ValueError("a sequence of observations needs n_paths")
-    if n_paths is not None and n_paths < 1:
+    if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths}")
-    peaks = [profile_peak_delays(o, pso.max_paths) for o in observations]
     bins = len(observations[0].gate_bins)
-    most = min(len(support), bins) // 2  # each path takes two pilots and two gate bins
-    k = min(len(peaks[0]), pso.max_paths, most) if n_paths is None else int(n_paths)
-    if k > most or most < 1:
+    if n_paths > min(len(support), bins) // 2:  # each path takes two pilots and two gate bins
         raise EstimationError(f"{len(support)} pilots over {bins} "
-                              f"gate bins cannot identify {max(k, 1)} path(s)")
+                              f"gate bins cannot identify {n_paths} path(s)")
 
+    peaks = [profile_peak_delays(o, pso.max_paths) for o in observations]
     model = _GatedModel(observations, support)
     rows = np.arange(len(observations))
-    delays = _refine(model, k, peaks, observations[0].gate_s[1], observations[0].delay_bin_s)
+    delays = _refine(model, n_paths, peaks, observations[0].gate_s[1],
+                     observations[0].delay_bin_s)
     gains, res = model.fit(delays, rows)
     # gains were solved against grid-anchored frequencies; restore the
     # channel model's so reconstruction with the true steering is exact
     phase = np.exp(2j * np.pi * layout.channel_frequencies_hz[0] * delays)
-    out = [PathEstimate(delays[m], gains[m] * phase[m], float(res[m]), k) for m in rows]
+    out = [PathEstimate(delays[m], gains[m] * phase[m], float(res[m])) for m in rows]
     return out[0] if single else out
 
 

@@ -68,13 +68,12 @@ class SrlSearch:
 class SrlResult:
     """Outcome of the SRL search.
 
-    ``srl_s`` is None when no crossing was found on the grid;
-    ``below_range`` flags the case g(tau_lo) >= 0, i.e. the root lies below
-    the search window (the separation is resolvable everywhere scanned).
+    ``srl_s`` solves dtau = sqrt(CRB(dtau)), so the CRB there is srl_s**2 to
+    the search tolerance, or is None when no crossing was found on the grid;
+    ``below_range`` flags g(tau_lo) >= 0, a root below the search window.
     """
 
     srl_s: float | None
-    crb_at_srl_s2: float | None
     search: SrlSearch
     below_range: bool = False
 
@@ -382,9 +381,8 @@ def srl_search(crb_provider: Callable[[np.ndarray], np.ndarray],
     # a root on the grid (g = 0) is an empty bracket [grid[k], grid[k]]
     srl = _bisect_roots(crb_at, grid[np.where(found & (g_first != 0.0), k - 1, k)],
                         grid[k], search.tol_s)
-    crb = crb_at(np.where(found, srl, grid[0])) if np.any(found) else None
-    results = tuple(SrlResult(float(srl[q]), float(crb[q]), search) if found[q]
-                    else SrlResult(None, None, search, below_range=bool(first[q] == 0))
+    results = tuple(SrlResult(float(srl[q]), search) if found[q]
+                    else SrlResult(None, search, below_range=bool(first[q] == 0))
                     for q in range(len(first)))
     return results if stacked else results[0]
 

@@ -137,7 +137,7 @@ class TestIsl:
         w = np.zeros(256)
         w[:128] = 1
         lin = isl_matrix(layout_single, default_region).isl(w)
-        entry = _group_entry(w, lin, SrlResult(None, None, SrlSearch()))
+        entry = _group_entry(w, lin, SrlResult(None, SrlSearch()))
         assert entry["isl_db"] == pytest.approx(10 * np.log10(lin))
 
     def test_time_unit_scaling_invariance(self):

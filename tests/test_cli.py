@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 import json
 from pathlib import Path
 
@@ -6,7 +7,11 @@ import numpy as np
 import pytest
 
 from pilotforge import receiver
+from pilotforge.ambiguity import SidelobeRegion
 from pilotforge.cli import ExperimentConfig, ConfigError, main
+from pilotforge.optimizer import EdaConfig
+from pilotforge.receiver import PsoConfig
+from pilotforge.resolution import SrlSearch
 
 TOY_INI = """
 [band]
@@ -140,6 +145,39 @@ class TestConfig:
         assert {s: set(o) for s, o in documented.items()} == \
             {s: set(o) for s, o in default.values.items()}
         assert ExperimentConfig.from_mapping(documented) == default
+
+    def test_every_library_option_lands_in_its_field(self, tmp_path):
+        # every [offline], [srl], [eda] and [pso] option, each off its default
+        options = {
+            "offline": {"gain1": 0.8, "gain2": 0.6, "noise_std": 0.2, "prior_std_s": 2e-9},
+            "srl": {"tau_lo_s": 0.1e-9, "tau_hi_s": 40e-9, "step_s": 0.02e-9, "tol_s": 2e-13,
+                    "gate_step_s": 0.1e-9, "beta_margin": 1.2, "beta_reference_draws": 5,
+                    "beta_s": [3e-9, 4e-9]},
+            "eda": {"population": 50, "elite": 10, "iterations": 7, "retry_cap": 20},
+            "pso": {"max_paths": 5},
+        }
+        default = ExperimentConfig.default().values
+        assert {s: set(o) for s, o in options.items()} == {s: set(default[s]) for s in options}
+        assert all(v != default[s][k] for s, o in options.items() for k, v in o.items())
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[output]\nseed = 7\n" + "".join(
+            f"[{s}]\n" + "".join(f"{k} = {', '.join(map(str, v)) if isinstance(v, list) else v}\n"
+                                 for k, v in o.items())
+            for s, o in options.items()))
+        cfg = ExperimentConfig.from_file(ini)
+        search = {"tau_lo_s": 0.1e-9, "tau_hi_s": 40e-9, "step_s": 0.02e-9, "tol_s": 2e-13}
+        eda = {"budgets": (128, 128), "region": SidelobeRegion(65.1e-9, 4.1666667e-6),
+               "population": 50, "elite": 10, "iterations": 7, "srl_ceilings_s": (3e-9, 4e-9),
+               "beta_margin": 1.2, "beta_reference_draws": 5, "offline_gains": (0.8, 0.6),
+               "offline_noise_std": 0.2, "prior_std_s": 2e-9, "retry_cap": 20,
+               "gate_step_s": 0.1e-9, "final_search": SrlSearch(**search), "seed": 7}
+        for built, expected, cls in [(cfg.eda_config(), eda, EdaConfig),
+                                     (cfg.srl_search(), search, SrlSearch),
+                                     (cfg.pso_config(), options["pso"], PsoConfig)]:
+            assert {f.name for f in dataclasses.fields(cls)} == set(expected)
+            for name, value in expected.items():
+                got = getattr(built, name)
+                assert (got, type(got)) == (value, type(value)), name
 
     def test_band_override_and_layout(self):
         cfg = ExperimentConfig.default().with_overrides(mode="multi")
@@ -371,6 +409,8 @@ class TestMetricsCommands:
             # a pattern artifact given as the config reproduces its run from both keys
             ("--config", {k: v for k, v in data.items() if k != "config"}),
             ("--config", {**data, "seed": "abc"}),
+            ("--config", {k: v for k, v in data.items() if k != "seed"}),
+            ("--config", {**data, "seed": None}),
         ]
         capsys.readouterr()
         for option, payload in cases:

@@ -223,8 +223,8 @@ class TestPsoLs:
         tau = k / (256 * FS)
         alpha = 0.8 + 0.6j
         obs = single_user_obs(layout_single, [tau], [alpha])
-        est = estimate_paths_psols(obs, full_pattern(256), layout_single)
-        assert est.n_paths == 1
+        est = estimate_paths_psols(obs, full_pattern(256), layout_single, n_paths=1)
+        assert len(est.delays_s) == len(est.gains) == 1
         assert abs(est.delays_s[0] - tau) < 1e-12  # within 1e-3 ns
         assert abs(est.gains[0] - alpha) / abs(alpha) < 1e-6
         assert est.residual < 1e-20
@@ -273,17 +273,17 @@ class TestPsoLs:
             estimate_paths_psols(obs, w, layout_single, n_paths=2)
 
     @pytest.mark.parametrize("gate", [(1e-12, 2e-12), (0.0, 1e-12)], ids=["no-bin", "one-bin"])
-    def test_automatic_order_needs_two_gate_bins(self, layout_single, gate):
+    def test_one_path_needs_two_gate_bins(self, layout_single, gate):
         # a gate of no delay bin, or of one, cannot identify even one path's
-        # delay and complex gain, so the automatic order has nothing to fit
+        # delay and complex gain
         w = baseline_schemes(layout_single, 2, [128, 128], seed=1)["random"].column(0)
         seq = pf.orthogonal_sequence_family(256, 1)[0]
         rng = np.random.default_rng(1)
         y = rng.standard_normal(256) + 1j * rng.standard_normal(256)
         obs = decouple(layout_single, y, w, seq, gate)
         assert len(obs.gate_bins) == (1 if gate[0] == 0.0 else 0)
-        with pytest.raises(EstimationError, match="identify"):
-            estimate_paths_psols(obs, w, layout_single)
+        with pytest.raises(EstimationError, match="identify 1 path"):
+            estimate_paths_psols(obs, w, layout_single, n_paths=1)
 
     @pytest.mark.parametrize("n_paths", [0, -1])
     def test_explicit_path_count_must_be_positive(self, layout_single, n_paths):
@@ -311,7 +311,6 @@ class TestPsoLs:
         seq = pf.orthogonal_sequence_family(256, 1)[0]
         obs = decouple(layout_single, np.zeros(256, dtype=complex), w, seq, GATE)
         est = estimate_paths_psols(obs, w, layout_single, n_paths=2)
-        assert est.n_paths == 2
         assert len(est.delays_s) == len(est.gains) == 2
         assert est.residual == 0.0
 
@@ -500,7 +499,7 @@ class TestSearchStages:
 
     def test_sequence_needs_a_path_count_and_one_gate(self, layout_single, layout_multi):
         observations, w, layout = column_observations(layout_single, layout_multi, "single")
-        with pytest.raises(ValueError, match="n_paths"):
+        with pytest.raises(TypeError, match="n_paths"):  # a required keyword
             estimate_paths_psols(observations, w, layout)
         seq = pf.orthogonal_sequence_family(layout.n_total, 1)[0]
         wider = decouple(layout, np.zeros(layout.n_total, dtype=complex), w, seq, (0.0, 500e-9))
@@ -521,7 +520,7 @@ class TestExtrapolation:
         from pilotforge.receiver import PathEstimate
         delays = np.array([60e-9, 245e-9])
         gains = np.array([0.9 - 0.1j, 0.2 + 0.7j])
-        est = PathEstimate(delays, gains, 0.0, 2)
+        est = PathEstimate(delays, gains, 0.0)
         h = pf.channel_frequency_response(layout_multi, delays, gains)
         np.testing.assert_allclose(extrapolate_fullband(est, layout_multi), h,
                                    rtol=1e-12)
@@ -531,7 +530,7 @@ class TestExtrapolation:
         rng = np.random.default_rng(12)
         w = np.zeros(256)
         w[rng.permutation(256)[:100]] = 1
-        est = PathEstimate(np.array([80e-9]), np.array([1.1 + 0j]), 0.0, 1)
+        est = PathEstimate(np.array([80e-9]), np.array([1.1 + 0j]), 0.0)
         h_hat = extrapolate_fullband(est, layout_single)
         model = pf.channel_frequency_response(layout_single, [80e-9], [1.1])
         np.testing.assert_allclose(w * h_hat, w * model, rtol=1e-12)
@@ -541,10 +540,10 @@ class TestExtrapolation:
         tau = 120e-9
         eps = 1e-15
         up = extrapolate_fullband(
-            PathEstimate(np.array([tau + eps]), np.array([1.0 + 0j]), 0.0, 1),
+            PathEstimate(np.array([tau + eps]), np.array([1.0 + 0j]), 0.0),
             layout_single)
         dn = extrapolate_fullband(
-            PathEstimate(np.array([tau - eps]), np.array([1.0 + 0j]), 0.0, 1),
+            PathEstimate(np.array([tau - eps]), np.array([1.0 + 0j]), 0.0),
             layout_single)
         fd = (up - dn) / (2 * eps)
         f = layout_single.pinned_frequencies_hz

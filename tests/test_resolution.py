@@ -520,7 +520,7 @@ class TestSrlSearch:
         res = srl_search(provider, SrlSearch(1e-9, 20e-9, 0.01e-9, 1e-13))
         assert res.found
         assert res.srl_s == pytest.approx(target, abs=1e-13 + 1e-16)
-        assert np.sqrt(res.crb_at_srl_s2) == pytest.approx(res.srl_s, rel=1e-9)
+        assert np.sqrt(provider(np.array([res.srl_s]))[0]) == pytest.approx(res.srl_s, rel=1e-9)
 
     def test_no_root_reported_not_fabricated(self):
         def provider(dts):
@@ -542,7 +542,7 @@ class TestSrlSearch:
         # sqrt(CRB) = root everywhere, so g >= 0 from the first grid point at
         # or above root on. The provider logs every call: the scan must pass
         # whole ascending chunks of the grid and stop after the chunk holding
-        # that point; bisection and the CRB at the SRL then ask single points
+        # that point; bisection then asks single points
         search = SrlSearch()
         grid = search.grid()
         last_chunk = (len(grid) - 1) // _SCAN_CHUNK * _SCAN_CHUNK
@@ -578,11 +578,10 @@ class TestSrlSearch:
         else:
             assert res.found and not res.below_range
             assert all(grid[k - 1] <= call[0] <= grid[k] for call in rest)
-            if case == "on_grid":
-                assert res.srl_s == root and len(rest) == 1
+            if case == "on_grid":  # read off the grid, with no bisection
+                assert res.srl_s == root and not rest
             else:
-                assert abs(res.srl_s - root) <= search.tol_s
-            assert res.crb_at_srl_s2 == root**2
+                assert abs(res.srl_s - root) <= search.tol_s and rest
 
     def test_stacked_search_is_each_row_alone(self):
         # sqrt(CRB) = root_q everywhere for row q: a root exactly on the grid
@@ -604,8 +603,7 @@ class TestSrlSearch:
         assert isinstance(got, tuple) and len(got) == len(roots)
         for q, root in enumerate(roots):
             alone = srl_search(lambda dts, r=root: np.full(np.shape(dts), r**2), search)
-            assert (got[q].srl_s, got[q].crb_at_srl_s2, got[q].below_range) == \
-                (alone.srl_s, alone.crb_at_srl_s2, alone.below_range)
+            assert (got[q].srl_s, got[q].below_range) == (alone.srl_s, alone.below_range)
             assert got[q].search == search
         assert got[0].srl_s == on_grid and got[1].below_range and not got[2].found
         assert not got[2].below_range and got[3].found and got[4].found
@@ -631,8 +629,8 @@ class TestSrlSearch:
         search = SrlSearch(0.5 * (srls[0] + srls[1]), 0.5 * (srls[-2] + srls[-1]), 0.01e-9)
         got = srl_of_pattern(lay, cols, SIGMA, GAINS, prior, search)
         alone = [srl_of_pattern(lay, c, SIGMA, GAINS, prior, search) for c in cols]
-        assert [(r.srl_s, r.crb_at_srl_s2, r.below_range) for r in got] == \
-            [(r.srl_s, r.crb_at_srl_s2, r.below_range) for r in alone]
+        assert [(r.srl_s, r.below_range) for r in got] == \
+            [(r.srl_s, r.below_range) for r in alone]
         assert sum(r.below_range for r in got) == 1
         assert sum(not r.found and not r.below_range for r in got) == 1
         assert sum(r.found for r in got) == len(cols) - 2
@@ -647,7 +645,7 @@ class TestSrlSearch:
     def test_smallest_root_wins(self):
         # sqrt(CRB) crosses dtau twice: once exactly on a grid point (g == 0
         # there) and once inside a grid interval, in either order. The SRL is
-        # the first crossing, with the CRB there
+        # the first crossing, where the provider gives the first root's CRB
         search = SrlSearch(1e-9, 20e-9, 0.5e-9, 1e-13)
         grid = search.grid()
         on_grid = grid[25]                 # 13.5 ns
@@ -671,7 +669,7 @@ class TestSrlSearch:
             res = srl_search(provider, search)
             assert res.found and not res.below_range
             assert abs(res.srl_s - first) <= tol
-            assert res.crb_at_srl_s2 == first**2
+            assert provider(np.array([res.srl_s]))[0] == first**2
 
     def test_srl_monotone_in_noise(self, layout_single):
         w = random_column(256, 128, seed=14)

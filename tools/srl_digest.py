@@ -4,13 +4,12 @@ For seeds 1, 15 and 301 and both bands, runs ``run_eda`` at the default
 config's settings for that band and seed. Every ``SrlResult`` that
 ``optimizer.srl_of_pattern`` returns, those of the beta reference and of the
 final SRL, feeds one SHA-256 per run together with its pattern column: the
-column's bytes, then the float64 bytes of its ``srl_s``, ``crb_at_srl_s2``
-(NaN for None) and ``below_range``. The pairs are hashed in the order of
-their column bytes, so a search that takes its columns one at a time and
-one that takes them as a stack hash alike when every result is bit for bit
-the same. The pattern artifacts record neither ``crb_at_srl_s2`` nor the
-reference's results. It prints one markdown row per run,
-``| <seed> | <band> | <results> | <sha256> |``.
+column's bytes, then the float64 bytes of its ``srl_s`` (NaN for None) and
+``below_range``. The pairs are hashed in the order of their column bytes,
+so a search that takes its columns one at a time and one that takes them as
+a stack hash alike when every result is bit for bit the same. The pattern
+artifacts do not record the reference's results. It prints one markdown row
+per run, ``| <seed> | <band> | <results> | <sha256> |``.
 
     python3 tools/srl_digest.py
 """
@@ -33,9 +32,8 @@ BANDS = ("single", "multi")
 
 
 def result_bytes(res) -> bytes:
-    return np.array([np.nan if res.srl_s is None else res.srl_s,
-                     np.nan if res.crb_at_srl_s2 is None else res.crb_at_srl_s2,
-                     res.below_range], dtype=np.float64).tobytes()
+    return np.array([np.nan if res.srl_s is None else res.srl_s, res.below_range],
+                    dtype=np.float64).tobytes()
 
 
 def digest(seed: int, band: str) -> tuple[int, str]:
