@@ -6,6 +6,12 @@ timing offsets delta_1..delta_M (with a Gaussian prior on the latter) in the
 multiband case. All information-matrix entries depend on the delays only
 through tau_2 - tau_1, so a common delay shift never changes anything here.
 
+The SRL needs only CRB(tau_2 - tau_1), and no CRB here calls LAPACK. On a
+single band it is a closed form in each column's support moments (the 2x2
+delay information left after eliminating the complex gains), with no FIM
+built. On a multiband layout ``crb_batch`` eliminates the nuisances of each
+built FIM one pivot at a time, vectorized over the stack.
+
 The SRL is the smallest delay separation solving dtau = sqrt(CRB(dtau)). With
 g(dtau) = dtau - sqrt(CRB(dtau)), it is located by a grid scan for the first
 crossing, the first grid point with g >= 0, in ascending chunks that stop at
@@ -38,9 +44,7 @@ __all__ = [
     "srl_at_most",
 ]
 
-# largest condition number of the Jacobi-scaled FIM still counted as resolvable
-_COND_CAP = 1e12
-# grid points per FIM batch of the SRL scan; the scan stops at the first
+# grid points per CRB batch of the SRL scan; the scan stops at the first
 # chunk with a crossing, which sits near the grid's start for useful patterns
 _SCAN_CHUNK = 64
 
@@ -176,6 +180,23 @@ def check_offline_model(layout: BandLayout, noise_std: float, gains,
         raise ValueError("multiband FIM needs a positive, finite timing-offset prior std")
 
 
+def _supports(layout: BandLayout, columns: np.ndarray) -> tuple[tuple[int, ...], np.ndarray,
+                                                                np.ndarray]:
+    """(leading shape, (Q, S) support indices, (N,) mask of the subcarriers some
+    column uses) of one pattern column (N,) or a (Q, N) stack of columns with
+    equal positive pilot counts; ValueError for anything else."""
+    cols = np.asarray(columns)
+    n = layout.n_total
+    if cols.ndim not in (1, 2) or cols.shape[-1] != n:
+        raise ValueError("need one pattern column or a (Q, N) stack of them for this layout")
+    stack = cols.reshape(-1, n) != 0
+    counts = np.count_nonzero(stack, axis=1)
+    if counts.size == 0 or counts[0] == 0 or np.any(counts != counts[0]):
+        raise ValueError("pattern columns need the same positive pilot count")
+    sup = np.flatnonzero(stack).reshape(len(stack), -1) - n * np.arange(len(stack))[:, None]
+    return cols.shape[:-1], sup, np.any(stack, axis=0)
+
+
 def _fim_builder(layout: BandLayout, columns: np.ndarray, noise_std: float, gains,
                  prior_std_s: float | None) -> Callable[[np.ndarray], np.ndarray]:
     """dtaus -> FIM stack (..., B, D, D) for one column (N,) or a stack of
@@ -189,21 +210,12 @@ def _fim_builder(layout: BandLayout, columns: np.ndarray, noise_std: float, gain
     """
     check_offline_model(layout, noise_std, gains, prior_std_s)
     gains = np.asarray(gains, dtype=complex)
-    cols = np.asarray(columns)
-    n = layout.n_total
-    if cols.ndim not in (1, 2) or cols.shape[-1] != n:
-        raise ValueError("need one pattern column or a (Q, N) stack of them for this layout")
-    stack = cols.reshape(-1, n) != 0
-    counts = np.count_nonzero(stack, axis=1)
-    if counts.size == 0 or counts[0] == 0 or np.any(counts != counts[0]):
-        raise ValueError("pattern columns need the same positive pilot count")
-    sup = np.flatnonzero(stack).reshape(len(stack), -1) - n * np.arange(len(stack))[:, None]
+    lead, sup, used = _supports(layout, columns)
     if layout.mode == "single":  # the model has no nuisances, so no prior to read
-        f = np.arange(n) * layout.subbands[0].spacing_hz
+        f = np.arange(layout.n_total) * layout.subbands[0].spacing_hz
         table, prior_std_s = np.stack([np.ones_like(f), f, f**2], axis=-1), None
     else:
         f, table = layout.pinned_frequencies_hz, layout.moment_weights
-    used = np.any(stack, axis=0)
     f_used = f[used]
     at = np.take(np.cumsum(used) - 1, sup)[:, None, :]      # (Q, 1, S) into f_used
     weights = np.take(table, sup, axis=0)
@@ -218,7 +230,7 @@ def _fim_builder(layout: BandLayout, columns: np.ndarray, noise_std: float, gain
         rows = np.arange(dt.size).reshape(dt.shape) * len(f_used)
         J = _fim_batch(np.take(phases, rows[..., None] + at), weights, plain,
                        noise_std, gains, prior_std_s)
-        return J.reshape(cols.shape[:-1] + J.shape[1:])
+        return J.reshape(lead + J.shape[1:])
 
     return fims
 
@@ -247,35 +259,93 @@ def crb_batch(J: np.ndarray) -> np.ndarray:
     """CRB of tau_2 - tau_1 for each FIM of a (..., D, D) stack, +inf where unresolvable.
 
     This is the (1,1)+(2,2)-(1,2)-(2,1) combination of the inverse FIM, each
-    FIM decided on its own. A nuisance with an exactly zero row (of a subband
-    the pattern never touches, with no prior) gets a unit diagonal entry: so
-    decoupled, it changes neither the delay block of the inverse nor the
-    extreme eigenvalues of the unit-diagonal Jacobi-scaled D J D, on which
-    conditioning is tested (the raw FIM mixes seconds and unit gains).
+    FIM decided on its own, read off the 2x2 delay block of the Schur
+    complement that eliminating the nuisances D-1 .. 2 leaves, one pivot at a
+    time over the whole stack. The FIM is Jacobi-scaled to a unit diagonal
+    first (the raw FIM mixes seconds and unit gains), and a nuisance with an
+    exactly zero row (of a subband the pattern never touches, with no prior)
+    gets a unit diagonal entry: so decoupled, it leaves the delay block
+    unchanged. A non-positive diagonal entry or pivot, a non-positive 2x2
+    determinant, or a CRB that is not finite and positive gives +inf.
     """
     J = np.asarray(J, dtype=float)
     shape, dim = J.shape[:-2], J.shape[-1]
     idle = np.all(J == 0.0, axis=-1) & (np.arange(dim) >= 2)  # never the delays
     J = (J + idle[..., None] * np.eye(dim)).reshape(-1, dim, dim)
-    out = np.full(len(J), np.inf)
     diag = np.diagonal(J, axis1=1, axis2=2)
     ok = np.all(diag > 0, axis=1)
-    if not np.any(ok):
-        return out.reshape(shape)
     ds = np.sqrt(np.where(diag > 0, diag, 1.0))
-    Js = J / (ds[:, :, None] * ds[:, None, :])
-    if not ok.all():
-        Js[~ok] = np.eye(dim)  # placeholder keeps the batched algebra finite
-    eig = np.linalg.eigvalsh(Js)
-    ok &= (eig[:, 0] > 0) & (eig[:, -1] <= _COND_CAP * np.maximum(eig[:, 0], 1e-300))
-    if np.any(ok):
-        Ji = np.linalg.inv(Js[ok])
-        d00 = ds[ok, 0]
-        d11 = ds[ok, 1]
-        val = (Ji[:, 0, 0] / d00**2 + Ji[:, 1, 1] / d11**2
-               - (Ji[:, 0, 1] + Ji[:, 1, 0]) / (d00 * d11))
-        out[np.flatnonzero(ok)[val > 0]] = val[val > 0]
-    return out.reshape(shape)
+    s = J / (ds[:, :, None] * ds[:, None, :])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(dim - 1, 1, -1):
+            ok &= s[:, k, k] > 0
+            pivot = np.where(ok, s[:, k, k], 1.0)[:, None, None]
+            col = s[:, :k, k]
+            # col_i col_j / pivot keeps the remaining block exactly symmetric
+            s[:, :k, :k] -= col[:, :, None] * col[:, None, :] / pivot
+        a, b, c = s[:, 0, 0], s[:, 0, 1], s[:, 1, 1]
+        u0, u1 = 1.0 / ds[:, 0], 1.0 / ds[:, 1]
+        det = a * c - b * b
+        val = (c * u0**2 + a * u1**2 + 2 * b * u0 * u1) / det
+    ok &= (det > 0) & np.isfinite(val) & (val > 0)
+    return np.where(ok, val, np.inf).reshape(shape)
+
+
+def _single_band_crbs(layout: BandLayout, columns: np.ndarray, noise_std: float,
+                      gains) -> Callable[[np.ndarray], np.ndarray]:
+    """``pattern_crb_provider`` of a single-band layout: the CRB of tau_2 -
+    tau_1 in closed form from each column's support moments, without a FIM.
+
+    With e_r = e^{-j 2 pi f tau_r}, G_k[r, s] = sum_S f^k conj(e_r) e_s holds
+    the plain sums P_k on its diagonal and C_k = sum_S f^k e^{j 2 pi f dtau}
+    at (2, 1). The complex gains are linear nuisances; eliminating them
+    leaves J_eff = (8 pi^2 / sigma^2) Re(conj(alpha_r) alpha_s M[r, s]), M =
+    G_2 - G_1 G_0^{-1} G_1, and CRB = (J_11 + J_22 + 2 J_12) / det J_eff,
+    elementwise over (Q, B). It is +inf where P_0^2 - |C_0|^2 <= 1e-12 P_0^2
+    (the two paths' steering vectors are collinear on the support), where
+    det J_eff <= 0, or where the CRB is not finite and positive. J_eff does
+    not depend on the frequency origin (a shift of f moves the delay
+    derivatives along the gains' directions), so each column measures f from
+    its own mean, which keeps the moments well conditioned. Each column
+    gathers its phases from one per-separation table into a contiguous (Q,
+    B, S) array summed along S, so a stack's row is the column alone.
+    """
+    check_offline_model(layout, noise_std, gains, None)
+    al = np.asarray(gains, dtype=complex)
+    lead, sup, used = _supports(layout, columns)
+    f = np.arange(layout.n_total) * layout.subbands[0].spacing_hz
+    f_used = f[used]
+    at = np.take(np.cumsum(used) - 1, sup)[:, None, :]      # (Q, 1, S) into f_used
+    fc = f[sup]
+    fc = (fc - fc.mean(axis=-1, keepdims=True))[:, None, :]
+    p0 = float(sup.shape[1])
+    p1, p2 = fc.sum(axis=-1), (fc * fc).sum(axis=-1)          # (Q, 1)
+    k = 8 * np.pi**2 / noise_std**2
+    w11, w22, w12 = k * abs(al[0]) ** 2, k * abs(al[1]) ** 2, k * np.conj(al[0]) * al[1]
+
+    def crbs(dtaus: np.ndarray) -> np.ndarray:
+        dt = np.atleast_1d(np.asarray(dtaus, dtype=float))
+        phases = np.exp(2j * np.pi * dt[..., None] * f_used)   # (B, U) or (Q, B, U)
+        rows = np.arange(dt.size).reshape(dt.shape) * len(f_used)
+        e = np.take(phases, rows[..., None] + at)             # (Q, B, S)
+        c0 = e.sum(axis=-1)
+        e *= fc
+        c1 = e.sum(axis=-1)
+        e *= fc
+        c2 = e.sum(axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            det0 = p0**2 - (c0 * c0.conj()).real
+            m_d = p2 - (p0 * (p1**2 + (c1 * c1.conj()).real)
+                        - 2 * p1 * (c1.conj() * c0).real) / det0
+            m_21 = c2 - (2 * p0 * p1 * c1 - p1**2 * c0 - c1**2 * c0.conj()) / det0
+            j11, j22, j12 = w11 * m_d, w22 * m_d, (w12 * m_21.conj()).real
+            det = j11 * j22 - j12**2
+            crb = (j11 + j22 + 2 * j12) / det
+        ok = (det0 > 1e-12 * p0**2) & (det > 0) & np.isfinite(crb) & (crb > 0)
+        out = np.where(ok, crb, np.inf)
+        return out.reshape(lead + out.shape[1:])
+
+    return crbs
 
 
 def pattern_crb_provider(layout: BandLayout, w: np.ndarray, noise_std: float, gains,
@@ -283,7 +353,13 @@ def pattern_crb_provider(layout: BandLayout, w: np.ndarray, noise_std: float, ga
                          ) -> Callable[[np.ndarray], np.ndarray]:
     """dtaus (B,) -> CRBs under the offline model, (B,) for one pattern column
     and (Q, B) for a (Q, N) stack with equal pilot counts, each row as alone.
-    A stack also takes per-column separations, (Q, B), row q for column q."""
+    A stack also takes per-column separations, (Q, B), row q for column q.
+
+    A single-band layout gets the closed form of ``_single_band_crbs``, with
+    no FIM; a multiband one builds the FIMs and hands them to ``crb_batch``.
+    """
+    if layout.mode == "single":   # the single-band model has no prior to read
+        return _single_band_crbs(layout, w, noise_std, gains)
     fims = _fim_builder(layout, w, noise_std, gains, prior_std_s)
     return lambda dtaus: crb_batch(fims(np.atleast_1d(dtaus)))
 
@@ -297,6 +373,8 @@ def resolvable_at(layout: BandLayout, columns: np.ndarray, noise_std: float, gai
     False decides nothing: the column may still have a root below beta_s,
     which only the ``srl_at_most`` scan finds.
     """
+    if not np.isfinite(beta_s):
+        raise ValueError("beta_s must be finite")
     beta = np.array([float(beta_s)])
     crb = pattern_crb_provider(layout, columns, noise_std, gains, prior_std_s)(beta)
     return _g(beta, crb)[..., 0] >= 0
@@ -407,6 +485,10 @@ def srl_at_most(crb_provider: Callable[[np.ndarray], np.ndarray], beta_s: float,
     crossed. The EDA gate hands over only columns that ``resolvable_at`` has
     already found failing at beta_s.
     """
+    if not np.isfinite(beta_s):
+        raise ValueError("beta_s must be finite")
+    if not 0 < step_s < np.inf:
+        raise ValueError("step_s must be positive and finite")
     grid = np.arange(min(step_s, beta_s), beta_s, step_s)
     grid = np.append(grid[grid < beta_s], beta_s)
     hit = _first_crossings(crb_provider, grid)[0] >= 0

@@ -199,6 +199,33 @@ def crb_delta_tau_quadform(J: np.ndarray, cond_cap: float = 1e12) -> float:
     return float(u @ np.linalg.solve(Js, u))
 
 
+def crb_eig_inv(J: np.ndarray, cond_cap: float = 1e12) -> np.ndarray:
+    """CRB of tau_2 - tau_1 for each FIM of a (..., D, D) stack from the whole
+    inverse, +inf where unresolvable: the delay corner of inv(J), each FIM on
+    its own. A nuisance with an exactly zero row gets a unit diagonal entry;
+    the FIM is Jacobi-scaled to a unit diagonal, and a non-positive smallest
+    eigenvalue or a condition number above cond_cap counts as unresolvable."""
+    J = np.asarray(J, dtype=float)
+    shape, dim = J.shape[:-2], J.shape[-1]
+    idle = np.all(J == 0.0, axis=-1) & (np.arange(dim) >= 2)  # never the delays
+    J = (J + idle[..., None] * np.eye(dim)).reshape(-1, dim, dim)
+    out = np.full(len(J), np.inf)
+    diag = np.diagonal(J, axis1=1, axis2=2)
+    ok = np.all(diag > 0, axis=1)
+    ds = np.sqrt(np.where(diag > 0, diag, 1.0))
+    Js = J / (ds[:, :, None] * ds[:, None, :])
+    Js[~ok] = np.eye(dim)  # placeholder keeps the batched algebra finite
+    eig = np.linalg.eigvalsh(Js)
+    ok &= (eig[:, 0] > 0) & (eig[:, -1] <= cond_cap * np.maximum(eig[:, 0], 1e-300))
+    if np.any(ok):
+        Ji = np.linalg.inv(Js[ok])
+        d00, d11 = ds[ok, 0], ds[ok, 1]
+        val = (Ji[:, 0, 0] / d00**2 + Ji[:, 1, 1] / d11**2
+               - (Ji[:, 0, 1] + Ji[:, 1, 0]) / (d00 * d11))
+        out[np.flatnonzero(ok)[val > 0]] = val[val > 0]
+    return out.reshape(shape)
+
+
 def fim_multiband_loop(f_support, band_support, nloc_support, band_spacings, n_bands,
                        noise_std, gains, delta_taus, prior_std_s):
     """Multiband FIM stacks (total, observation-only) summed band by band.

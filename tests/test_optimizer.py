@@ -29,6 +29,9 @@ def toy_layout():
     return pf.BandLayout.single(32, FS, 0.0)
 
 
+TOY_MULTI = pf.BandLayout.multiband([pf.Subband(3.5e9, FS, 17), pf.Subband(3.9e9, FS, 17)])
+
+
 def toy_config(seed=0, **kw):
     base = dict(budgets=(8, 8), region=TOY_REGION, population=100, elite=50,
                 iterations=40, gate_step_s=0.5e-9, final_search=TOY_SEARCH,
@@ -417,7 +420,8 @@ class TestRunEda:
 
     @pytest.mark.parametrize("ceilings", [None, (1e-6, 1e-6)])
     def test_traced_names_stay_live(self, monkeypatch, ceilings):
-        # with None the gate rejects draws; at 1 us every column passes at beta
+        # with None the gate rejects draws; at 1 us every column passes at beta.
+        # A single-band gate builds no FIM, so only the multiband one calls crb_batch.
         calls, answers = Counter(), []
         for owner, name in [(optimizer, "sample_individual"),
                             (optimizer, "pattern_crb_provider"),
@@ -430,19 +434,21 @@ class TestRunEda:
                     answers.extend(out.tolist())
                 return out
             monkeypatch.setattr(owner, name, spy)
-        res = run_eda(toy_layout(), toy_config(seed=5, iterations=3,
-                                               srl_ceilings_s=ceilings))
-        # the exact path runs at most once per batch of misses, and only when a
-        # column fails at beta
-        assert calls["srl_at_most"] == calls["pattern_crb_provider"]
-        assert calls["srl_at_most"] <= calls["resolvable_at"]
-        if ceilings is None:
-            assert set(calls) == {"sample_individual", "pattern_crb_provider",
-                                  "srl_at_most", "crb_batch", "resolvable_at"}
-            assert res.rejected_draws > 0 and not all(answers)
-        else:
-            assert set(calls) == {"sample_individual", "crb_batch", "resolvable_at"}
-            assert res.rejected_draws == 0 and all(answers)
+        for lay, fims in [(toy_layout(), set()), (TOY_MULTI, {"crb_batch"})]:
+            calls.clear()
+            answers.clear()
+            res = run_eda(lay, toy_config(seed=5, iterations=3, srl_ceilings_s=ceilings))
+            # the exact path runs at most once per batch of misses, and only when a
+            # column fails at beta
+            assert calls["srl_at_most"] == calls["pattern_crb_provider"]
+            assert calls["srl_at_most"] <= calls["resolvable_at"]
+            if ceilings is None:
+                assert set(calls) == {"sample_individual", "pattern_crb_provider",
+                                      "srl_at_most", "resolvable_at"} | fims
+                assert res.rejected_draws > 0 and not all(answers)
+            else:
+                assert set(calls) == {"sample_individual", "resolvable_at"} | fims
+                assert res.rejected_draws == 0 and all(answers)
 
     def test_best_beats_random_baseline_over_seeds(self):
         lay = toy_layout()

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 import pilotforge as pf
-from pilotforge.resolution import (_SCAN_CHUNK, SrlSearch, _fim_batch, check_offline_model,
+from pilotforge import resolution
+from pilotforge.ambiguity import SidelobeRegion
+from pilotforge.optimizer import EdaConfig, run_eda
+from pilotforge.resolution import (_SCAN_CHUNK, SrlSearch, _fim_batch, _g, check_offline_model,
                                    crb_batch, fim, pattern_crb_provider, resolvable_at,
                                    srl_at_most, srl_of_pattern, srl_search)
 
-from oracles import (crb_delta_tau_quadform, fd_fim_multiband, fd_fim_single,
+from oracles import (crb_delta_tau_quadform, crb_eig_inv, fd_fim_multiband, fd_fim_single,
                      fim_multiband_loop, fim_scaled_error, fim_two_path_direct,
                      multiband_weights_per_call)
 
@@ -487,6 +490,87 @@ class TestStackProvider:
         sizes.clear()
         assert srl_at_most(windows, 9e-9, step).tolist() == [True, True]
         assert sizes == [64, 64]
+
+
+class TestGateCrbWithoutLapack:
+    """The gate's CRBs against the whole inverse (eigvalsh + inv), ``crb_eig_inv``."""
+
+    def test_single_band_closed_form_matches_the_inverse(self, layout_single):
+        cols = random_columns(layout_single.n_total, 128, 400, seed=21)
+        grid = np.arange(1, 64) * 0.05e-9
+        got = pattern_crb_provider(layout_single, cols, SIGMA, GAINS)(grid)
+        ref = crb_eig_inv(fim(layout_single, cols, SIGMA, GAINS, grid))
+        both = np.isfinite(got) & np.isfinite(ref)
+        assert both.mean() > 0.5
+        assert np.max(np.abs(got[both] / ref[both] - 1)) <= 1e-8
+        verdict = _g(grid, got) >= 0
+        np.testing.assert_array_equal(verdict, _g(grid, ref) >= 0)
+        assert verdict.any() and not verdict.all()
+
+    def test_multiband_elimination_matches_the_inverse(self, layout_multi):
+        cols = random_columns(layout_multi.n_total, 127, 400, seed=22)
+        cols[:3] = 0
+        cols[:3, :127] = 1          # every pilot in the first subband: phi_2 idles
+        grid = np.arange(1, 65) * 0.02e-9
+        J = fim(layout_multi, cols, SIGMA, GAINS, grid, 1e-9)
+        got, ref = crb_batch(J), crb_eig_inv(J)
+        both = np.isfinite(got) & np.isfinite(ref)
+        assert both.mean() > 0.5 and np.all(both[:3, -1])
+        assert np.max(np.abs(got[both] / ref[both] - 1)) <= 1e-6
+        verdict = _g(grid, got) >= 0
+        np.testing.assert_array_equal(verdict, _g(grid, ref) >= 0)
+        assert verdict.any() and not verdict.all()
+        # the idle subband's column equals the column alone, with phi_2 dropped by hand
+        alone = pattern_crb_provider(layout_multi, cols[0], SIGMA, GAINS, 1e-9)(grid[-2:])
+        np.testing.assert_array_equal(got[0, -2:], alone)
+        assert alone[-1] == pytest.approx(crb_delta_tau_quadform(J[0, -1]), rel=1e-12)
+
+    def test_collinear_paths_and_a_zero_delay_row_are_unresolvable(self, layout_single,
+                                                                  layout_multi):
+        for lay, prior in ((layout_single, None), (layout_multi, 1e-9)):
+            cols = random_columns(lay.n_total, 40, 5, seed=23)
+            assert np.all(pattern_crb_provider(lay, cols, SIGMA, GAINS, prior)([1e-18]) == np.inf)
+            J = fim(lay, cols, SIGMA, GAINS, [1e-18, 2e-9], prior)
+            assert np.all(crb_batch(J)[:, 0] == np.inf)
+            assert np.all(np.isfinite(crb_batch(J)[:, 1]))
+            J[:, 1, 1, :] = J[:, 1, :, 1] = 0.0      # no information on tau_2
+            assert np.all(crb_batch(J)[:, 1] == np.inf)
+
+    def test_single_band_gate_builds_no_fim(self, monkeypatch):
+        class NoLinalg:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.linalg.{name} called")
+
+        def no_fim(*args, **kwargs):
+            raise AssertionError("a FIM was built")
+
+        for name in ("_fim_batch", "_fim_builder", "crb_batch"):
+            monkeypatch.setattr(resolution, name, no_fim)
+        monkeypatch.setattr(resolution.np, "linalg", NoLinalg())
+        cfg = EdaConfig(budgets=(8, 8), region=SidelobeRegion(150e-9, 400e-9),
+                        population=40, elite=20, iterations=2, gate_step_s=0.5e-9,
+                        final_search=SrlSearch(0.1e-9, 400e-9, 0.1e-9, 1e-13), seed=5)
+        # the beta reference, the gate's beta test and scan, and the final SRL
+        res = run_eda(pf.BandLayout.single(32, FS, 0.0), cfg)
+        assert res.rejected_draws > 0 and all(r.found for r in res.srl_per_group)
+
+
+class TestGateInputs:
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_beta_rejected(self, beta, layout_single):
+        cols = random_columns(layout_single.n_total, 40, 2, seed=24)
+        with pytest.raises(ValueError, match="beta_s"):
+            resolvable_at(layout_single, cols, SIGMA, GAINS, beta)
+        provider = pattern_crb_provider(layout_single, cols, SIGMA, GAINS)
+        with pytest.raises(ValueError, match="beta_s"):
+            srl_at_most(provider, beta, 0.05e-9)
+
+    @pytest.mark.parametrize("step", [0.0, -0.05e-9, np.nan, np.inf])
+    def test_step_must_be_positive_and_finite(self, step, layout_single):
+        provider = pattern_crb_provider(
+            layout_single, random_columns(layout_single.n_total, 40, 2, seed=24), SIGMA, GAINS)
+        with pytest.raises(ValueError, match="step_s"):
+            srl_at_most(provider, 3e-9, step)
 
 
 class TestResolvableAt:

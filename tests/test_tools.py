@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from pilotforge import optimizer, resolution
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
@@ -17,7 +19,8 @@ def load(name: str):
     return module
 
 
-@pytest.mark.parametrize("name", ["artifact_sha256", "fit_digest", "srl_digest"])
+@pytest.mark.parametrize("name", ["artifact_sha256", "fit_digest", "gate_digest",
+                                  "srl_digest"])
 def test_tool_loads(name):
     assert callable(load(name).main)
 
@@ -27,6 +30,16 @@ def test_srl_digest_hashes_every_result_of_a_run():
     results, hexdigest = load("srl_digest").digest(1, "single")
     assert results == 22
     assert re.fullmatch(r"[0-9a-f]{64}", hexdigest)
+
+
+def test_gate_digest_hashes_every_decision_of_a_toy_run():
+    decisions, hexdigest = load("gate_digest").digest(1, "single", population=20, elite=10,
+                                                      iterations=2)
+    # at least the initial population's 20 columns per group, each decided once
+    assert decisions >= 40
+    assert re.fullmatch(r"[0-9a-f]{64}", hexdigest)
+    for name in ("resolvable_at", "srl_at_most", "pattern_crb_provider"):
+        assert getattr(optimizer, name) is getattr(resolution, name)
 
 
 def test_artifact_table_lists_every_file_by_path(tmp_path):
