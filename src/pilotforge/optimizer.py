@@ -7,13 +7,15 @@ samples fresh individuals from it with a deterministic structural repair,
 rejects any draw whose per-group SRL exceeds its ceiling, and carries the best
 individual over unchanged, so the best fitness never increases.
 
-A generation is handled as one stack: every slot draws, the draws are
-repaired and SRL-gated together, and only the slots the gate rejects draw
-again. Retry round r of generation it draws one seeded uniform block, from
-``default_rng(SeedSequence(seed, spawn_key=(it, r)))``, and slot q reads row
-q of it (key 0 seeds the initial population). A slot is pending from round 0
-until it is accepted, so its r-th draw is always row q of round r: what a slot
-draws does not depend on the other slots or on the batching.
+A generation is handled as one stack: every slot draws, the round's
+distinct draws are repaired and SRL-gated together, each once, and only the
+slots the gate rejects draw again. The gate decides the uncached (group,
+column) pairs of every group in one pass. Retry round r of generation it
+draws one seeded uniform block, from ``default_rng(SeedSequence(seed,
+spawn_key=(it, r)))``, and slot q reads row q of it (key 0 seeds the initial
+population). A slot is pending from round 0 until it is accepted, so its
+r-th draw is always row q of round r: what a slot draws does not depend on
+the other slots or on the batching.
 """
 
 from __future__ import annotations
@@ -214,16 +216,28 @@ def _round_block(seed: int, key: int, r: int, slots: np.ndarray,
     return out
 
 
+def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index of each distinct row's first occurrence, in first-seen order;
+    index into those of every row) of a 2-D 0/1 stack."""
+    seen: dict[bytes, int] = {}
+    inverse = np.array([seen.setdefault(key, len(seen)) for key in _packed_rows(rows)])
+    return np.unique(inverse, return_index=True)[1], inverse
+
+
 def _fill(draw: Callable[[np.ndarray, int], np.ndarray],
+          repair: Callable[[np.ndarray], np.ndarray] | None,
           gate: Callable[[np.ndarray], np.ndarray] | None, n_slots: int, retry_cap: int,
           failure: str) -> tuple[np.ndarray, int]:
     """Draw every slot, gate the stack, and draw again only the rejected slots.
 
-    draw(slots, r) returns the (len(slots), N, G) masks of the pending slots
-    in retry round r. A slot is pending from round 0 until it is accepted, so
-    its r-th draw always comes from round r. Every stack gets the
-    ``PatternSet`` structure checks once. Returns the accepted stack and the
-    number of rejected draws.
+    draw(slots, r) returns the (len(slots), N, G) 0/1 draws of the pending
+    slots in retry round r, and repair (None: the draws are masks already)
+    turns a stack of them into masks. A slot is pending from round 0 until it
+    is accepted, so its r-th draw always comes from round r. A round's
+    distinct draws are repaired, given the ``PatternSet`` structure checks
+    and gated once each, in first-seen order, and each slot gets its draw's
+    mask and verdict. Returns the accepted stack and the number of rejected
+    draws, one per rejected slot.
 
     Raises
     ------
@@ -234,12 +248,14 @@ def _fill(draw: Callable[[np.ndarray, int], np.ndarray],
     out = None
     rejected = 0
     for r in range(retry_cap):
-        masks = draw(pending, r)
+        raw = draw(pending, r)
+        first, inverse = _distinct(raw.reshape(len(raw), -1))
+        masks = raw[first] if repair is None else repair(raw[first])
         PatternSet.check_masks(masks)
-        ok = np.ones(len(pending), dtype=bool) if gate is None else gate(masks)
+        ok = np.ones(len(pending), dtype=bool) if gate is None else gate(masks)[inverse]
         if out is None:
             out = np.empty((n_slots,) + masks.shape[1:], dtype=np.uint8)
-        out[pending[ok]] = masks[ok]
+        out[pending[ok]] = masks[inverse[ok]]
         rejected += int(np.count_nonzero(~ok))
         pending = pending[~ok]
         if not pending.size:
@@ -255,11 +271,13 @@ def sample_individual(prob: np.ndarray, budgets: Sequence[int],
 
     In retry round r, pending slot q sets the cells where row q of the
     (n_slots, N, G) uniform block of ``SeedSequence(seed, spawn_key=(key, r))``
-    falls below ``prob``. The draws are repaired together and passed to
-    ``srl_gate`` as one (Q, N, G) stack, which returns one verdict per slot
-    (None accepts every draw). Only the rejected slots draw again, in the next
-    round, so a slot's mask does not depend on which other slots are pending.
-    Returns the (n_slots, N, G) uint8 stack and the number of rejected draws.
+    falls below ``prob``. The round's distinct draws are repaired together and
+    passed to ``srl_gate`` as one (Q, N, G) stack, each once, which returns
+    one verdict per draw (None accepts every draw); a slot gets its draw's
+    mask and verdict. Only the rejected slots draw again, in the next round,
+    so a slot's mask does not depend on which other slots are pending.
+    Returns the (n_slots, N, G) uint8 stack and the number of rejected draws,
+    one per rejected slot.
 
     Raises
     ------
@@ -275,19 +293,37 @@ def sample_individual(prob: np.ndarray, budgets: Sequence[int],
         raise ValueError("need at least one slot")
 
     def draw(slots: np.ndarray, r: int) -> np.ndarray:
-        return _repair(_round_block(seed, key, r, slots, prob.shape) < prob, budgets, prob)
+        return _round_block(seed, key, r, slots, prob.shape) < prob
+
+    def repair(draws: np.ndarray) -> np.ndarray:
+        return _repair(draws, budgets, prob)
 
     return _fill(
-        draw, srl_gate, n_slots, retry_cap,
+        draw, repair, srl_gate, n_slots, retry_cap,
         f"sampler rejected {retry_cap} consecutive draws on the SRL ceiling; relax "
         f"the ceilings or raise the retry cap")
 
 
 def _packed_rows(rows: np.ndarray) -> list[bytes]:
     """The bit-packed bytes of each row of a 2-D 0/1 stack, from one packbits."""
-    packed = np.packbits(rows, axis=1)
-    raw, width = packed.tobytes(), packed.shape[1]
-    return [raw[i:i + width] for i in range(0, len(raw), width)]
+    packed = np.ascontiguousarray(np.packbits(rows, axis=1))
+    return packed.view(f"V{packed.shape[1]}").ravel().tolist()
+
+
+def _gate_decisions(layout: BandLayout, cfg: EdaConfig, beta_s: np.ndarray,
+                    groups: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """"SRL <= beta" for each column cols[i] (Q, N) of group groups[i]: one
+    ``resolvable_at`` over the whole stack, each column at its group's beta,
+    accepts every column with g(beta) >= 0; then, per group with a column
+    failing there, one CRB provider over its failing columns and one
+    ``srl_at_most`` scan of that stack decide the rest."""
+    model = (cfg.offline_noise_std, cfg.offline_gains)
+    ok = resolvable_at(layout, cols, *model, beta_s[groups], cfg.prior_std_s)
+    for g in np.unique(groups[~ok]):
+        rows = np.flatnonzero(~ok & (groups == g))
+        provider = pattern_crb_provider(layout, cols[rows], *model, cfg.prior_std_s)
+        ok[rows] = srl_at_most(provider, beta_s[g], cfg.gate_step_s)
+    return ok
 
 
 def _srl_gate(layout: BandLayout, cfg: EdaConfig,
@@ -298,34 +334,30 @@ def _srl_gate(layout: BandLayout, cfg: EdaConfig,
     every slot is decided, and the verdict is the AND over the groups. Each
     decision is a pure function of (group, column), so the gate caches it
     under the packed column, one cache per group, for its own lifetime, which
-    is one ``run_eda``. The misses of one call are decided together, group by
-    group: one ``resolvable_at`` accepts every column with g(beta) >= 0, and
-    only if some column fails there, one CRB provider over the failing
-    columns and one ``srl_at_most`` scan of that stack decide the rest.
+    is one ``run_eda``. The misses of one call, over every group, are decided
+    together by one ``_gate_decisions``.
     """
     decided: list[dict[bytes, bool]] = [{} for _ in beta_s]  # one cache per group
-    model = (cfg.offline_noise_std, cfg.offline_gains)
-
-    def decide(g: int, cols: np.ndarray) -> np.ndarray:
-        ok = resolvable_at(layout, cols, *model, beta_s[g], cfg.prior_std_s)
-        if not ok.all():
-            provider = pattern_crb_provider(layout, cols[~ok], *model, cfg.prior_std_s)
-            ok[~ok] = srl_at_most(provider, beta_s[g], cfg.gate_step_s)
-        return ok
 
     def gate(masks: np.ndarray) -> np.ndarray:
-        passed = np.ones(len(masks), dtype=bool)
-        for g, cache in enumerate(decided):
-            cols = masks[:, :, g]
-            keys = _packed_rows(cols)
-            misses: dict[bytes, int] = {}
-            for i, key in enumerate(keys):
+        n_slots = len(masks)
+        # (G Q, N), group-major: row g Q + q is group g's column of slot q
+        cols = np.ascontiguousarray(np.moveaxis(masks, 2, 0)).reshape(-1, masks.shape[1])
+        packed = _packed_rows(cols)
+        keys = [packed[g * n_slots:(g + 1) * n_slots] for g in range(len(decided))]
+        misses: dict[tuple[int, bytes], int] = {}   # -> its first row of cols
+        for g, (cache, group_keys) in enumerate(zip(decided, keys)):
+            for i, key in enumerate(group_keys):
                 if key not in cache:
-                    misses.setdefault(key, i)
-            if misses:
-                verdicts = decide(g, cols[list(misses.values())])
-                cache.update(zip(misses, verdicts.tolist()))
-            passed &= [cache[key] for key in keys]
+                    misses.setdefault((g, key), g * n_slots + i)
+        if misses:
+            rows = np.fromiter(misses.values(), dtype=int, count=len(misses))
+            verdicts = _gate_decisions(layout, cfg, beta_s, rows // n_slots, cols[rows])
+            for (g, key), ok in zip(misses, verdicts.tolist()):
+                decided[g][key] = ok
+        passed = np.ones(len(masks), dtype=bool)
+        for cache, group_keys in zip(decided, keys):
+            passed &= [cache[key] for key in group_keys]
         return passed
 
     return gate
@@ -393,7 +425,7 @@ def run_eda(layout: BandLayout, cfg: EdaConfig,
         return (group[..., None] == np.arange(n_groups)).astype(np.uint8)
 
     population, rejected_total = _fill(
-        draw_initial, gate, cfg.population, cfg.retry_cap,
+        draw_initial, None, gate, cfg.population, cfg.retry_cap,
         "could not initialize a feasible population; the SRL ceilings are below "
         "what random patterns achieve")
 

@@ -7,8 +7,9 @@ import pilotforge as pf
 from pilotforge import optimizer, resolution
 from pilotforge.ambiguity import SidelobeRegion, isl_matrix
 from pilotforge.optimizer import (EdaConfig, InfeasibleSamplingError, _fitness_many,
-                                  _repair, _round_block, _srl_gate, random_srl_reference,
-                                  run_eda, sample_individual, update_probabilities)
+                                  _gate_decisions, _repair, _round_block, _srl_gate,
+                                  random_srl_reference, run_eda, sample_individual,
+                                  update_probabilities)
 from pilotforge.resolution import (SrlSearch, pattern_crb_provider, srl_at_most,
                                    srl_of_pattern)
 
@@ -190,6 +191,42 @@ class TestSampleIndividual:
         np.testing.assert_array_equal(head, stack[:5])
         assert 0 < head_rejected < rejected
 
+    def test_repeated_draws_are_repaired_and_gated_once_per_round(self):
+        # four fractional cells, so a round's draws take at most 16 distinct
+        # values: each group may move one pilot to one free row
+        prob = pf.random_patterns(toy_layout(), 2, [8, 8], seed=6).mask.astype(float)
+        free = np.flatnonzero(prob.sum(axis=1) == 0)
+        moved = [(np.flatnonzero(prob[:, g])[0], free[g]) for g in range(2)]
+        for g, rows in enumerate(moved):
+            prob[list(rows), g] = 0.5
+        gated = []
+
+        def gate(masks):  # a pure function of the mask, as the SRL gate is
+            gated.append(masks.copy())
+            return masks[:, moved[0][1], 0] + masks[:, moved[1][1], 1] <= 1
+
+        n_slots = 40
+        stack, rejected = sample_individual(prob, [8, 8], gate, 8, 3, n_slots)
+        # the serial oracle: slot q's r-th draw is row q of round r, until accepted
+        raws, accepted, alone = {}, [], 0
+        for q in range(n_slots):
+            for r in range(500):
+                raw = slot_draw(8, 3, r, q, n_slots, prob.shape) < prob
+                raws.setdefault(r, []).append(raw.tobytes())
+                ind = repair_serial(raw, [8, 8], prob)
+                if gate(ind[None])[0]:
+                    break
+                alone += 1
+            accepted.append(ind)
+        del gated[len(raws):]   # the oracle's own gate calls
+        np.testing.assert_array_equal(stack, np.stack(accepted))
+        assert rejected == alone > 0
+        # one gate call per round, on each of the round's distinct draws once
+        assert len(gated) == len(raws)
+        for r, masks in enumerate(gated):
+            assert len(masks) == len(set(raws[r]))
+        assert len(set(raws[0])) <= 16 < len(raws[0]) == n_slots
+
     def test_invalid_probabilities_rejected(self):
         with pytest.raises(ValueError):
             sample_individual(np.full((8, 1), 1.5), [2], None, 0, 1, 1)
@@ -292,7 +329,8 @@ class TestRunEda:
         def batch(layout, cols, noise_std, gains, beta_s, *args, **kwargs):
             out = resolution.resolvable_at(layout, cols, noise_std, gains, beta_s,
                                            *args, **kwargs)
-            batched.append((beta_s, [c.tobytes() for c in cols], out.tolist()))
+            batched.append((np.broadcast_to(beta_s, len(cols)).tolist(),
+                            [c.tobytes() for c in cols], out.tolist()))
             return out
 
         def build(layout, w, *args, **kwargs):
@@ -324,18 +362,21 @@ class TestRunEda:
 
         beta = list(res.beta_s)
         assert len(set(beta)) == len(beta)
-        # every miss is decided in a batch at beta, and no pair is decided twice
-        seen = [(beta.index(b), col) for b, cols, _ in batched for col in cols]
+        # every miss is decided in a batch at its group's beta, and no pair is
+        # decided twice
+        seen = [(beta.index(b), col) for bs, cols, _ in batched for b, col in zip(bs, cols)]
         assert len(seen) == len(set(seen)), "a (group, column) pair was decided twice"
+        assert any(len(set(bs)) > 1 for bs, _, _ in batched), "no batch held two groups"
         gains = np.asarray(cfg.offline_gains, complex)
         answers = {}
         for g, col in seen:
             w = np.frombuffer(col, dtype=np.uint8)
             provider = pattern_crb_provider(lay, w, cfg.offline_noise_std, gains)
             answers[(g, col)] = srl_at_most(provider, beta[g], cfg.gate_step_s)
-        # the exact path runs once per batch that has a column failing at beta,
-        # on exactly those columns, and every rejection went through it
-        failed = [[col for col, ok in zip(cols, oks) if not ok] for _, cols, oks in batched]
+        # the exact path runs once per batch and group that has a column failing
+        # at beta, on exactly those columns, and every rejection went through it
+        failed = [[col for b, col, ok in zip(bs, cols, oks) if not ok and beta.index(b) == g]
+                  for bs, cols, oks in batched for g in range(len(beta))]
         assert built and built == [cols for cols in failed if cols]
         assert len(scanned) == len(built)
         exact = []
@@ -346,8 +387,9 @@ class TestRunEda:
                 assert answers[exact[-1]] == out
         assert len(exact) == len(set(exact)) and set(exact) <= set(answers)
         assert {key for key, ok in answers.items() if not ok} <= set(exact)
-        for b, cols, oks in batched:   # a pass at beta is a pass
-            assert all(answers[(beta.index(b), col)] for col, ok in zip(cols, oks) if ok)
+        for bs, cols, oks in batched:   # a pass at beta is a pass
+            assert all(answers[(beta.index(b), col)]
+                       for b, col, ok in zip(bs, cols, oks) if ok)
         # every group of every gated slot is asked, and the verdict is the AND
         # over the groups
         asked, lookups = set(), 0
@@ -409,6 +451,25 @@ class TestRunEda:
             assert got.tolist() == ref, x
             decisions += ref
         assert any(decisions) and not all(decisions)
+        # two groups, with different betas and pilot counts, decided in one pass:
+        # group 1 takes p // 2 pilots among the subcarriers group 0 leaves free
+        other = np.zeros_like(cols)
+        for q in range(8):
+            other[q, rng.permutation(np.flatnonzero(cols[q] == 0))[:p // 2]] = 1
+        other_srls = [srl_of_pattern(lay, c, cfg.offline_noise_std, gains, prior).srl_s
+                      for c in other]
+        betas = np.array([float(np.median([s for s in found if s is not None]))
+                          for found in (srls, other_srls)])
+        assert betas[0] != betas[1]
+        ref = [[srl_at_most(pattern_crb_provider(lay, c, cfg.offline_noise_std, gains, prior),
+                            b, cfg.gate_step_s) for c in group]
+               for group, b in zip((cols, other), betas)]
+        groups = np.repeat([0, 1], 8)
+        got = _gate_decisions(lay, cfg, betas, groups, np.concatenate([cols, other]))
+        assert got.tolist() == ref[0] + ref[1]
+        assert not all(ref[0]) and not all(ref[1]) and any(ref[0]) and any(ref[1])
+        gated = _srl_gate(lay, cfg, betas)(np.stack([cols, other], axis=-1))
+        assert gated.tolist() == [a and b for a, b in zip(*ref)]
 
     @pytest.mark.parametrize("seed", [5, 9])
     def test_matches_serial_loop(self, seed):
@@ -438,10 +499,10 @@ class TestRunEda:
             calls.clear()
             answers.clear()
             res = run_eda(lay, toy_config(seed=5, iterations=3, srl_ceilings_s=ceilings))
-            # the exact path runs at most once per batch of misses, and only when a
-            # column fails at beta
+            # the exact path runs at most once per group and batch of misses, and
+            # only when a column fails at beta
             assert calls["srl_at_most"] == calls["pattern_crb_provider"]
-            assert calls["srl_at_most"] <= calls["resolvable_at"]
+            assert calls["srl_at_most"] <= 2 * calls["resolvable_at"]
             if ceilings is None:
                 assert set(calls) == {"sample_individual", "pattern_crb_provider",
                                       "srl_at_most", "resolvable_at"} | fims

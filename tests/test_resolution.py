@@ -513,16 +513,30 @@ class TestGateCrbWithoutLapack:
         cols[:3, :127] = 1          # every pilot in the first subband: phi_2 idles
         grid = np.arange(1, 65) * 0.02e-9
         J = fim(layout_multi, cols, SIGMA, GAINS, grid, 1e-9)
-        got, ref = crb_batch(J), crb_eig_inv(J)
-        both = np.isfinite(got) & np.isfinite(ref)
-        assert both.mean() > 0.5 and np.all(both[:3, -1])
-        assert np.max(np.abs(got[both] / ref[both] - 1)) <= 1e-6
-        verdict = _g(grid, got) >= 0
-        np.testing.assert_array_equal(verdict, _g(grid, ref) >= 0)
-        assert verdict.any() and not verdict.all()
+        ref = crb_eig_inv(J)
+        # crb_batch of the whole FIM, and the provider's path: the gains
+        # eliminated in closed form, then crb_batch of the (2M+1)-square rest
+        gains_free = pattern_crb_provider(layout_multi, cols, SIGMA, GAINS, 1e-9)(grid)
+        for got in (crb_batch(J), gains_free):
+            both = np.isfinite(got) & np.isfinite(ref)
+            assert both.mean() > 0.5 and np.all(both[:3, -1])
+            assert np.max(np.abs(got[both] / ref[both] - 1)) <= 1e-6
+            verdict = _g(grid, got) >= 0
+            np.testing.assert_array_equal(verdict, _g(grid, ref) >= 0)
+            assert verdict.any() and not verdict.all()
+        # Near the condition cap the reference's own inverse loses digits (the
+        # idle column's last separations sit at a scaled condition of ~1e12),
+        # so the tight bound holds where the reference is well conditioned,
+        # and the idle column is held to the quadratic form below.
+        sharp = crb_eig_inv(J, cond_cap=1e11)
+        both = np.isfinite(gains_free) & np.isfinite(sharp)
+        assert both.mean() > 0.5
+        assert np.max(np.abs(gains_free[both] / sharp[both] - 1)) <= 1e-9
+        assert np.all(pattern_crb_provider(layout_multi, cols, SIGMA, GAINS, 1e-9)([1e-18])
+                      == np.inf)
         # the idle subband's column equals the column alone, with phi_2 dropped by hand
         alone = pattern_crb_provider(layout_multi, cols[0], SIGMA, GAINS, 1e-9)(grid[-2:])
-        np.testing.assert_array_equal(got[0, -2:], alone)
+        np.testing.assert_array_equal(gains_free[0, -2:], alone)
         assert alone[-1] == pytest.approx(crb_delta_tau_quadform(J[0, -1]), rel=1e-12)
 
     def test_collinear_paths_and_a_zero_delay_row_are_unresolvable(self, layout_single,
@@ -553,6 +567,28 @@ class TestGateCrbWithoutLapack:
         # the beta reference, the gate's beta test and scan, and the final SRL
         res = run_eda(pf.BandLayout.single(32, FS, 0.0), cfg)
         assert res.rejected_draws > 0 and all(r.found for r in res.srl_per_group)
+
+    def test_multiband_gate_builds_no_fim(self, monkeypatch):
+        # every multiband CRB eliminates the gains in closed form and hands
+        # crb_batch the rest; only fim() builds the whole matrix
+        def no_fim(*args, **kwargs):
+            raise AssertionError("a FIM was built")
+
+        sizes = []
+
+        def recorded(J):
+            sizes.append(J.shape[-1])
+            return crb_batch(J)
+
+        for name in ("_fim_batch", "_fim_builder"):
+            monkeypatch.setattr(resolution, name, no_fim)
+        monkeypatch.setattr(resolution, "crb_batch", recorded)
+        cfg = EdaConfig(budgets=(8, 8), region=SidelobeRegion(150e-9, 400e-9),
+                        population=40, elite=20, iterations=2, gate_step_s=0.5e-9,
+                        final_search=SrlSearch(0.01e-9, 400e-9, 0.01e-9, 1e-13), seed=5)
+        res = run_eda(TWO_BANDS, cfg)
+        assert all(r.found for r in res.srl_per_group)
+        assert sizes and set(sizes) == {2 * TWO_BANDS.n_bands + 1}
 
 
 class TestGateInputs:

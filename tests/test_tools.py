@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pilotforge import optimizer, resolution
+from pilotforge import optimizer
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -33,13 +33,14 @@ def test_srl_digest_hashes_every_result_of_a_run():
 
 
 def test_gate_digest_hashes_every_decision_of_a_toy_run():
+    wrapped = {name: getattr(optimizer, name) for name in ("_gate_decisions",)}
     decisions, hexdigest = load("gate_digest").digest(1, "single", population=20, elite=10,
                                                       iterations=2)
     # at least the initial population's 20 columns per group, each decided once
     assert decisions >= 40
     assert re.fullmatch(r"[0-9a-f]{64}", hexdigest)
-    for name in ("resolvable_at", "srl_at_most", "pattern_crb_provider"):
-        assert getattr(optimizer, name) is getattr(resolution, name)
+    for name, original in wrapped.items():
+        assert getattr(optimizer, name) is original
 
 
 def test_artifact_table_lists_every_file_by_path(tmp_path):

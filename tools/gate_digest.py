@@ -1,17 +1,14 @@
 """SHA-256 of every SRL-gate decision a paper-scale EDA run makes.
 
 For seeds 1, 15 and 301 and both bands, runs ``run_eda`` at the default
-config's settings for that band and seed, with ``optimizer.resolvable_at``,
-``optimizer.srl_at_most`` and the ``optimizer.pattern_crb_provider`` that
-feeds the latter wrapped by name. The gate decides each (group, column)
-once per run: ``resolvable_at`` accepts the columns with g(beta) >= 0, and
-``srl_at_most`` decides the rest. Each decision feeds one SHA-256 per run:
-the group index (int64), the column's bytes and the verdict (one byte). The
-group is the index of the call's beta in the run's ``beta_s``. The decisions
-are hashed in the order of their column bytes, so a gate that decides its
-columns in another order or batching hashes alike when every verdict is the
-same. It prints one markdown row per run, ``| <seed> | <band> | <decisions>
-| <sha256> |``.
+config's settings for that band and seed, with ``optimizer._gate_decisions``
+wrapped by name. The gate decides each (group, column) once per run, and
+each call of that function decides a stack of (group, column) misses. Each
+decision feeds one SHA-256 per run: the group index (int64), the column's
+bytes and the verdict (one byte). The decisions are hashed in the order of
+their column bytes, so a gate that decides its columns in another order or
+batching hashes alike when every verdict is the same. It prints one
+markdown row per run, ``| <seed> | <band> | <decisions> | <sha256> |``.
 
     python3 tools/gate_digest.py
 """
@@ -38,46 +35,22 @@ def digest(seed: int, band: str, **eda) -> tuple[int, str]:
     """(decisions, SHA-256 over their groups, columns and verdicts) of one EDA
     run; ``eda`` overrides fields of the config's ``EdaConfig``."""
     cfg = ExperimentConfig.default().with_overrides(seed=seed, mode=band)
-    verdicts: dict[tuple[float, bytes], bool] = {}
-    real = {name: getattr(optimizer, name)
-            for name in ("resolvable_at", "srl_at_most", "pattern_crb_provider")}
+    verdicts: dict[tuple[int, bytes], bool] = {}
+    real = optimizer._gate_decisions
 
-    def record(beta_s, columns, out):
-        cols = np.atleast_2d(np.asarray(columns, dtype=np.uint8))
-        verdicts.update(((float(beta_s), col.tobytes()), bool(ok))
-                        for col, ok in zip(cols, np.atleast_1d(out)))
-
-    def resolvable_at(layout, columns, noise_std, gains, beta_s, *args, **kwargs):
-        out = real["resolvable_at"](layout, columns, noise_std, gains, beta_s, *args, **kwargs)
-        record(beta_s, columns, out)
+    def recorded(layout, cfg_, beta_s, groups, cols):
+        out = real(layout, cfg_, beta_s, groups, cols)
+        verdicts.update(((int(g), np.asarray(col, dtype=np.uint8).tobytes()), bool(ok))
+                        for g, col, ok in zip(groups, cols, out))
         return out
 
-    def pattern_crb_provider(layout, w, *args, **kwargs):
-        inner = real["pattern_crb_provider"](layout, w, *args, **kwargs)
-
-        def provider(dtaus):
-            return inner(dtaus)
-
-        provider.columns = w
-        return provider
-
-    def srl_at_most(provider, beta_s, step_s):
-        out = real["srl_at_most"](provider, beta_s, step_s)
-        record(beta_s, provider.columns, out)
-        return out
-
-    for name, wrapper in (("resolvable_at", resolvable_at), ("srl_at_most", srl_at_most),
-                          ("pattern_crb_provider", pattern_crb_provider)):
-        setattr(optimizer, name, wrapper)
+    optimizer._gate_decisions = recorded
     try:
-        res = optimizer.run_eda(cfg.layout(), dataclasses.replace(cfg.eda_config(), **eda))
+        optimizer.run_eda(cfg.layout(), dataclasses.replace(cfg.eda_config(), **eda))
     finally:
-        for name, fn in real.items():
-            setattr(optimizer, name, fn)
-    betas = [float(b) for b in res.beta_s]
+        optimizer._gate_decisions = real
     sha = hashlib.sha256()
-    for col, group, ok in sorted((col, betas.index(beta), ok)
-                                 for (beta, col), ok in verdicts.items()):
+    for (group, col), ok in sorted(verdicts.items(), key=lambda item: (item[0][1], item[0][0])):
         sha.update(np.int64(group).tobytes() + col + bytes([ok]))
     return len(verdicts), sha.hexdigest()
 
