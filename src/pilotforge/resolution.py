@@ -7,15 +7,19 @@ multiband case. All information-matrix entries depend on the delays only
 through tau_2 - tau_1, so a common delay shift never changes anything here.
 
 The SRL needs only CRB(tau_2 - tau_1), and no CRB here builds a FIM or calls
-LAPACK; ``fim`` builds the whole matrix for reference. Every CRB first
-eliminates the complex gains in closed form, from each column's support
-moments sum_S w(f) e^{j 2 pi f dtau}. On a single band that leaves the 2x2
-delay information, and the CRB is a closed form. On a multiband layout it
-leaves the (2M+1)-square information on the delays, phases and timing
-offsets, whose nuisances ``crb_batch`` eliminates one pivot at a time,
-vectorized over the stack. The EDA gate's beta test ``resolvable_at``
-forms the moments of a whole stack, one beta per column, as one dense
-product of the 0/1 stack with a per-beta table.
+LAPACK; ``fim`` builds the whole matrix for reference. Every CRB goes through
+one elimination for both bands, ``_gain_free_crb``: it eliminates the complex
+gains in closed form, from each column's support moments sum_S w(f) e^{j 2
+pi f dtau}, and hands ``crb_batch`` the information left on the delays and
+the nuisances, which it eliminates one pivot at a time, vectorized over the
+stack. A single band is the case without nuisances, where ``crb_batch``
+reads the 2x2 delay block directly. The moments come two ways, and both
+stay. ``pattern_crb_provider`` gathers each column's support phases and
+weights and takes one (B, S) @ (S, K) product per column, so a stack's row
+is bit for bit the column alone and an SRL does not depend on the stack it
+is searched in. The EDA gate's beta test ``resolvable_at``, one separation
+per column, is faster as one dense product of the 0/1 stack with a per-beta
+table.
 
 The SRL is the smallest delay separation solving dtau = sqrt(CRB(dtau)). With
 g(dtau) = dtau - sqrt(CRB(dtau)), it is located by a grid scan for the first
@@ -282,21 +286,23 @@ def crb_batch(J: np.ndarray) -> np.ndarray:
     This is the (1,1)+(2,2)-(1,2)-(2,1) combination of the inverse, each
     matrix decided on its own, read off the 2x2 delay block of the Schur
     complement that eliminating the nuisances D-1 .. 2 leaves, one pivot at a
-    time over the whole stack. The multiband CRB hands it the (2M+1)-square
-    information left after the gains are eliminated in closed form, so it
-    pivots on delta_M .. delta_1 and phi_M .. phi_2; a whole FIM from ``fim``
-    (the gains too) gives the same CRB. The matrix is Jacobi-scaled to a unit
-    diagonal first (it mixes seconds and unit gains or phases), and a
-    nuisance with an exactly zero row (the phase of a subband the pattern
-    never touches) gets a unit diagonal entry: so decoupled, it leaves the
-    delay block unchanged. A non-positive diagonal entry or pivot, a
-    non-positive 2x2 determinant, or a CRB that is not finite and positive
-    gives +inf.
+    time over the whole stack. ``_gain_free_crb`` hands it the information
+    left after the gains are eliminated in closed form: the 2x2 delay block
+    itself on a single band, read without a pivot, and the (2M+1)-square
+    information on a multiband layout, where it pivots on delta_M .. delta_1
+    and phi_M .. phi_2; a whole FIM from ``fim`` (the gains too) gives the
+    same CRB. The matrix is Jacobi-scaled to a unit diagonal first (it mixes
+    seconds and unit gains or phases), and a nuisance with an exactly zero
+    row (the phase of a subband the pattern never touches) gets a unit
+    diagonal entry: so decoupled, it leaves the delay block unchanged. A
+    non-positive diagonal entry or pivot, a non-positive 2x2 determinant, or
+    a CRB that is not finite and positive gives +inf.
     """
-    J = np.asarray(J, dtype=float)
+    J = np.array(J, dtype=float)
     shape, dim = J.shape[:-2], J.shape[-1]
-    idle = np.all(J == 0.0, axis=-1) & (np.arange(dim) >= 2)  # never the delays
-    J = (J + idle[..., None] * np.eye(dim)).reshape(-1, dim, dim)
+    J = J.reshape(-1, dim, dim)
+    idle = np.all(J[:, 2:] == 0.0, axis=-1)       # the nuisances' rows, never the delays'
+    J[:, 2:, 2:] += idle[:, :, None] * np.eye(dim - 2)
     diag = np.diagonal(J, axis1=1, axis2=2)
     ok = np.all(diag > 0, axis=1)
     ds = np.sqrt(np.where(diag > 0, diag, 1.0))
@@ -316,74 +322,29 @@ def crb_batch(J: np.ndarray) -> np.ndarray:
     return np.where(ok, val, np.inf).reshape(shape)
 
 
-def _delay_crb(plain: tuple, cross: tuple, noise_std: float, gains) -> np.ndarray:
-    """CRB of tau_2 - tau_1 on a single band, elementwise, from the plain sums
-    P_k = sum_S f^k and the cross sums C_k = sum_S f^k e^{j 2 pi f dtau} (k = 0,
-    1, 2), with f measured from the column's own mean frequency.
-
-    With e_r = e^{-j 2 pi f tau_r}, G_k[r, s] = sum_S f^k conj(e_r) e_s holds
-    P_k on its diagonal and C_k at (2, 1). The complex gains are linear
-    nuisances; eliminating them leaves J_eff = (8 pi^2 / sigma^2)
-    Re(conj(alpha_r) alpha_s M[r, s]), M = G_2 - G_1 G_0^{-1} G_1, and CRB =
-    (J_11 + J_22 + 2 J_12) / det J_eff. It is +inf where P_0^2 - |C_0|^2 <=
-    1e-12 P_0^2 (the two paths' steering vectors are collinear on the
-    support), where det J_eff <= 0, or where the CRB is not finite and
-    positive. J_eff does not depend on the frequency origin (a shift of f
-    moves the delay derivatives along the gains' directions), so the mean is
-    the origin that keeps the moments best conditioned.
-    """
-    al = np.asarray(gains, dtype=complex)
-    (p0, p1, p2), (c0, c1, c2) = plain, cross
-    k = 8 * np.pi**2 / noise_std**2
-    w11, w22, w12 = k * abs(al[0]) ** 2, k * abs(al[1]) ** 2, k * np.conj(al[0]) * al[1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        det0 = p0**2 - (c0 * c0.conj()).real
-        m_d = p2 - (p0 * (p1**2 + (c1 * c1.conj()).real)
-                    - 2 * p1 * (c1.conj() * c0).real) / det0
-        m_21 = c2 - (2 * p0 * p1 * c1 - p1**2 * c0 - c1**2 * c0.conj()) / det0
-        j11, j22, j12 = w11 * m_d, w22 * m_d, (w12 * m_21.conj()).real
-        det = j11 * j22 - j12**2
-        crb = (j11 + j22 + 2 * j12) / det
-    ok = (det0 > 1e-12 * p0**2) & (det > 0) & np.isfinite(crb) & (crb > 0)
-    return np.where(ok, crb, np.inf)
-
-
-def _single_band_crbs(layout: BandLayout, columns: np.ndarray, noise_std: float,
-                      gains) -> Callable[[np.ndarray], np.ndarray]:
-    """``pattern_crb_provider`` of a single-band layout: ``_delay_crb`` of each
-    column's support moments, without a FIM. Each column measures f from its
-    own mean and gathers its phases into a contiguous (Q, B, S) array summed
-    along S, so a stack's row is the column alone."""
-    check_offline_model(layout, noise_std, gains, None)
-    lead, sup, used = _supports(layout, columns)
-    f = np.arange(layout.n_total) * layout.subbands[0].spacing_hz
-    phases = _phase_gather(f, sup, used)
-    fc = f[sup]
-    fc = (fc - fc.mean(axis=-1, keepdims=True))[:, None, :]
-    plain = float(sup.shape[1]), fc.sum(axis=-1), (fc * fc).sum(axis=-1)   # (Q, 1)
-
-    def crbs(dtaus: np.ndarray) -> np.ndarray:
-        e = phases(np.atleast_1d(dtaus))                      # (Q, B, S)
-        c0 = e.sum(axis=-1)
-        e *= fc
-        c1 = e.sum(axis=-1)
-        e *= fc
-        c2 = e.sum(axis=-1)
-        out = _delay_crb(plain, (c0, c1, c2), noise_std, gains)
-        return out.reshape(lead + out.shape[1:])
-
-    return crbs
+def _moment_table(layout: BandLayout) -> tuple[np.ndarray, np.ndarray]:
+    """(N,) frequencies f of the phases e^{j 2 pi f dtau} and (N, K) moment
+    weights of the CRB. Single band: f = n f_s and K = 3 weights [1, f, f^2]
+    about the band's centre, an origin the CRB does not depend on that keeps
+    the moments well conditioned. Multiband: the pinned frequencies and
+    ``BandLayout.moment_weights``, K = 3 + 5M."""
+    if layout.mode == "single":
+        f = np.arange(layout.n_total) * layout.subbands[0].spacing_hz
+        fb = f - 0.5 * f[-1]
+        return f, np.stack([np.ones_like(f), fb, fb * fb], axis=-1)
+    return layout.pinned_frequencies_hz, layout.moment_weights
 
 
 @functools.lru_cache(maxsize=8)
 def _gain_free_terms(m: int, alpha_1: complex, alpha_2: complex) -> tuple[np.ndarray, ...]:
-    """The constant parts of ``_delay_information`` for M = m bands and the
-    gains: the table column of each weight product W_a W_b and of each W_a,
-    each parameter's c_a, and the coefficients s, cr, ci of P, Re C and Im C
-    in c_a^H A_{W_a W_b} c_b (zero for two different bands)."""
+    """The constant parts of ``_gain_free_crb`` for M = m bands (m = 0: a
+    single band, whose parameters are tau_1 and tau_2 alone) and the gains:
+    the table column of each weight product W_a W_b and of each W_a, each
+    parameter's c_a, and the coefficients s, cr, ci of P, Re C and Im C in
+    c_a^H A_{W_a W_b} c_b (zero for two different bands)."""
     band = np.r_[-1, -1, np.arange(1, m), np.arange(m)]      # -1: every band
-    fpow = np.r_[1, 1, np.zeros(2 * m - 1, dtype=int)]
-    npow = np.r_[0, 0, np.zeros(m - 1, dtype=int), np.ones(m, dtype=int)]
+    fpow = (band < 0).astype(int)
+    npow = np.r_[np.zeros(len(band) - m, dtype=int), np.ones(m, dtype=int)]
 
     def column(band, fpow, npow):   # the table column of the weight f^fpow nf^npow 1_band
         return np.where(band < 0, fpow, 3 + m * (fpow + 2 * npow) + band)
@@ -394,8 +355,7 @@ def _gain_free_terms(m: int, alpha_1: complex, alpha_2: complex) -> tuple[np.nda
     al = np.array([alpha_1, alpha_2])
     c = np.empty((len(band), 2), dtype=complex)
     c[:2] = -2j * np.pi * np.diag(al)
-    c[2:m + 1] = 1j * al
-    c[m + 1:] = -2j * np.pi * al
+    c[2:] = np.where(npow[2:, None] == 1, -2j * np.pi, 1j) * al
     # c_a^H A c_b = P s + Re(conj(C) x + C y), x = conj(c_a1) c_b2, y = conj(c_a2) c_b1
     x = np.outer(c[:, 0].conj(), c[:, 1])
     y = np.outer(c[:, 1].conj(), c[:, 0])
@@ -407,26 +367,29 @@ def _gain_free_terms(m: int, alpha_1: complex, alpha_2: complex) -> tuple[np.nda
     return terms
 
 
-def _delay_information(moments: np.ndarray, plain: np.ndarray, noise_std: float, gains,
-                       prior_std_s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Multiband information on [tau_1, tau_2, phi_2..phi_M, delta_1..delta_M]
-    left after eliminating the complex gains in closed form, (..., B, 2M+1,
-    2M+1), and where the gains' Gram is well conditioned, (..., B).
+def _gain_free_crb(moments: np.ndarray, plain: np.ndarray, noise_std: float, gains,
+                   prior_std_s: float | None) -> np.ndarray:
+    """CRB of tau_2 - tau_1 from support moments, (..., B): the complex gains
+    eliminated in closed form, then ``crb_batch`` of the information left on
+    [tau_1, tau_2, phi_2..phi_M, delta_1..delta_M]; +inf where the gains'
+    Gram is ill conditioned.
 
     moments (..., B, K) and plain (..., 1, K) are the cross sums C_w = sum_S w
-    e^{j 2 pi f dtau} and the plain sums P_w = sum_S w of the K = 3 + 5M
-    weights of ``BandLayout.moment_weights``. With e_r = e^{-j 2 pi f tau_r},
-    A_w = sum_S w [conj(e_r) e_s] = [[P_w, conj(C_w)], [C_w, P_w]] and G = A_1.
-    Parameter a has the derivative sum_r e_r W_a c_a[r], with (W_a, c_a) =
-    (f, -j 2 pi alpha_r u_r) for tau_r, (1_m, j alpha) for phi_m and (nf
-    1_m, -j 2 pi alpha) for delta_m, so eliminating the gains leaves
-    J_eff[a, b] = (2 / sigma^2) Re(c_a^H A_{W_a W_b} c_b - v_a^H G^{-1} v_b),
-    v_a = A_{W_a} c_a, plus the prior 1 / prior_std_s^2 on the delta
-    diagonal. Every weight product is a column of the table, or vanishes for
-    two different bands. The second term is |z|^2-shaped, z = L v with G^{-1}
-    = L^H L from the Cholesky factor of G, so the matrix is exactly
-    symmetric, and a subband without pilots leaves its phi row exactly zero.
-    The Gram is well conditioned where P_1^2 - |C_1|^2 > 1e-12 P_1^2.
+    e^{j 2 pi f dtau} and the plain sums P_w = sum_S w of the K weights of
+    ``_moment_table``: K = 3 on a single band (M = 0, no nuisances), K = 3 +
+    5M on a multiband layout. With e_r = e^{-j 2 pi f tau_r}, A_w = sum_S w
+    [conj(e_r) e_s] = [[P_w, conj(C_w)], [C_w, P_w]] and G = A_1. Parameter
+    a has the derivative sum_r e_r W_a c_a[r], with (W_a, c_a) = (f, -j 2 pi
+    alpha_r u_r) for tau_r, (1_m, j alpha) for phi_m and (nf 1_m, -j 2 pi
+    alpha) for delta_m, so eliminating the gains leaves J_eff[a, b] = (2 /
+    sigma^2) Re(c_a^H A_{W_a W_b} c_b - v_a^H G^{-1} v_b), v_a = A_{W_a} c_a,
+    plus the prior 1 / prior_std_s^2 on the delta diagonal, the only place
+    the prior is read. Every weight product is a column of the table, or
+    vanishes for two different bands. The second term is |z|^2-shaped, z = L
+    v with G^{-1} = L^H L from the Cholesky factor of G, so the matrix is
+    exactly symmetric, and a subband without pilots leaves its phi row
+    exactly zero. The Gram is well conditioned where P_1^2 - |C_1|^2 > 1e-12
+    P_1^2 (the two paths' steering vectors are not collinear on the support).
     """
     m = (moments.shape[-1] - 3) // 5
     pair, one, c, s, cr, ci = _gain_free_terms(m, *np.asarray(gains, dtype=complex).tolist())
@@ -443,37 +406,10 @@ def _delay_information(moments: np.ndarray, plain: np.ndarray, noise_std: float,
     z1 = v1 / np.sqrt(p1)
     z = np.stack([z1.real, z1.imag, z2.real, z2.imag])
     J = 2 / noise_std**2 * (first - (z[..., :, None] * z[..., None, :]).sum(axis=0))
-    idel = np.arange(m + 1, 2 * m + 1)
-    J[..., idel, idel] += 1.0 / prior_std_s**2
-    return J, ok[..., 0]
-
-
-def _multiband_crb(moments: np.ndarray, plain: np.ndarray, noise_std: float, gains,
-                   prior_std_s: float) -> np.ndarray:
-    """CRB of tau_2 - tau_1 from multiband support moments, (..., B): the
-    gains eliminated in closed form (``_delay_information``), then the phase
-    and timing nuisances by ``crb_batch``; +inf where the gains' Gram is
-    ill conditioned."""
-    J, ok = _delay_information(moments, plain, noise_std, gains, prior_std_s)
-    return np.where(ok, crb_batch(J), np.inf)
-
-
-def _multiband_crbs(layout: BandLayout, columns: np.ndarray, noise_std: float, gains,
-                    prior_std_s: float) -> Callable[[np.ndarray], np.ndarray]:
-    """``pattern_crb_provider`` of a multiband layout: ``_multiband_crb`` of
-    each column's gathered support moments, one (B, S) @ (S, K) product per
-    column, so a stack's row is the column alone."""
-    check_offline_model(layout, noise_std, gains, prior_std_s)
-    lead, sup, used = _supports(layout, columns)
-    phases = _phase_gather(layout.pinned_frequencies_hz, sup, used)
-    weights, plain = _support_weights(layout.moment_weights, sup)
-
-    def crbs(dtaus: np.ndarray) -> np.ndarray:
-        out = _multiband_crb(phases(np.atleast_1d(dtaus)) @ weights, plain,
-                             noise_std, gains, prior_std_s)
-        return out.reshape(lead + out.shape[1:])
-
-    return crbs
+    if m:
+        idel = np.arange(m + 1, 2 * m + 1)
+        J[..., idel, idel] += 1.0 / prior_std_s**2
+    return np.where(ok[..., 0], crb_batch(J), np.inf)
 
 
 def pattern_crb_provider(layout: BandLayout, w: np.ndarray, noise_std: float, gains,
@@ -483,19 +419,22 @@ def pattern_crb_provider(layout: BandLayout, w: np.ndarray, noise_std: float, ga
     and (Q, B) for a (Q, N) stack with equal pilot counts, each row as alone.
     A stack also takes per-column separations, (Q, B), row q for column q.
 
-    No FIM is built: a single-band layout gets the closed form of
-    ``_delay_crb``, a multiband one the gains eliminated in closed form and
-    the phase and timing nuisances eliminated by ``crb_batch``.
+    No FIM is built: ``_gain_free_crb`` of each column's support moments, one
+    (B, S) @ (S, K) product of its gathered phases and weights per column, so
+    a stack's row is the column alone.
     """
-    if layout.mode == "single":   # the single-band model has no prior to read
-        return _single_band_crbs(layout, w, noise_std, gains)
-    return _multiband_crbs(layout, w, noise_std, gains, prior_std_s)
+    check_offline_model(layout, noise_std, gains, prior_std_s)
+    lead, sup, used = _supports(layout, w)
+    f, table = _moment_table(layout)
+    phases = _phase_gather(f, sup, used)
+    weights, plain = _support_weights(table, sup)
 
+    def crbs(dtaus: np.ndarray) -> np.ndarray:
+        out = _gain_free_crb(phases(np.atleast_1d(dtaus)) @ weights, plain,
+                             noise_std, gains, prior_std_s)
+        return out.reshape(lead + out.shape[1:])
 
-def _shifted(sums: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sums of f^k w (k = 0, 1, 2), (..., 3), re-expressed about an origin moved by d."""
-    s0, s1, s2 = np.moveaxis(sums, -1, 0)
-    return s0, s1 - d * s0, s2 - 2 * d * s1 + d * d * s0
+    return crbs
 
 
 def resolvable_at(layout: BandLayout, columns: np.ndarray, noise_std: float, gains,
@@ -509,11 +448,10 @@ def resolvable_at(layout: BandLayout, columns: np.ndarray, noise_std: float, gai
     column may still have a root below beta, which only the ``srl_at_most``
     scan finds.
 
-    No provider is built. The moments come from one dense real product of
-    the 0/1 stack with a per-beta (N, 3K) table [w, Re(w e^{j 2 pi f beta}),
-    Im(w e^{j 2 pi f beta})] per distinct beta. Single band: w = f^k about the
-    band's centre, then shifted to each column's mean for ``_delay_crb``.
-    Multiband: w = ``BandLayout.moment_weights``, for ``_multiband_crb``.
+    No provider is built. The moments for ``_gain_free_crb`` come from one
+    dense real product of the 0/1 stack with a per-beta (N, 3K) table [w,
+    Re(w e^{j 2 pi f beta}), Im(w e^{j 2 pi f beta})] per distinct beta, with
+    the f and w of ``_moment_table``.
     """
     cols = np.asarray(columns)
     if cols.ndim != 2 or cols.shape[1] != layout.n_total:
@@ -521,17 +459,11 @@ def resolvable_at(layout: BandLayout, columns: np.ndarray, noise_std: float, gai
     beta = np.broadcast_to(np.asarray(beta_s, dtype=float), cols.shape[:1])
     if not np.isfinite(beta).all():
         raise ValueError("beta_s must be finite")
-    single = layout.mode == "single"
-    check_offline_model(layout, noise_std, gains, None if single else prior_std_s)
+    check_offline_model(layout, noise_std, gains, prior_std_s)
     stack = cols != 0
     if not stack.any(axis=1).all():
         raise ValueError("pattern columns need a positive pilot count")
-    if single:
-        f = np.arange(layout.n_total) * layout.subbands[0].spacing_hz
-        fb = f - 0.5 * f[-1]
-        table = np.stack([np.ones_like(f), fb, fb * fb], axis=-1)
-    else:
-        f, table = layout.pinned_frequencies_hz, layout.moment_weights
+    f, table = _moment_table(layout)
     k = table.shape[1]
     plain = np.empty((len(cols), k))
     cross = np.empty((len(cols), k), dtype=complex)
@@ -546,13 +478,8 @@ def resolvable_at(layout: BandLayout, columns: np.ndarray, noise_std: float, gai
         sums = np.concatenate([stack[rows[i:i + block]] @ terms
                                for i in range(0, len(rows), block)])
         plain[rows], cross[rows] = sums[:, :k], sums[:, k:2 * k] + 1j * sums[:, 2 * k:]
-    if single:
-        d = plain[:, 1] / plain[:, 0]
-        crb = _delay_crb(_shifted(plain, d), _shifted(cross, d), noise_std, gains)
-    else:
-        crb = _multiband_crb(cross[:, None, :], plain[:, None, :], noise_std, gains,
-                             prior_std_s)[:, 0]
-    return _g(beta, crb) >= 0
+    crb = _gain_free_crb(cross[:, None, :], plain[:, None, :], noise_std, gains, prior_std_s)
+    return _g(beta, crb[:, 0]) >= 0
 
 
 def _g(grid: np.ndarray, crb: np.ndarray) -> np.ndarray:

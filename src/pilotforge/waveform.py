@@ -283,9 +283,14 @@ class PatternSet:
 
     @classmethod
     def from_indices(cls, n_subcarriers: int, columns: Sequence[Sequence[int]]) -> "PatternSet":
+        """The pattern whose group g holds the subcarriers columns[g]; ValueError
+        where a group lists an index twice, which a mask would merge."""
         mask = np.zeros((n_subcarriers, len(columns)), dtype=np.uint8)
         for g, idx in enumerate(columns):
-            mask[np.asarray(idx, dtype=int), g] = 1
+            idx = np.asarray(idx, dtype=int)
+            if np.unique(idx).size != idx.size:
+                raise ValueError(f"group {g} lists a subcarrier index twice")
+            mask[idx, g] = 1
         return cls(mask)
 
 

@@ -434,6 +434,20 @@ class TestMetricsCommands:
         assert main(["isl", "--config", str(cfg),
                      "--pattern", str(d / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("command", ["isl", "srl"])
+    def test_repeated_index_rejected(self, toy_artifact, tmp_path, capsys, command):
+        # a mask would merge the repeat and load one pilot fewer than listed
+        d, cfg, pat = toy_artifact
+        data = json.loads(pat.read_text())
+        indices = data["groups"][0]["indices"]
+        indices.append(indices[0])
+        bad = tmp_path / "repeat.json"
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--pattern", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert "lists a subcarrier index twice" in captured.err and not captured.out
+
     def test_overlapping_pattern_rejected(self, toy_artifact, tmp_path):
         d, cfg, pat = toy_artifact
         data = json.loads(pat.read_text())

@@ -482,7 +482,7 @@ class TestRunEda:
     @pytest.mark.parametrize("ceilings", [None, (1e-6, 1e-6)])
     def test_traced_names_stay_live(self, monkeypatch, ceilings):
         # with None the gate rejects draws; at 1 us every column passes at beta.
-        # A single-band gate builds no FIM, so only the multiband one calls crb_batch.
+        # Every gate's CRB goes through crb_batch, on either band.
         calls, answers = Counter(), []
         for owner, name in [(optimizer, "sample_individual"),
                             (optimizer, "pattern_crb_provider"),
@@ -495,7 +495,7 @@ class TestRunEda:
                     answers.extend(out.tolist())
                 return out
             monkeypatch.setattr(owner, name, spy)
-        for lay, fims in [(toy_layout(), set()), (TOY_MULTI, {"crb_batch"})]:
+        for lay in (toy_layout(), TOY_MULTI):
             calls.clear()
             answers.clear()
             res = run_eda(lay, toy_config(seed=5, iterations=3, srl_ceilings_s=ceilings))
@@ -505,10 +505,10 @@ class TestRunEda:
             assert calls["srl_at_most"] <= 2 * calls["resolvable_at"]
             if ceilings is None:
                 assert set(calls) == {"sample_individual", "pattern_crb_provider",
-                                      "srl_at_most", "resolvable_at"} | fims
+                                      "srl_at_most", "resolvable_at", "crb_batch"}
                 assert res.rejected_draws > 0 and not all(answers)
             else:
-                assert set(calls) == {"sample_individual", "resolvable_at"} | fims
+                assert set(calls) == {"sample_individual", "resolvable_at", "crb_batch"}
                 assert res.rejected_draws == 0 and all(answers)
 
     def test_best_beats_random_baseline_over_seeds(self):

@@ -550,7 +550,34 @@ class TestGateCrbWithoutLapack:
             J[:, 1, 1, :] = J[:, 1, :, 1] = 0.0      # no information on tau_2
             assert np.all(crb_batch(J)[:, 1] == np.inf)
 
+    def test_single_band_elimination_is_the_schur_complement(self, layout_single,
+                                                              monkeypatch):
+        # a single band is the no-nuisance case of the gains elimination: it
+        # hands crb_batch the 2x2 delay block of fim()'s 6x6 with the four
+        # gain coordinates eliminated. Below ~0.5 ns the two paths are so
+        # nearly collinear on the band that both sides lose digits: they
+        # differ by ~2e-8 at 0.3 ns, and each by ~7e-8 from a long-double one.
+        cols = random_columns(layout_single.n_total, 128, 50, seed=25)
+        gains = np.array([0.9 + 0.3j, -0.4 + 1.1j])
+        seen = []
+
+        def recorded(J):
+            seen.append(J.copy())
+            return crb_batch(J)
+
+        monkeypatch.setattr(resolution, "crb_batch", recorded)
+        for dtau in (0.5e-9, 2e-9, 11e-9):
+            seen.clear()
+            pattern_crb_provider(layout_single, cols, SIGMA, gains)([dtau])
+            (got,) = seen
+            J = fim(layout_single, cols, SIGMA, gains, [dtau])[:, 0]
+            ref = J[:, :2, :2] - J[:, :2, 2:] @ np.linalg.solve(J[:, 2:, 2:], J[:, 2:, :2])
+            assert got.shape == (50, 1, 2, 2)
+            assert max(fim_scaled_error(g, r) for g, r in zip(got[:, 0], ref)) <= 1e-8
+
     def test_single_band_gate_builds_no_fim(self, monkeypatch):
+        # the gains eliminated in closed form leave crb_batch the 2x2 delay
+        # block, which it reads without a pivot
         class NoLinalg:
             def __getattr__(self, name):
                 raise AssertionError(f"np.linalg.{name} called")
@@ -558,8 +585,15 @@ class TestGateCrbWithoutLapack:
         def no_fim(*args, **kwargs):
             raise AssertionError("a FIM was built")
 
-        for name in ("_fim_batch", "_fim_builder", "crb_batch"):
+        sizes = []
+
+        def recorded(J):
+            sizes.append(J.shape[-2:])
+            return crb_batch(J)
+
+        for name in ("_fim_batch", "_fim_builder"):
             monkeypatch.setattr(resolution, name, no_fim)
+        monkeypatch.setattr(resolution, "crb_batch", recorded)
         monkeypatch.setattr(resolution.np, "linalg", NoLinalg())
         cfg = EdaConfig(budgets=(8, 8), region=SidelobeRegion(150e-9, 400e-9),
                         population=40, elite=20, iterations=2, gate_step_s=0.5e-9,
@@ -567,6 +601,7 @@ class TestGateCrbWithoutLapack:
         # the beta reference, the gate's beta test and scan, and the final SRL
         res = run_eda(pf.BandLayout.single(32, FS, 0.0), cfg)
         assert res.rejected_draws > 0 and all(r.found for r in res.srl_per_group)
+        assert sizes and set(sizes) == {(2, 2)}
 
     def test_multiband_gate_builds_no_fim(self, monkeypatch):
         # every multiband CRB eliminates the gains in closed form and hands

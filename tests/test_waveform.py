@@ -167,6 +167,12 @@ class TestPatternSet:
         with pytest.raises(ValueError, match="binary"):
             pf.PatternSet(mask)
 
+    def test_repeated_index_rejected(self):
+        pats = pf.PatternSet.from_indices(8, [[0, 3], [5]])
+        assert pats.budgets.tolist() == [2, 1]
+        with pytest.raises(ValueError, match="group 1 lists a subcarrier index twice"):
+            pf.PatternSet.from_indices(8, [[0, 3], [5, 6, 5]])
+
     @pytest.mark.parametrize("dtype", [bool, np.uint8, int, float])
     def test_binary_mask_of_any_dtype_accepted(self, dtype):
         mask = np.array([[1, 0], [0, 1], [0, 0]], dtype=dtype)
