@@ -6,20 +6,18 @@ timing offsets delta_1..delta_M (with a Gaussian prior on the latter) in the
 multiband case. All information-matrix entries depend on the delays only
 through tau_2 - tau_1, so a common delay shift never changes anything here.
 
-The SRL needs only CRB(tau_2 - tau_1), and no CRB here builds a FIM or calls
-LAPACK; ``fim`` builds the whole matrix for reference. Every CRB goes through
-one elimination for both bands, ``_gain_free_crb``: it eliminates the complex
-gains in closed form, from each column's support moments sum_S w(f) e^{j 2
-pi f dtau}, and hands ``crb_batch`` the information left on the delays and
-the nuisances, which it eliminates one pivot at a time, vectorized over the
-stack. A single band is the case without nuisances, where ``crb_batch``
-reads the 2x2 delay block directly. The moments come two ways, and both
-stay. ``pattern_crb_provider`` gathers each column's support phases and
-weights and takes one (B, S) @ (S, K) product per column, so a stack's row
-is bit for bit the column alone and an SRL does not depend on the stack it
-is searched in. The EDA gate's beta test ``resolvable_at``, one separation
-per column, is faster as one dense product of the 0/1 stack with a per-beta
-table.
+Every information entry comes from one formula, ``_information``: (2 /
+sigma^2) Re(c_a^H A_{W_a W_b} c_b) over the support moments sum_S w(f) e^{j
+2 pi f dtau} of one moment table. ``fim`` evaluates it with the gains, for
+reference. The SRL needs only CRB(tau_2 - tau_1), and no CRB builds a FIM
+or calls LAPACK: ``_gain_free_crb`` eliminates the gains in closed form and
+hands ``crb_batch`` the information left on the delays and the nuisances
+(none on a single band), which it eliminates one pivot at a time over the
+stack. Each column's first subband with pilots is its phase reference.
+``pattern_crb_provider`` takes one (B, S) @ (S, K) product per column, so
+a stack's row is bit for bit the column alone; the EDA gate's beta test
+``resolvable_at`` is faster as one dense product of the 0/1 stack with a
+per-beta table.
 
 The SRL is the smallest delay separation solving dtau = sqrt(CRB(dtau)). With
 g(dtau) = dtau - sqrt(CRB(dtau)), it is located by a grid scan for the first
@@ -96,86 +94,6 @@ class SrlResult:
         return self.srl_s is not None
 
 
-def _two_path_block(J: np.ndarray, plain: np.ndarray, cross: np.ndarray,
-                    gains: np.ndarray, c: float) -> None:
-    """Fill J[..., :6, :6], the [tau (2), a^R (2), a^I (2)] block, in place.
-
-    Every entry is a linear functional of the moments sum_f f^k e^{j 2 pi f
-    (tau_r - tau_s)} (k = 0, 1, 2): the plain sums sum_f f^k (plain) when
-    r = s, and cross = sum_f f^k e^{j 2 pi f dtau} for r != s. Both have
-    shape (..., 3) and broadcast against J's leading axes.
-    """
-    m = np.empty(cross.shape[:-1] + (3, 2, 2), dtype=complex)  # moment k, path r, path s
-    m[..., 0, 0] = m[..., 1, 1] = plain
-    m[..., 0, 1] = cross.conj()
-    m[..., 1, 0] = cross
-    ar = np.conj(gains)[:, None]                 # conj(alpha_r), down the rows
-    tt = 8 * np.pi**2 * c * (ar * gains[None, :] * m[..., 2, :, :]).real
-    tr = 4 * np.pi * c * (1j * ar * m[..., 1, :, :]).real
-    ti = -4 * np.pi * c * (ar * m[..., 1, :, :]).real
-    cc = 2 * c * m[..., 0, :, :].real
-    ss = -2 * c * m[..., 0, :, :].imag           # sum sin(2 pi f (tau_s - tau_r))
-    J[..., :6, :6] = np.concatenate([
-        np.concatenate([tt, tr, ti], axis=-1),
-        np.concatenate([np.swapaxes(tr, -1, -2), cc, ss], axis=-1),
-        np.concatenate([np.swapaxes(ti, -1, -2), -ss, cc], axis=-1)], axis=-2)
-
-
-def _fim_batch(ephase: np.ndarray, weights: np.ndarray, plain: np.ndarray,
-               noise_std: float, gains: np.ndarray,
-               prior_std_s: float | None) -> np.ndarray:
-    """Two-path FIMs, (..., B, D, D), over delay separations.
-
-    ephase (..., B, S) holds e^{j 2 pi f dtau} at the support's frequencies f
-    and the B separations, weights (..., S, K) the support's moment weights
-    and plain (..., 1, K) their sums over the support. The first three
-    weights, f^k (k = 0, 1, 2), give the 6x6 [tau (2), a^R (2), a^I (2)]
-    block, the whole FIM when prior_std_s is None (single band). Otherwise
-    weights are rows of ``BandLayout.moment_weights`` (K = 3 + 5M) at the
-    pinned frequencies, and phi_2..phi_M, delta_1..delta_M follow. With tau =
-    (0, dtau), every nuisance entry is linear in the per-band moments sum w
-    e^{j 2 pi f dtau}, w in {1, f, nf, nf f, nf^2}: the path-sum profile H =
-    alpha_1 + alpha_2 e^{-j 2 pi f dtau} enters through sum_k alpha_k e^{j 2
-    pi f (tau_r - tau_k)} and through |H|^2 = |alpha_1|^2 + |alpha_2|^2 + 2
-    Re(alpha_1 alpha_2^* e^{j 2 pi f dtau}). So one product ephase @ weights
-    gives every moment of the batch, and each leading index is computed
-    exactly as that column alone.
-    """
-    al = np.asarray(gains, dtype=complex)
-    c = 1.0 / noise_std**2
-    moments = ephase @ weights                                      # (..., B, K)
-    m = (weights.shape[-1] - 3) // 5
-    dim = 6 if prior_std_s is None else 6 + (m - 1) + m
-
-    J = np.zeros(moments.shape[:-1] + (dim, dim))
-    _two_path_block(J, plain[..., :3], moments[..., :3], al, c)
-    if prior_std_s is None:
-        return J
-
-    mom = moments[..., 3:].reshape(moments.shape[:-1] + (5, m))    # weight, band
-    pb = plain[..., 3:].reshape(plain.shape[:-1] + (5, m))
-    # per-band sums of w * sum_k alpha_k e^{j 2 pi f (tau_r - tau_k)}, path r
-    v = np.stack([al[0] * pb + al[1] * mom.conj(), al[0] * mom + al[1] * pb], axis=-3)
-    h2 = np.sum(np.abs(al) ** 2) * pb + 2 * (al[0] * np.conj(al[1]) * mom).real
-    ar = np.conj(al)[:, None]                # conj(alpha_r), down the rows
-    phi = slice(6, 6 + m - 1)
-    dl = slice(6 + m - 1, dim)
-    J[..., 0:2, phi] = -4 * np.pi * c * (ar * v[..., 1, 1:]).real
-    J[..., 2:4, phi] = -2 * c * v[..., 0, 1:].imag
-    J[..., 4:6, phi] = 2 * c * v[..., 0, 1:].real
-    J[..., 0:2, dl] = 8 * np.pi**2 * c * (ar * v[..., 3, :]).real
-    J[..., 2:4, dl] = 4 * np.pi * c * v[..., 2, :].imag
-    J[..., 4:6, dl] = -4 * np.pi * c * v[..., 2, :].real
-    J[..., 6:, :6] = np.swapaxes(J[..., :6, 6:], -1, -2)
-    iphi = 6 + np.arange(m - 1)
-    idel = 6 + (m - 1) + np.arange(m)
-    J[..., iphi, iphi] = 2 * c * h2[..., 0, 1:]
-    J[..., iphi, idel[1:]] = J[..., idel[1:], iphi] = -4 * np.pi * c * h2[..., 2, 1:]
-    J[..., idel, idel] = 8 * np.pi**2 * c * h2[..., 4, :]
-    J[..., idel, idel] += 1.0 / prior_std_s**2
-    return J
-
-
 def check_offline_model(layout: BandLayout, noise_std: float, gains,
                         prior_std_s: float | None) -> None:
     """Raise ValueError unless the offline two-path model has a positive, finite
@@ -234,25 +152,117 @@ def _support_weights(table: np.ndarray, sup: np.ndarray) -> tuple[np.ndarray, np
     return np.take(table, sup, axis=0), np.take(table, sup.T, axis=0).sum(axis=0)[:, None, :]
 
 
-def _fim_builder(layout: BandLayout, columns: np.ndarray, noise_std: float, gains,
-                 prior_std_s: float | None) -> Callable[[np.ndarray], np.ndarray]:
-    """dtaus -> FIM stack (..., B, D, D) for one column (N,) or a stack of
-    columns (Q, N) with equal pilot counts, at B separations that every column
-    shares, (B,), or at one row of them per column, (Q, B); the inputs are
-    checked here."""
-    check_offline_model(layout, noise_std, gains, prior_std_s)
-    gains = np.asarray(gains, dtype=complex)
-    lead, sup, used = _supports(layout, columns)
-    if layout.mode == "single":  # the model has no nuisances, so no prior to read
+@functools.lru_cache(maxsize=8)
+def _moment_table(layout: BandLayout, centre: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """(N,) frequencies f of the phases e^{j 2 pi f dtau} and the (N, K) moment
+    weights whose columns ``_gain_free_terms`` decodes. Single band: f = n f_s
+    and K = 3, [1, f, f^2] about the band's centre, which keeps the moments
+    well conditioned and leaves the CRB as it is, or about its edge with
+    centre=False, the convention ``fim``'s entries are pinned to. Multiband:
+    the pinned frequencies, f^k (k = 0, 1, 2), then 1, f, nf, nf f and nf^2
+    (nf = n f_s,m) per band, weight by weight, each zero outside its band,
+    K = 3 + 5M. Where f = 0 the gains are referenced, and the paths' relative
+    phase turns with f dtau: so 127 pilots at 120 kHz resolve 5.740 ns on a
+    single band (gains at its edge) and 5.713 ns as a multiband first
+    subband (gains at its centre); 50 digits give 5.7396 and 5.7130 ns, and
+    the timing offset changes neither.
+    """
+    if layout.mode == "single":
         f = np.arange(layout.n_total) * layout.subbands[0].spacing_hz
-        table, prior_std_s = np.stack([np.ones_like(f), f, f**2], axis=-1), None
+        fb = f - 0.5 * f[-1] if centre else f
+        table = np.stack([np.ones_like(f), fb, fb * fb], axis=-1)
+        f.flags.writeable = False
     else:
-        f, table = layout.pinned_frequencies_hz, layout.moment_weights
+        f = layout.pinned_frequencies_hz
+        spacings = np.array([b.spacing_hz for b in layout.subbands])
+        nf = layout.local_index * spacings[layout.band_index]
+        per_band = np.stack([np.ones_like(f), f, nf, nf * f, nf**2], axis=-1)
+        onehot = layout.band_index[:, None] == np.arange(layout.n_bands)
+        table = np.concatenate([np.stack([np.ones_like(f), f, f**2], axis=-1),
+                                (per_band[:, :, None] * onehot[:, None, :]).reshape(len(f), -1)],
+                               axis=-1)
+    table.flags.writeable = False   # every caller shares the cached arrays
+    return f, table
+
+
+def _support_moments(layout: BandLayout, columns: np.ndarray, noise_std: float, gains,
+                     prior_std_s: float | None, centre: bool = True
+                     ) -> tuple[tuple[int, ...], Callable[[np.ndarray], np.ndarray], np.ndarray]:
+    """The inputs checked, and (leading shape, dtaus -> cross sums sum_S w
+    e^{j 2 pi f dtau} (Q, B, K), plain sums sum_S w (Q, 1, K)) over the
+    ``_moment_table`` weights w of one column (N,) or a (Q, N) stack with
+    equal pilot counts; one (B, S) @ (S, K) product of gathered phases and
+    weights per column, at (B,) or per-column (Q, B) separations."""
+    check_offline_model(layout, noise_std, gains, prior_std_s)
+    lead, sup, used = _supports(layout, columns)
+    f, table = _moment_table(layout, centre)
     phases = _phase_gather(f, sup, used)
     weights, plain = _support_weights(table, sup)
+    return lead, lambda dtaus: phases(dtaus) @ weights, plain
+
+
+@functools.lru_cache(maxsize=8)
+def _gain_free_terms(m: int, alpha_1: complex, alpha_2: complex,
+                     gains: bool = False) -> tuple[np.ndarray, ...]:
+    """The constant parts of the information for M = m bands (m = 0: a single
+    band) and the gains: the table column of each weight product W_a W_b and
+    of each W_a, each parameter's c_a, and the coefficients s, cr, ci of P,
+    Re C and Im C in Re(c_a^H A_{W_a W_b} c_b) (zero for two different
+    bands), over [tau (2), phi_2..phi_M, delta_1..delta_M]; gains=True puts
+    a^R (2), a^I (2) after the delays, ``fim``'s order, W = 1, c = u_r, j u_r."""
+    g = 4 if gains else 0
+    band = np.r_[np.full(2 + g, -1), np.arange(1, m), np.arange(m)]      # -1: every band
+    fpow = (np.arange(len(band)) < 2).astype(int)
+    npow = (np.arange(len(band)) >= len(band) - m).astype(int)
+
+    def column(band, fpow, npow):   # the table column of the weight f^fpow nf^npow 1_band
+        return np.where(band < 0, fpow, 3 + m * (fpow + 2 * npow) + band)
+
+    pair = column(np.maximum.outer(band, band), np.add.outer(fpow, fpow),
+                  np.add.outer(npow, npow))
+    live = (np.minimum.outer(band, band) < 0) | np.equal.outer(band, band)
+    al = np.array([alpha_1, alpha_2])
+    c = np.empty((len(band), 2), dtype=complex)
+    c[:2] = -2j * np.pi * np.diag(al)
+    c[2:2 + g] = np.kron([[1], [1j]], np.eye(2))[:g]
+    c[2 + g:] = np.where(npow[2 + g:, None] == 1, -2j * np.pi, 1j) * al
+    # c_a^H A c_b = P s + Re(conj(C) x + C y), x = conj(c_a1) c_b2, y = conj(c_a2) c_b1
+    x = np.outer(c[:, 0].conj(), c[:, 1])
+    y = np.outer(c[:, 1].conj(), c[:, 0])
+    s = (np.outer(c[:, 0].conj(), c[:, 0]) + np.outer(c[:, 1].conj(), c[:, 1])).real * live
+    terms = (pair, column(band, fpow, npow), c, s, (x.real + y.real) * live,
+             (x.imag - y.imag) * live)
+    for term in terms:   # every caller shares the cached arrays
+        term.flags.writeable = False
+    return terms
+
+
+def _information(moments: np.ndarray, plain: np.ndarray, terms: tuple[np.ndarray, ...],
+                 noise_std: float, prior_std_s: float | None, less=0.0) -> np.ndarray:
+    """(..., B, D, D) information (2 / sigma^2) (P s + Re(C) cr + Im(C) ci -
+    less) of ``_gain_free_terms``' terms, plus 1 / prior_std_s^2 on the M
+    timing offsets' diagonal, the last rows and the only read of the prior."""
+    pair, _, _, s, cr, ci = terms
+    cw, pw = moments[..., pair], plain[..., pair]
+    J = 2 / noise_std**2 * (pw * s + cw.real * cr + cw.imag * ci - less)
+    m = (moments.shape[-1] - 3) // 5
+    if m:
+        idel = np.arange(J.shape[-1] - m, J.shape[-1])
+        J[..., idel, idel] += 1.0 / prior_std_s**2
+    return J
+
+
+def _fim_builder(layout: BandLayout, columns: np.ndarray, noise_std: float, gains,
+                 prior_std_s: float | None) -> Callable[[np.ndarray], np.ndarray]:
+    """dtaus -> FIM stack (..., B, D, D) of ``_support_moments``' columns:
+    ``_information`` with the gains, over the edge-origin single-band table."""
+    lead, moments, plain = _support_moments(layout, columns, noise_std, gains, prior_std_s,
+                                            centre=False)
+    terms = _gain_free_terms((plain.shape[-1] - 3) // 5,
+                             *np.asarray(gains, dtype=complex).tolist(), True)
 
     def fims(dtaus: np.ndarray) -> np.ndarray:
-        J = _fim_batch(phases(dtaus), weights, plain, noise_std, gains, prior_std_s)
+        J = _information(moments(dtaus), plain, terms, noise_std, prior_std_s)
         return J.reshape(lead + J.shape[1:])
 
     return fims
@@ -265,11 +275,13 @@ def fim(layout: BandLayout, columns: np.ndarray, noise_std: float, gains,
     (B,) shared by every column, or (Q, B), row q for column q.
 
     The layout picks the model. Single band: D = 6, parameters [tau_1, tau_2,
-    a1^R, a2^R, a1^I, a2^I] over the subcarriers n f_s, n = 0..N-1. Multiband:
-    D = 6 + 2M - 1, parameters [tau (2), a^R (2), a^I (2), phi_2..phi_M,
-    delta_1..delta_M], the first band's center pinned to zero and phi_1 to 0,
-    which keeps the matrix finite; the timing prior adds 1/prior_std_s^2 on
-    the delta diagonal. Neither the first path's delay nor the true
+    a1^R, a2^R, a1^I, a2^I] over the subcarriers n f_s, n = 0..N-1.
+    Multiband: D = 6 + 2M - 1, parameters [tau (2), a^R (2), a^I (2),
+    phi_2..phi_M, delta_1..delta_M], the first band's center pinned to zero
+    and phi_1 to 0, which keeps the matrix finite; the timing prior adds
+    1/prior_std_s^2 on the delta diagonal. The gains are referenced at f =
+    0, the single band's edge or the first band's centre, which moves the
+    SRL (see ``_moment_table``). Neither the first path's delay nor the true
     phase/timing offsets enter any entry. Stacked columns need equal pilot
     counts, and each one comes out bit for bit as it would alone at the same
     separations.
@@ -291,9 +303,9 @@ def crb_batch(J: np.ndarray) -> np.ndarray:
     itself on a single band, read without a pivot, and the (2M+1)-square
     information on a multiband layout, where it pivots on delta_M .. delta_1
     and phi_M .. phi_2; a whole FIM from ``fim`` (the gains too) gives the
-    same CRB. The matrix is Jacobi-scaled to a unit diagonal first (it mixes
+    same CRB where the first subband has pilots. The matrix is Jacobi-scaled to a unit diagonal first (it mixes
     seconds and unit gains or phases), and a nuisance with an exactly zero
-    row (the phase of a subband the pattern never touches) gets a unit
+    row (the phase of an idle subband, or of a reference subband) gets a unit
     diagonal entry: so decoupled, it leaves the delay block unchanged. A
     non-positive diagonal entry or pivot, a non-positive 2x2 determinant, or
     a CRB that is not finite and positive gives +inf.
@@ -322,51 +334,6 @@ def crb_batch(J: np.ndarray) -> np.ndarray:
     return np.where(ok, val, np.inf).reshape(shape)
 
 
-def _moment_table(layout: BandLayout) -> tuple[np.ndarray, np.ndarray]:
-    """(N,) frequencies f of the phases e^{j 2 pi f dtau} and (N, K) moment
-    weights of the CRB. Single band: f = n f_s and K = 3 weights [1, f, f^2]
-    about the band's centre, an origin the CRB does not depend on that keeps
-    the moments well conditioned. Multiband: the pinned frequencies and
-    ``BandLayout.moment_weights``, K = 3 + 5M."""
-    if layout.mode == "single":
-        f = np.arange(layout.n_total) * layout.subbands[0].spacing_hz
-        fb = f - 0.5 * f[-1]
-        return f, np.stack([np.ones_like(f), fb, fb * fb], axis=-1)
-    return layout.pinned_frequencies_hz, layout.moment_weights
-
-
-@functools.lru_cache(maxsize=8)
-def _gain_free_terms(m: int, alpha_1: complex, alpha_2: complex) -> tuple[np.ndarray, ...]:
-    """The constant parts of ``_gain_free_crb`` for M = m bands (m = 0: a
-    single band, whose parameters are tau_1 and tau_2 alone) and the gains:
-    the table column of each weight product W_a W_b and of each W_a, each
-    parameter's c_a, and the coefficients s, cr, ci of P, Re C and Im C in
-    c_a^H A_{W_a W_b} c_b (zero for two different bands)."""
-    band = np.r_[-1, -1, np.arange(1, m), np.arange(m)]      # -1: every band
-    fpow = (band < 0).astype(int)
-    npow = np.r_[np.zeros(len(band) - m, dtype=int), np.ones(m, dtype=int)]
-
-    def column(band, fpow, npow):   # the table column of the weight f^fpow nf^npow 1_band
-        return np.where(band < 0, fpow, 3 + m * (fpow + 2 * npow) + band)
-
-    pair = column(np.maximum.outer(band, band), np.add.outer(fpow, fpow),
-                  np.add.outer(npow, npow))
-    live = (np.minimum.outer(band, band) < 0) | np.equal.outer(band, band)
-    al = np.array([alpha_1, alpha_2])
-    c = np.empty((len(band), 2), dtype=complex)
-    c[:2] = -2j * np.pi * np.diag(al)
-    c[2:] = np.where(npow[2:, None] == 1, -2j * np.pi, 1j) * al
-    # c_a^H A c_b = P s + Re(conj(C) x + C y), x = conj(c_a1) c_b2, y = conj(c_a2) c_b1
-    x = np.outer(c[:, 0].conj(), c[:, 1])
-    y = np.outer(c[:, 1].conj(), c[:, 0])
-    s = (np.outer(c[:, 0].conj(), c[:, 0]) + np.outer(c[:, 1].conj(), c[:, 1])).real * live
-    terms = (pair, column(band, fpow, npow), c, s, (x.real + y.real) * live,
-             (x.imag - y.imag) * live)
-    for term in terms:   # every caller shares the cached arrays
-        term.flags.writeable = False
-    return terms
-
-
 def _gain_free_crb(moments: np.ndarray, plain: np.ndarray, noise_std: float, gains,
                    prior_std_s: float | None) -> np.ndarray:
     """CRB of tau_2 - tau_1 from support moments, (..., B): the complex gains
@@ -382,19 +349,20 @@ def _gain_free_crb(moments: np.ndarray, plain: np.ndarray, noise_std: float, gai
     a has the derivative sum_r e_r W_a c_a[r], with (W_a, c_a) = (f, -j 2 pi
     alpha_r u_r) for tau_r, (1_m, j alpha) for phi_m and (nf 1_m, -j 2 pi
     alpha) for delta_m, so eliminating the gains leaves J_eff[a, b] = (2 /
-    sigma^2) Re(c_a^H A_{W_a W_b} c_b - v_a^H G^{-1} v_b), v_a = A_{W_a} c_a,
-    plus the prior 1 / prior_std_s^2 on the delta diagonal, the only place
-    the prior is read. Every weight product is a column of the table, or
-    vanishes for two different bands. The second term is |z|^2-shaped, z = L
-    v with G^{-1} = L^H L from the Cholesky factor of G, so the matrix is
-    exactly symmetric, and a subband without pilots leaves its phi row
+    sigma^2) Re(c_a^H A_{W_a W_b} c_b - v_a^H G^{-1} v_b), v_a = A_{W_a} c_a:
+    ``_information`` less the second term. The second term is |z|^2-shaped,
+    z = L v with G^{-1} = L^H L from the Cholesky factor of G, so the matrix
+    is exactly symmetric, and a subband without pilots leaves its phi row
     exactly zero. The Gram is well conditioned where P_1^2 - |C_1|^2 > 1e-12
     P_1^2 (the two paths' steering vectors are not collinear on the support).
+
+    Each column's first subband with pilots is its phase reference: where
+    the first subband idles, the first sounded subband's phi is collinear
+    with the gains, so its row and column are zeroed for ``crb_batch``.
     """
     m = (moments.shape[-1] - 3) // 5
-    pair, one, c, s, cr, ci = _gain_free_terms(m, *np.asarray(gains, dtype=complex).tolist())
-    cw, pw = moments[..., pair], plain[..., pair]
-    first = pw * s + cw.real * cr + cw.imag * ci
+    terms = _gain_free_terms(m, *np.asarray(gains, dtype=complex).tolist())
+    _, one, c = terms[:3]
     pa, ca = plain[..., one], moments[..., one]
     v1 = pa * c[:, 0] + ca.conj() * c[:, 1]
     v2 = ca * c[:, 0] + pa * c[:, 1]
@@ -405,10 +373,12 @@ def _gain_free_crb(moments: np.ndarray, plain: np.ndarray, noise_std: float, gai
         z2 = np.where(ok, (v2 - c1 * v1 / p1) / np.sqrt(det0 / p1), 0.0)
     z1 = v1 / np.sqrt(p1)
     z = np.stack([z1.real, z1.imag, z2.real, z2.imag])
-    J = 2 / noise_std**2 * (first - (z[..., :, None] * z[..., None, :]).sum(axis=0))
-    if m:
-        idel = np.arange(m + 1, 2 * m + 1)
-        J[..., idel, idel] += 1.0 / prior_std_s**2
+    J = _information(moments, plain, terms, noise_std, prior_std_s,
+                     (z[..., :, None] * z[..., None, :]).sum(axis=0))
+    if m and not plain[..., 3].all():   # the per-band pilot counts are plain[..., 3:3 + m]
+        ref = np.argmax(plain[..., 3:3 + m] > 0, axis=-1)[..., None]
+        drop = (np.arange(2 * m + 1) == ref + 1) & (ref > 0)    # the reference's phi
+        J = np.where(drop[..., None, :] | drop[..., :, None], 0.0, J)
     return np.where(ok[..., 0], crb_batch(J), np.inf)
 
 
@@ -419,19 +389,14 @@ def pattern_crb_provider(layout: BandLayout, w: np.ndarray, noise_std: float, ga
     and (Q, B) for a (Q, N) stack with equal pilot counts, each row as alone.
     A stack also takes per-column separations, (Q, B), row q for column q.
 
-    No FIM is built: ``_gain_free_crb`` of each column's support moments, one
-    (B, S) @ (S, K) product of its gathered phases and weights per column, so
-    a stack's row is the column alone.
+    No FIM is built: ``_gain_free_crb`` of each column's ``_support_moments``,
+    so a stack's row is the column alone.
     """
-    check_offline_model(layout, noise_std, gains, prior_std_s)
-    lead, sup, used = _supports(layout, w)
-    f, table = _moment_table(layout)
-    phases = _phase_gather(f, sup, used)
-    weights, plain = _support_weights(table, sup)
+    lead, moments, plain = _support_moments(layout, w, noise_std, gains, prior_std_s)
 
     def crbs(dtaus: np.ndarray) -> np.ndarray:
-        out = _gain_free_crb(phases(np.atleast_1d(dtaus)) @ weights, plain,
-                             noise_std, gains, prior_std_s)
+        out = _gain_free_crb(moments(np.atleast_1d(dtaus)), plain, noise_std, gains,
+                             prior_std_s)
         return out.reshape(lead + out.shape[1:])
 
     return crbs

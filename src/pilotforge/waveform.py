@@ -164,23 +164,6 @@ class BandLayout:
         """
         return self.pinned_frequencies_hz if self.mode == "single" else self.frequencies_hz
 
-    @cached_property
-    def moment_weights(self) -> np.ndarray:
-        """(N, 3 + 5M) per-subcarrier weights of the multiband two-path FIM moments.
-
-        The first three columns are f^k (k = 0, 1, 2) of the pinned frequency
-        f; then come the per-band weights 1, f, nf, nf f and nf^2 (nf = n
-        f_s,m), weight by weight, each zero outside its band. A pattern's FIM
-        gathers the rows of its support, so the table is built once per layout.
-        """
-        f = self.pinned_frequencies_hz
-        spacings = np.array([b.spacing_hz for b in self.subbands])
-        nf = self.local_index * spacings[self.band_index]
-        per_band = np.stack([np.ones_like(f), f, nf, nf * f, nf**2], axis=-1)
-        onehot = self.band_index[:, None] == np.arange(self.n_bands)
-        table = (per_band[:, :, None] * onehot[:, None, :]).reshape(len(f), -1)
-        return np.concatenate([np.stack([np.ones_like(f), f, f**2], axis=-1), table], axis=-1)
-
 
 @dataclass(frozen=True)
 class PilotSequence:

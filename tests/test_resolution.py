@@ -5,7 +5,7 @@ import pilotforge as pf
 from pilotforge import resolution
 from pilotforge.ambiguity import SidelobeRegion
 from pilotforge.optimizer import EdaConfig, run_eda
-from pilotforge.resolution import (_SCAN_CHUNK, SrlSearch, _fim_batch, _g, check_offline_model,
+from pilotforge.resolution import (_SCAN_CHUNK, SrlSearch, _g, check_offline_model,
                                    crb_batch, fim, pattern_crb_provider, resolvable_at,
                                    srl_at_most, srl_of_pattern, srl_search)
 
@@ -17,6 +17,8 @@ FS = 120e3
 SIGMA = 0.1778
 GAINS = np.array([1.0 + 0j, 1.0 + 0j])
 TWO_BANDS = pf.BandLayout.multiband([pf.Subband(3.5e9, FS, 17), pf.Subband(3.9e9, FS, 17)])
+THREE_BANDS = pf.BandLayout.multiband(
+    [pf.Subband(3.5e9, FS, 17), pf.Subband(3.7e9, 2 * FS, 17), pf.Subband(3.9e9, FS, 17)])
 
 
 def random_column(n, p, seed):
@@ -145,9 +147,7 @@ class TestFimMultiband:
         for lay, w, gains in self.moment_cases(layout_multi):
             f, band, nloc, spacings, m = self.support(lay, w)
             dts = rng.uniform(0.01e-9, 50e-9, batch)
-            table = lay.moment_weights[np.flatnonzero(w)]
-            J = _fim_batch(np.exp(2j * np.pi * dts[:, None] * f), table,
-                           table.sum(axis=0, keepdims=True), SIGMA, gains, 1e-9)
+            J = fim(lay, w, SIGMA, gains, dts, 1e-9)
             ref, ref_obs = fim_multiband_loop(f, band, nloc, spacings, m, SIGMA, gains,
                                               dts, 1e-9)
             assert J.shape == ref.shape == (batch, 6 + 2 * m - 1, 6 + 2 * m - 1)
@@ -167,7 +167,7 @@ class TestFimMultiband:
         for lay, _, _ in self.moment_cases(layout_multi):
             sup = np.stack([np.flatnonzero(random_column(lay.n_total, 20, seed))
                             for seed in range(6)]).reshape(2, 3, 20)
-            table = lay.moment_weights[sup]
+            table = resolution._moment_table(lay)[1][sup]
             ref = multiband_weights_per_call(lay, sup)
             assert table.shape == (2, 3, 20, 3 + 5 * lay.n_bands)
             assert table.tobytes() == ref.tobytes()  # bit for bit, signed zeros too
@@ -550,14 +550,24 @@ class TestGateCrbWithoutLapack:
             J[:, 1, 1, :] = J[:, 1, :, 1] = 0.0      # no information on tau_2
             assert np.all(crb_batch(J)[:, 1] == np.inf)
 
-    def test_single_band_elimination_is_the_schur_complement(self, layout_single,
-                                                              monkeypatch):
-        # a single band is the no-nuisance case of the gains elimination: it
-        # hands crb_batch the 2x2 delay block of fim()'s 6x6 with the four
-        # gain coordinates eliminated. Below ~0.5 ns the two paths are so
-        # nearly collinear on the band that both sides lose digits: they
-        # differ by ~2e-8 at 0.3 ns, and each by ~7e-8 from a long-double one.
-        cols = random_columns(layout_single.n_total, 128, 50, seed=25)
+    @pytest.mark.parametrize("case", ["single", "two_bands", "three_bands"])
+    def test_gains_elimination_is_the_schur_complement(self, case, layout_single,
+                                                       layout_multi, monkeypatch):
+        # the information crb_batch receives is fim()'s with the four gain
+        # coordinates eliminated: the 2x2 delay block on a single band, the
+        # no-nuisance case, and the (2M+1)-square rest on a multiband layout,
+        # for columns whose first subband has pilots (an idle later subband
+        # included). Below ~0.5 ns the two paths are so nearly collinear on
+        # the single band that both sides lose digits: they differ by ~2e-8 at
+        # 0.3 ns, and each by ~7e-8 from a long-double one.
+        lay, p, prior = {"single": (layout_single, 128, None),
+                         "two_bands": (layout_multi, 127, 1e-9),
+                         "three_bands": (THREE_BANDS, 20, 1e-9)}[case]
+        cols = random_columns(lay.n_total, p, 50, seed=25)
+        cols = cols[cols[:, :lay.subbands[0].n_subcarriers].any(axis=1)]
+        if case == "three_bands":
+            cols[0] = 0
+            cols[0, np.r_[0:10, 34:44]] = 1              # the middle band idles
         gains = np.array([0.9 + 0.3j, -0.4 + 1.1j])
         seen = []
 
@@ -568,11 +578,14 @@ class TestGateCrbWithoutLapack:
         monkeypatch.setattr(resolution, "crb_batch", recorded)
         for dtau in (0.5e-9, 2e-9, 11e-9):
             seen.clear()
-            pattern_crb_provider(layout_single, cols, SIGMA, gains)([dtau])
+            pattern_crb_provider(lay, cols, SIGMA, gains, prior)([dtau])
             (got,) = seen
-            J = fim(layout_single, cols, SIGMA, gains, [dtau])[:, 0]
-            ref = J[:, :2, :2] - J[:, :2, 2:] @ np.linalg.solve(J[:, 2:, 2:], J[:, 2:, :2])
-            assert got.shape == (50, 1, 2, 2)
+            J = fim(lay, cols, SIGMA, gains, [dtau], prior)[:, 0]
+            keep = np.r_[0, 1, 6:J.shape[-1]]
+            kg = J[:, keep][:, :, 2:6]
+            ref = J[:, keep][:, :, keep] - kg @ np.linalg.solve(J[:, 2:6, 2:6],
+                                                                np.swapaxes(kg, 1, 2))
+            assert got.shape == (len(cols), 1, len(keep), len(keep))
             assert max(fim_scaled_error(g, r) for g, r in zip(got[:, 0], ref)) <= 1e-8
 
     def test_single_band_gate_builds_no_fim(self, monkeypatch):
@@ -591,8 +604,7 @@ class TestGateCrbWithoutLapack:
             sizes.append(J.shape[-2:])
             return crb_batch(J)
 
-        for name in ("_fim_batch", "_fim_builder"):
-            monkeypatch.setattr(resolution, name, no_fim)
+        monkeypatch.setattr(resolution, "_fim_builder", no_fim)
         monkeypatch.setattr(resolution, "crb_batch", recorded)
         monkeypatch.setattr(resolution.np, "linalg", NoLinalg())
         cfg = EdaConfig(budgets=(8, 8), region=SidelobeRegion(150e-9, 400e-9),
@@ -615,8 +627,7 @@ class TestGateCrbWithoutLapack:
             sizes.append(J.shape[-1])
             return crb_batch(J)
 
-        for name in ("_fim_batch", "_fim_builder"):
-            monkeypatch.setattr(resolution, name, no_fim)
+        monkeypatch.setattr(resolution, "_fim_builder", no_fim)
         monkeypatch.setattr(resolution, "crb_batch", recorded)
         cfg = EdaConfig(budgets=(8, 8), region=SidelobeRegion(150e-9, 400e-9),
                         population=40, elite=20, iterations=2, gate_step_s=0.5e-9,
@@ -624,6 +635,60 @@ class TestGateCrbWithoutLapack:
         res = run_eda(TWO_BANDS, cfg)
         assert all(r.found for r in res.srl_per_group)
         assert sizes and set(sizes) == {2 * TWO_BANDS.n_bands + 1}
+
+
+def relabelled_loop_crbs(lay, w, dts, gains=GAINS, prior=1e-9):
+    """crb_eig_inv of ``fim_multiband_loop`` for a column whose first subband
+    with pilots, ref, is relabelled band 0: every band label less ref, the
+    spacings rolled to match, the pilots' frequencies unchanged."""
+    f, band, nloc = (lay.pinned_frequencies_hz[w != 0], lay.band_index[w != 0],
+                     lay.local_index[w != 0])
+    spacings = np.array([sb.spacing_hz for sb in lay.subbands])
+    ref = band.min()
+    J, _ = fim_multiband_loop(f, band - ref, nloc, np.roll(spacings, -ref), lay.n_bands,
+                              SIGMA, gains, dts, prior)
+    return crb_eig_inv(J)
+
+
+class TestPhaseReference:
+    """Each column's first subband with pilots is its phase reference."""
+
+    def test_second_subband_column_matches_the_relabelled_loop(self, layout_multi):
+        # the multiband uniform baseline's second group: every pilot in the
+        # second subband, 400 MHz above the pinned origin
+        w = np.zeros(layout_multi.n_total, dtype=np.uint8)
+        w[127:] = 1
+        dts = np.linspace(4e-9, 8e-9, 9)
+        got = pattern_crb_provider(layout_multi, w, SIGMA, GAINS, 1e-9)(dts)
+        ref = relabelled_loop_crbs(layout_multi, w, dts)
+        assert np.all(np.isfinite(ref))
+        np.testing.assert_allclose(got, ref, rtol=1e-6)
+        # a 50-digit evaluation of the same model puts the SRL at 6.85952 ns
+        srl = srl_of_pattern(layout_multi, w, SIGMA, GAINS, 1e-9)
+        assert srl.srl_s == pytest.approx(6.85952e-9, abs=2 * srl.search.tol_s)
+
+    def test_three_subbands_with_the_first_idle(self):
+        cols = np.zeros((3, THREE_BANDS.n_total), dtype=np.uint8)
+        cols[0, np.r_[17:26, 34:42]] = 1     # the last two subbands
+        cols[1, 34:] = 1                     # the last subband alone
+        cols[2, :17] = 1                     # the first subband alone
+        dts = np.linspace(150e-9, 400e-9, 6)
+        provider = pattern_crb_provider(THREE_BANDS, cols, SIGMA, GAINS, 1e-9)
+        got = provider(dts)
+        betas = np.geomspace(20e-9, 400e-9, 8)
+        verdicts = []
+        for q, col in enumerate(cols):
+            ref = relabelled_loop_crbs(THREE_BANDS, col, dts)
+            assert np.all(np.isfinite(ref))
+            np.testing.assert_allclose(got[q], ref, rtol=1e-6)
+            # bit for bit the column alone, and the gate's beta test agrees
+            alone = pattern_crb_provider(THREE_BANDS, col, SIGMA, GAINS, 1e-9)
+            np.testing.assert_array_equal(got[q], alone(dts))
+            verdict = resolvable_at(THREE_BANDS, np.tile(col, (len(betas), 1)), SIGMA, GAINS,
+                                    betas, 1e-9)
+            np.testing.assert_array_equal(verdict, _g(betas, alone(betas)) >= 0)
+            verdicts += verdict.tolist()
+        assert any(verdicts) and not all(verdicts)
 
 
 class TestGateInputs:

@@ -32,6 +32,15 @@ def test_srl_digest_hashes_every_result_of_a_run():
     assert re.fullmatch(r"[0-9a-f]{64}", hexdigest)
 
 
+def test_srl_digest_hashes_every_baseline_group():
+    # the uniform and random baselines' 2 groups each, the idle-subband
+    # columns of the multiband uniform baseline among them
+    for band in ("single", "multi"):
+        results, hexdigest = load("srl_digest").baseline_digest(band)
+        assert results == 4
+        assert re.fullmatch(r"[0-9a-f]{64}", hexdigest)
+
+
 def test_gate_digest_hashes_every_decision_of_a_toy_run():
     wrapped = {name: getattr(optimizer, name) for name in ("_gate_decisions",)}
     decisions, hexdigest = load("gate_digest").digest(1, "single", population=20, elite=10,

@@ -11,6 +11,12 @@ a stack hash alike when every result is bit for bit the same. The pattern
 artifacts do not record the reference's results. It prints one markdown row
 per run, ``| <seed> | <band> | <results> | <sha256> |``.
 
+EDA columns all have pilots in every subband. So for seed 1 and both bands
+it also hashes, the same way, the SRL of every group of the uniform and
+random baselines (``receiver.baseline_schemes``), searched one column at a
+time as ``pilotforge srl`` does, in one row per band, ``| 1 | <band>
+baselines | <results> | <sha256> |``.
+
     python3 tools/srl_digest.py
 """
 
@@ -24,8 +30,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from pilotforge import optimizer  # noqa: E402
+from pilotforge import optimizer, receiver  # noqa: E402
 from pilotforge.cli import ExperimentConfig  # noqa: E402
+from pilotforge.resolution import srl_of_pattern  # noqa: E402
 
 SEEDS = (1, 15, 301)
 BANDS = ("single", "multi")
@@ -54,6 +61,25 @@ def digest(seed: int, band: str) -> tuple[int, str]:
         optimizer.run_eda(cfg.layout(), cfg.eda_config())
     finally:
         optimizer.srl_of_pattern = search
+    return hashed(pairs)
+
+
+def baseline_digest(band: str) -> tuple[int, str]:
+    """(results, SHA-256 over their columns and bytes) of the seed-1 baselines."""
+    cfg = ExperimentConfig.default().with_overrides(seed=SEEDS[0], mode=band)
+    layout, budgets = cfg.layout(), cfg.budgets()
+    gains, noise, prior = cfg.offline_model()
+    pairs = []
+    for patterns in receiver.baseline_schemes(layout, len(budgets), budgets,
+                                              seed=cfg.seed).values():
+        for g in range(patterns.n_groups):
+            col = np.asarray(patterns.column(g), dtype=np.uint8)
+            res = srl_of_pattern(layout, col, noise, gains, prior, cfg.srl_search())
+            pairs.append((col.tobytes(), result_bytes(res)))
+    return hashed(pairs)
+
+
+def hashed(pairs: list[tuple[bytes, bytes]]) -> tuple[int, str]:
     sha = hashlib.sha256()
     for col, res in sorted(pairs):
         sha.update(col + res)
@@ -66,6 +92,9 @@ def main() -> int:
         for band in BANDS:
             results, hexdigest = digest(seed, band)
             print(f"| {seed} | {band} | {results} | {hexdigest} |", flush=True)
+    for band in BANDS:
+        results, hexdigest = baseline_digest(band)
+        print(f"| {SEEDS[0]} | {band} baselines | {results} | {hexdigest} |", flush=True)
     return 0
 
 
