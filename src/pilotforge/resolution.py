@@ -241,14 +241,21 @@ def _information(moments: np.ndarray, plain: np.ndarray, terms: tuple[np.ndarray
                  noise_std: float, prior_std_s: float | None, less=0.0) -> np.ndarray:
     """(..., B, D, D) information (2 / sigma^2) (P s + Re(C) cr + Im(C) ci -
     less) of ``_gain_free_terms``' terms, plus 1 / prior_std_s^2 on the M
-    timing offsets' diagonal, the last rows and the only read of the prior."""
+    timing offsets' diagonal, the last rows and the only read of the prior.
+    Each column's first subband with pilots is its phase reference: where the
+    first subband idles, the first sounded subband's phi is collinear with
+    the gains, so its row and column are zeroed for ``crb_batch``."""
     pair, _, _, s, cr, ci = terms
     cw, pw = moments[..., pair], plain[..., pair]
     J = 2 / noise_std**2 * (pw * s + cw.real * cr + cw.imag * ci - less)
-    m = (moments.shape[-1] - 3) // 5
+    m, d = (moments.shape[-1] - 3) // 5, J.shape[-1]
     if m:
-        idel = np.arange(J.shape[-1] - m, J.shape[-1])
+        idel = np.arange(d - m, d)
         J[..., idel, idel] += 1.0 / prior_std_s**2
+    if m and not plain[..., 3].all():   # the per-band pilot counts are plain[..., 3:3 + m]
+        ref = np.argmax(plain[..., 3:3 + m] > 0, axis=-1)[..., None]
+        drop = (np.arange(d) == ref + d - 2 * m) & (ref > 0)    # the reference's phi
+        J = np.where(drop[..., None, :] | drop[..., :, None], 0.0, J)
     return J
 
 
@@ -278,13 +285,14 @@ def fim(layout: BandLayout, columns: np.ndarray, noise_std: float, gains,
     a1^R, a2^R, a1^I, a2^I] over the subcarriers n f_s, n = 0..N-1.
     Multiband: D = 6 + 2M - 1, parameters [tau (2), a^R (2), a^I (2),
     phi_2..phi_M, delta_1..delta_M], the first band's center pinned to zero
-    and phi_1 to 0, which keeps the matrix finite; the timing prior adds
-    1/prior_std_s^2 on the delta diagonal. The gains are referenced at f =
-    0, the single band's edge or the first band's centre, which moves the
-    SRL (see ``_moment_table``). Neither the first path's delay nor the true
-    phase/timing offsets enter any entry. Stacked columns need equal pilot
-    counts, and each one comes out bit for bit as it would alone at the same
-    separations.
+    and the phase of the column's first subband with pilots to 0 (a zero
+    row and column where that is not the first subband), which keeps the
+    matrix finite; the timing prior adds 1/prior_std_s^2 on the delta
+    diagonal. The gains are referenced at f = 0, the single band's edge or
+    the first band's centre, which moves the SRL (see ``_moment_table``).
+    Neither the first path's delay nor the true phase/timing offsets enter
+    any entry. Stacked columns need equal pilot counts, and each one comes
+    out bit for bit as it would alone at the same separations.
     """
     fims = _fim_builder(layout, columns, noise_std, gains, prior_std_s)
     return fims(np.atleast_1d(np.asarray(delta_taus, dtype=float)))
@@ -303,7 +311,7 @@ def crb_batch(J: np.ndarray) -> np.ndarray:
     itself on a single band, read without a pivot, and the (2M+1)-square
     information on a multiband layout, where it pivots on delta_M .. delta_1
     and phi_M .. phi_2; a whole FIM from ``fim`` (the gains too) gives the
-    same CRB where the first subband has pilots. The matrix is Jacobi-scaled to a unit diagonal first (it mixes
+    same CRB. The matrix is Jacobi-scaled to a unit diagonal first (it mixes
     seconds and unit gains or phases), and a nuisance with an exactly zero
     row (the phase of an idle subband, or of a reference subband) gets a unit
     diagonal entry: so decoupled, it leaves the delay block unchanged. A
@@ -355,10 +363,6 @@ def _gain_free_crb(moments: np.ndarray, plain: np.ndarray, noise_std: float, gai
     is exactly symmetric, and a subband without pilots leaves its phi row
     exactly zero. The Gram is well conditioned where P_1^2 - |C_1|^2 > 1e-12
     P_1^2 (the two paths' steering vectors are not collinear on the support).
-
-    Each column's first subband with pilots is its phase reference: where
-    the first subband idles, the first sounded subband's phi is collinear
-    with the gains, so its row and column are zeroed for ``crb_batch``.
     """
     m = (moments.shape[-1] - 3) // 5
     terms = _gain_free_terms(m, *np.asarray(gains, dtype=complex).tolist())
@@ -375,10 +379,6 @@ def _gain_free_crb(moments: np.ndarray, plain: np.ndarray, noise_std: float, gai
     z = np.stack([z1.real, z1.imag, z2.real, z2.imag])
     J = _information(moments, plain, terms, noise_std, prior_std_s,
                      (z[..., :, None] * z[..., None, :]).sum(axis=0))
-    if m and not plain[..., 3].all():   # the per-band pilot counts are plain[..., 3:3 + m]
-        ref = np.argmax(plain[..., 3:3 + m] > 0, axis=-1)[..., None]
-        drop = (np.arange(2 * m + 1) == ref + 1) & (ref > 0)    # the reference's phi
-        J = np.where(drop[..., None, :] | drop[..., :, None], 0.0, J)
     return np.where(ok[..., 0], crb_batch(J), np.inf)
 
 

@@ -323,13 +323,16 @@ def synthesize_received(layout: BandLayout, patterns: PatternSet,
     return y
 
 
-def uniform_patterns(layout: BandLayout, n_groups: int,
-                     budgets: Sequence[int] | None = None) -> PatternSet:
+def _check_group_count(n_groups: int, budgets: Sequence[int]) -> None:
+    if len(budgets) != n_groups:
+        raise ValueError(f"{n_groups} groups need {n_groups} budgets, got {len(budgets)}")
+
+
+def uniform_patterns(layout: BandLayout, n_groups: int, budgets: Sequence[int]) -> PatternSet:
     """Baseline 1: each group takes a contiguous equal segment of the band,
     with its pilots evenly spaced inside the segment."""
+    _check_group_count(n_groups, budgets)
     n = layout.n_total
-    if budgets is None:
-        budgets = [n // n_groups] * n_groups
     seg = n // n_groups
     cols = []
     for g, p in enumerate(budgets):
@@ -355,6 +358,7 @@ def check_budgets(budgets: Sequence[int], n_subcarriers: int) -> None:
 def random_patterns(layout: BandLayout, n_groups: int, budgets: Sequence[int],
                     seed: int = 0) -> PatternSet:
     """Baseline 2: a uniform draw over all non-overlapping fixed-budget masks."""
+    _check_group_count(n_groups, budgets)
     n = layout.n_total
     check_budgets(budgets, n)
     rng = np.random.default_rng(seed)

@@ -1,6 +1,9 @@
 import configparser
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -590,3 +593,30 @@ class TestSimulate:
         capsys.readouterr()
         assert (tmp_path / "a" / "nmse_single.csv").read_bytes() == \
             (tmp_path / "b" / "nmse_single.csv").read_bytes()
+
+
+class TestModuleEntryPoint:
+    """``python -m pilotforge.cli`` in a fresh interpreter, exit code and all."""
+
+    @staticmethod
+    def run(*args):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "pilotforge.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_isl_of_a_hand_written_pattern(self, tmp_path):
+        cfg, pat = tmp_path / "cfg.ini", tmp_path / "pattern.json"
+        cfg.write_text(TOY_INI)
+        pat.write_text(json.dumps({"format": "pilotforge-pattern-v1", "band": "single",
+                                   "groups": [{"indices": [0, 3, 7, 12, 30]},
+                                              {"indices": [1, 5, 20, 41, 63]}]}))
+        out = self.run("isl", "--config", str(cfg), "--pattern", str(pat))
+        assert out.returncode == 0, out.stderr
+        assert len(json.loads(out.stdout)["isl_db"]) == 2
+
+    def test_missing_pattern_file_exits_2(self, tmp_path):
+        out = self.run("isl", "--pattern", str(tmp_path / "missing.json"))
+        assert out.returncode == 2
+        assert "does not exist" in out.stderr and not out.stdout

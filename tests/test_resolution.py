@@ -667,6 +667,16 @@ class TestPhaseReference:
         srl = srl_of_pattern(layout_multi, w, SIGMA, GAINS, 1e-9)
         assert srl.srl_s == pytest.approx(6.85952e-9, abs=2 * srl.search.tol_s)
 
+    def test_fim_drops_the_reference_phase_too(self, layout_multi):
+        # the same column, as the multiband uniform baseline builds it: the
+        # whole FIM, gains and all, gives the provider's CRB at every point
+        w = pf.uniform_patterns(layout_multi, 2, [127, 127]).column(1)
+        dts = np.arange(4e-9, 8.25e-9, 0.5e-9)
+        got = crb_batch(fim(layout_multi, w, SIGMA, GAINS, dts, 1e-9))
+        want = pattern_crb_provider(layout_multi, w, SIGMA, GAINS, 1e-9)(dts)
+        assert np.all(np.isfinite(want))
+        np.testing.assert_allclose(got, want, rtol=1e-6)
+
     def test_three_subbands_with_the_first_idle(self):
         cols = np.zeros((3, THREE_BANDS.n_total), dtype=np.uint8)
         cols[0, np.r_[17:26, 34:42]] = 1     # the last two subbands

@@ -1,4 +1,4 @@
-"""The digest tools under tools/ run against this tree's library."""
+"""tools/digest.py runs against this tree's library."""
 
 import hashlib
 import importlib.util
@@ -7,55 +7,68 @@ from pathlib import Path
 
 import pytest
 
-from pilotforge import optimizer
+from pilotforge import optimizer, receiver
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
+RECORDED = ((optimizer, "srl_of_pattern"), (optimizer, "_gate_decisions"),
+            (receiver, "estimate_paths_psols"))
 
 
-def load(name: str):
-    spec = importlib.util.spec_from_file_location(f"tools_{name}", TOOLS / f"{name}.py")
+@pytest.fixture(scope="module")
+def digest():
+    spec = importlib.util.spec_from_file_location("tools_digest", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-@pytest.mark.parametrize("name", ["artifact_sha256", "fit_digest", "gate_digest",
-                                  "srl_digest"])
-def test_tool_loads(name):
-    assert callable(load(name).main)
+def is_sha256(hexdigest):
+    return re.fullmatch(r"[0-9a-f]{64}", hexdigest) is not None
 
 
-def test_srl_digest_hashes_every_result_of_a_run():
+def test_tool_loads(digest):
+    assert callable(digest.main)
+
+
+def test_paper_scale_run_records_every_srl_result(digest, tmp_path):
     # the beta reference's 10 draws x 2 groups and the final SRL's 2 groups
-    results, hexdigest = load("srl_digest").digest(1, "single")
+    (results, hexdigest), _ = digest.optimize(tmp_path, "--seed", "1", "--band", "single")
     assert results == 22
-    assert re.fullmatch(r"[0-9a-f]{64}", hexdigest)
+    assert is_sha256(hexdigest)
 
 
-def test_srl_digest_hashes_every_baseline_group():
+def test_baselines_hash_every_group(digest):
     # the uniform and random baselines' 2 groups each, the idle-subband
     # columns of the multiband uniform baseline among them
     for band in ("single", "multi"):
-        results, hexdigest = load("srl_digest").baseline_digest(band)
+        results, hexdigest = digest.baselines(band)
         assert results == 4
-        assert re.fullmatch(r"[0-9a-f]{64}", hexdigest)
+        assert is_sha256(hexdigest)
 
 
-def test_gate_digest_hashes_every_decision_of_a_toy_run():
-    wrapped = {name: getattr(optimizer, name) for name in ("_gate_decisions",)}
-    decisions, hexdigest = load("gate_digest").digest(1, "single", population=20, elite=10,
-                                                      iterations=2)
+def test_toy_run_records_every_gate_decision_and_fit_and_restores_the_names(digest, tmp_path):
+    originals = [getattr(module, name) for module, name in RECORDED]
+    config = tmp_path / "toy.ini"
+    config.write_text("[eda]\npopulation = 20\nelite = 10\niterations = 2\n")
+    _, (decisions, hexdigest) = digest.optimize(tmp_path, "--config", str(config),
+                                                "--seed", "1", "--band", "single")
     # at least the initial population's 20 columns per group, each decided once
     assert decisions >= 40
-    assert re.fullmatch(r"[0-9a-f]{64}", hexdigest)
-    for name, original in wrapped.items():
-        assert getattr(optimizer, name) is original
+    assert is_sha256(hexdigest)
+    # 50 trials x 3 schemes x 2 groups x 2 codes, on the toy optimum
+    fits, hexdigest = digest.fits("single", tmp_path / "pattern_single.json")
+    assert fits == 600
+    assert is_sha256(hexdigest)
+    with pytest.raises(RuntimeError, match="recorded"):
+        with digest.recorded(receiver, "estimate_paths_psols", None):
+            raise RuntimeError("recorded")
+    assert [getattr(module, name) for module, name in RECORDED] == originals
 
 
-def test_artifact_table_lists_every_file_by_path(tmp_path):
+def test_artifact_table_lists_every_file_by_path(digest, tmp_path):
     files = {"s1/b.json": b"{}", "s1/a.csv": b"", "top.txt": b"x"}
     for name, data in files.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)
         (tmp_path / name).write_bytes(data)
-    assert load("artifact_sha256").table(tmp_path) == ["| file | SHA-256 |", "| --- | --- |"] + [
+    assert digest.table(tmp_path) == ["| file | SHA-256 |", "| --- | --- |"] + [
         f"| {name} | {hashlib.sha256(files[name]).hexdigest()} |" for name in sorted(files)]

@@ -206,6 +206,14 @@ class TestPatternSet:
         with pytest.raises(ValueError):
             pf.random_patterns(layout_single, 2, [200, 200], seed=0)
 
+    @pytest.mark.parametrize("n_groups", [1, 3])
+    @pytest.mark.parametrize("baseline", [pf.uniform_patterns, pf.random_patterns])
+    def test_one_budget_per_group(self, baseline, n_groups):
+        lay = pf.BandLayout.single(32, FS, 0.0)
+        with pytest.raises(ValueError, match=f"{n_groups} groups need {n_groups} budgets"):
+            baseline(lay, n_groups, [8, 8])
+        assert baseline(lay, 2, [8, 8]).n_groups == 2
+
 
 class TestChannels:
     def test_draw_within_window_and_reproducible(self):
